@@ -1,0 +1,105 @@
+"""Byte pins on the files the CLI and the experiment scripts write.
+
+Every digest below is the sha256 of one output file produced at desk
+scale (and, for codebook dumps, at paper scale too) with small seed
+counts.  A refactor that claims identical behavior must leave all of them
+unchanged; a deliberate output change updates the digest in the same
+commit and says why.  The digests were recorded with numpy 2.4 on x86-64
+(OpenBLAS); another BLAS may round the last printed digit differently.
+"""
+
+import hashlib
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+from risbeam import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+
+RUN_CONFIGS = ("desk_nn", "desk_power_sweep", "desk_ris_height")
+
+# script -> extra arguments; every script also gets --out
+SCRIPTS = {
+    "convergence_curves": ["--seeds", "1"],
+    "overhead_vs_step": [],
+    "power_sweep": ["--seeds", "1"],
+    "ris_position_sweep": ["--seeds", "1"],
+    "rate_vs_layers": ["--seeds", "1", "--max-layers", "2"],
+}
+
+DIGESTS = {
+    "run/desk_nn.csv":
+        "05d3b812d4a71756453487579a6ddf1a85717a334219d23760c8b4e446bf332a",
+    "run/desk_nn.summary.csv":
+        "0d971f6f0680f7ebbd7736f0fe742749588dc57d2ce4caa88b143ee3c1989340",
+    "run/desk_power_sweep.csv":
+        "7d18e801ca8ffbe56aa7d1ec5979b57fd6c2d17deff18cebd82bc7460faec9fb",
+    "run/desk_power_sweep.summary.csv":
+        "16c5ef74834b9ec3970e0f13873bd78dbb792b6ccd0b0eb04eeb010c7aacb3b2",
+    "run/desk_ris_height.csv":
+        "b30f48d9cbd695122601dff1c91d51889ea503bb8f9e9b954cf735fa40eb144b",
+    "run/desk_ris_height.summary.csv":
+        "0519dd441a98f1bfbbaaa6e4c13febfb1ad83515fcd7af8325694e2ea426d28d",
+    "codebook/ff-desk.csv":
+        "1fde08680b4094ee70c0272d8b0fc2a27c095951fdbc982c8577badf4df0a465",
+    "codebook/nn-desk.csv":
+        "1956805f996dc0a8e1bd9cc030b51902da146c631baaeef03c0cba14a4dc7ed7",
+    "codebook/nf-desk.csv":
+        "572309e551229a4cf1a4c6afb72a72ad32f67cae2593066b8921a3d09360df9e",
+    "codebook/fn-desk.csv":
+        "a43f26bc3c583ce382345811218fb2dda78a9c1b2c20ff9e51bc083625387a0a",
+    "codebook/ff-paper.csv":
+        "e77a42a8df687301b2b01ef617f5776a173a48fd6c4ea661c9b7786f1c986737",
+    "codebook/nn-paper.csv":
+        "e54fa66c42a463612baf1bd523fc5c23f09f74e8ff7401ea25b64f32c708065e",
+    "codebook/nf-paper.csv":
+        "fe11685a1767a6cdd31160686650df6836824952f3f34c96e6bef0a50fe2fc59",
+    "codebook/fn-paper.csv":
+        "ed22c8df0f34417015a4df661ff82dc39f38032fcbac3a0226f0b95b0ea87794",
+    "scripts/convergence_curves.csv":
+        "fbfb42bb09b420f703d4ee3cbcc55c3d001b91dd8eb04508059b38d3a97b8f37",
+    "scripts/overhead_vs_step.csv":
+        "466f2e805837a1c1236a130c64b4f84b3fd130b8cdd0d647deda0bb3b5c7fc87",
+    "scripts/power_sweep.csv":
+        "da0ef82e28f9d9552b30274de32d04e354834d5a7cb3be90a21fd69377b494c8",
+    "scripts/rate_vs_layers.csv":
+        "de0e16ee939496595ef943872f8ee196a825144047c89d0a278b352ba080d084",
+    "scripts/ris_position_sweep.csv":
+        "37a1427aac605c7b0bbae423fa7535c9559dffc902990e8c31129cec6a0bda0e",
+}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", RUN_CONFIGS)
+def test_run_outputs(name, tmp_path):
+    out = tmp_path / f"{name}.csv"
+    assert cli.main(["run", str(ROOT / "configs" / f"{name}.cfg"),
+                     "--seed", "0", "--out", str(out)]) == 0
+    assert sha256(out) == DIGESTS[f"run/{name}.csv"]
+    assert sha256(out.with_suffix(".summary.csv")) == \
+        DIGESTS[f"run/{name}.summary.csv"]
+
+
+@pytest.mark.parametrize("scale", ("desk", "paper"))
+@pytest.mark.parametrize("kind", ("ff", "nn", "nf", "fn"))
+def test_codebook_dumps(kind, scale, tmp_path):
+    out = tmp_path / "book.csv"
+    assert cli.main(["codebook", "dump", "--kind", kind, "--scale", scale,
+                     "--out", str(out)]) == 0
+    assert sha256(out) == DIGESTS[f"codebook/{kind}-{scale}.csv"]
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
+def test_script_outputs(script, tmp_path, monkeypatch):
+    out = tmp_path / f"{script}.csv"
+    monkeypatch.setattr(sys, "argv",
+                        [script, *SCRIPTS[script], "--out", str(out)])
+    runpy.run_path(str(ROOT / "scripts" / f"{script}.py"),
+                   run_name="__main__")
+    assert sha256(out) == DIGESTS[f"scripts/{script}.csv"]
