@@ -8,17 +8,11 @@ default; pass --scale paper for the full-size layout (minutes).
 
 import argparse
 import csv
+from dataclasses import replace
 
 from risbeam import harness
-from risbeam.channel import synthesize_channel
 from risbeam.optimizer import ao_loop
 from risbeam.training import TrainingBudget
-
-VARIANTS = (("NN-hierarchical", "NN", "auto"),
-            ("NF-two-stage", "NF", "auto"),
-            ("FN-two-stage", "FN", "auto"),
-            ("NN-angular", "NN", "angular"),
-            ("FF-angular", "FF", "auto"))
 
 
 def main():
@@ -30,20 +24,14 @@ def main():
 
     cfg = harness.parse_config("", scale=args.scale)
     budget = TrainingBudget(max_layers=cfg.layers, s_x=cfg.s_x, s_y=cfg.s_y)
-    half = cfg.range_halfwidth_wl * 299792458.0 / cfg.carrier_hz
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "seed", "iteration", "rate_bps_hz", "gamma"])
-        for name, tag, scheme in VARIANTS:
+        for name, tag, scheme in harness.VARIANTS:
             for seed in range(args.seeds):
-                rng = harness.rng_for(seed, 0)
-                off = rng.uniform(-cfg.ue_jitter_frac * half,
-                                  cfg.ue_jitter_frac * half, 2)
-                geometry = harness.geometry_from(cfg, ue_offset=tuple(off))
-                real = synthesize_channel(tag, geometry, rng,
-                                          gain_mode=cfg.gain_mode)
-                gb, gu = harness.grids_from(cfg, geometry)
+                geometry, real, gb, gu = harness.cell_setup(
+                    replace(cfg, model=tag), seed, 0)
                 state = ao_loop(real, geometry, p_max=cfg.p_max_w,
                                 noise_var=cfg.noise_w, grid_bs=gb, grid_ue=gu,
                                 budget=budget, max_iters=cfg.max_iters,

@@ -7,12 +7,6 @@ from dataclasses import replace
 
 from risbeam import harness
 
-VARIANTS = (("NN-hierarchical", "NN", "auto"),
-            ("NF-two-stage", "NF", "auto"),
-            ("FN-two-stage", "FN", "auto"),
-            ("NN-angular", "NN", "angular"),
-            ("FF-angular", "FF", "auto"))
-
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
@@ -30,7 +24,7 @@ def main():
         writer = csv.writer(fh)
         writer.writerow(["variant", "power_dbm", "mean_rate_bps_hz",
                          "std_rate_bps_hz", "n"])
-        for name, tag, scheme in VARIANTS:
+        for name, tag, scheme in harness.VARIANTS:
             cfg = replace(base, model=tag, training=scheme,
                           seeds=tuple(range(args.seeds)))
             result = harness.run_experiment(cfg)

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from risbeam import harness
-from risbeam.channel import cascade, synthesize_channel
+from risbeam.channel import cascade
 from risbeam.codebook import build_nn_codebook
 from risbeam.optimizer import _initial_precoder, default_stream_count
 from risbeam.training import TrainingBudget, exhaustive_search, hierarchical_nn
@@ -28,16 +28,12 @@ def main():
     ap.add_argument("--out", default="rate_vs_layers.csv")
     args = ap.parse_args()
 
-    cfg = harness.parse_config("", scale=args.scale)
-    half = cfg.range_halfwidth_wl * 299792458.0 / cfg.carrier_hz
+    cfg = replace(harness.parse_config("", scale=args.scale), model="NN",
+                  ue_jitter_frac=0.15)
 
     rows = []
     for seed in range(args.seeds):
-        rng = harness.rng_for(seed, 0)
-        off = rng.uniform(-0.15 * half, 0.15 * half, 2)
-        geometry = harness.geometry_from(cfg, ue_offset=tuple(off))
-        real = synthesize_channel("NN", geometry, rng, gain_mode=cfg.gain_mode)
-        gb, gu = harness.grids_from(cfg, geometry)
+        geometry, real, gb, gu = harness.cell_setup(cfg, seed, 0)
         w = _initial_precoder(cascade(real, np.ones(geometry.m)),
                               default_stream_count("NN", geometry), cfg.p_max_w)
         for layers in range(1, args.max_layers + 1):

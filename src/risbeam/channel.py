@@ -32,6 +32,7 @@ from .geometry import (
 )
 
 MODEL_TAGS = ("FF", "NF", "FN", "NN")
+GAIN_MODES = ("friis", "matched", "unit")
 
 # which links use the spherical-wave model, per tag
 NEAR_LINKS = {

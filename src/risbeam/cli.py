@@ -36,9 +36,9 @@ def _cmd_run(args) -> int:
     harness.emit_results(result, cfg.out, timing=args.timing or cfg.timing,
                          json_mirror=args.json or cfg.json_mirror)
     for err in result.errors:
-        print(f"warning: failed cell: {err}", file=sys.stderr)
+        print(f"error: failed cell: {err}", file=sys.stderr)
     print(f"wrote {len(result.rows)} rows to {cfg.out}")
-    return 0
+    return 1 if result.errors else 0
 
 
 def _cmd_codebook(args) -> int:

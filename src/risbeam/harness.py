@@ -1,9 +1,12 @@
 """Experiment harness: config parsing, seeded sweeps, and result emission.
 
-Configs are plain ``key: value`` text (``#`` starts a comment).  Every dB
-quantity is converted to watts once at parse time, and all randomness is
-drawn from counter-based generators keyed by (seed, sweep index), so a
-run is a pure function of (config, seeds) regardless of worker count.
+Configs are plain ``key: value`` text (``#`` starts a comment).  Each key
+is declared once, as a field of ExperimentConfig carrying its check, unit
+and desk/paper defaults; parsing, validation, the scale defaults and
+sweeps all derive from those declarations, so a bad value is rejected at
+parse time with its line number.  All randomness is drawn from
+counter-based generators keyed by (seed, sweep index), so a run is a pure
+function of (config, seeds) regardless of worker count.
 
 See the schema table in the README (or CONFIG_SCHEMA below) for every
 key, its unit, and the desk/paper defaults.
@@ -13,14 +16,16 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channel import MODEL_TAGS, synthesize_channel
+from .channel import GAIN_MODES, MODEL_TAGS, synthesize_channel
 from .codebook import SamplingGrid
 from .geometry import SPEED_OF_LIGHT, SystemGeometry
 from .optimizer import ao_loop
@@ -28,51 +33,19 @@ from .training import TrainingBudget
 
 TRAINING_SCHEMES = ("auto", "angular", "hierarchical", "two_stage")
 
-SWEEPABLE = ("power_dbm", "noise_dbm", "ris_x", "ris_y", "ris_z",
+_RIS_AXES = ("ris_x", "ris_y", "ris_z")
+
+SWEEPABLE = ("power_dbm", "noise_dbm", *_RIS_AXES,
              "m_x", "m_y", "n_bs", "n_ue", "layers", "s_x", "s_y",
              "range_halfwidth_wl")
 
-_INT_KEYS = ("n_bs", "n_ue", "m_x", "m_y", "layers", "s_x", "s_y",
-             "paths_bs", "paths_ue", "max_iters", "workers", "q")
-
-# key -> (unit, desk default, paper default)
-# Desk defaults shrink the reference layout by 1/100 and drop the transmit
-# power by the 80 dB of cascaded gain that the shorter links add, keeping
-# the operating SNR (and therefore rates and convergence behavior)
-# comparable to the reference scale while runs finish in CI time.
-CONFIG_SCHEMA = {
-    "carrier_hz": ("Hz", 30e9, 30e9),
-    "spacing_wavelengths": ("multiples of the wavelength", 0.5, 0.5),
-    "n_bs": ("antennas", 8, 16),
-    "n_ue": ("antennas", 4, 8),
-    "m_x": ("elements", 16, 60),
-    "m_y": ("elements", 2, 2),
-    "bs_pos_m": ("m, [x,y,z]", [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
-    "ue_pos_m": ("m, [x,y,z]", [0.24, 0.0, 0.0], [24.0, 0.0, 0.0]),
-    "ris_pos_m": ("m, [x,y,z]", [0.1, 0.0, 0.08], [10.0, 0.0, 8.0]),
-    "model": ("FF|NF|FN|NN", "NN", "NN"),
-    "training": ("auto|angular|hierarchical|two_stage", "auto", "auto"),
-    "layers": ("refinement layers", 6, 12),
-    "s_x": ("samples per direction", 2, 2),
-    "s_y": ("samples per direction", 2, 2),
-    "range_halfwidth_wl": ("multiples of the wavelength", 10.0, 1000.0),
-    "ue_jitter_frac": ("fraction of the range halfwidth", 0.05, 0.05),
-    "power_dbm": ("dBm", -50.0, 30.0),
-    "noise_dbm": ("dBm", -105.0, -105.0),
-    "paths_bs": ("paths incl. LoS", 3, 3),
-    "paths_ue": ("paths incl. LoS", 3, 3),
-    "nlos_rel_power": ("relative to LoS power", 0.01, 0.01),
-    "gain_mode": ("friis|unit", "friis", "friis"),
-    "q": ("streams, 0 = auto", 0, 0),
-    "max_iters": ("iterations", 20, 20),
-    "tol": ("relative rate change", 1e-4, 1e-4),
-    "seeds": ("list, or a count expanded to 0..n-1", 20, 20),
-    "workers": ("processes", 1, 1),
-    "timing": ("true|false; true breaks byte determinism", False, False),
-    "json_mirror": ("true|false", False, False),
-    "sweep": ("'<name> in [v1, v2, ...]'", None, None),
-    "out": ("output CSV path", "results.csv", "results.csv"),
-}
+# (label, model, training): the model/scheme pairings the experiment
+# scripts compare
+VARIANTS = (("NN-hierarchical", "NN", "auto"),
+            ("NF-two-stage", "NF", "auto"),
+            ("FN-two-stage", "FN", "auto"),
+            ("NN-angular", "NN", "angular"),
+            ("FF-angular", "FF", "auto"))
 
 RESULT_HEADER = ("seed", "sweep_param", "sweep_value", "model",
                  "rate_bps_hz", "evaluations", "iterations", "ms")
@@ -82,42 +55,183 @@ class ConfigError(ValueError):
     pass
 
 
+class Key(NamedTuple):
+    """One config key: the check that parses it, its unit and defaults."""
+
+    check: Callable
+    unit: str
+    desk: object
+    paper: object
+
+
+def _key(check, unit, desk, paper):
+    return field(metadata={"key": Key(check, unit, desk, paper)})
+
+
+# Checks take a value as read from config text (bool, int, float, str or
+# list) and return it coerced to its field's type, or raise ValueError
+# saying what the key must be.
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ValueError("must be a finite number")
+    return float(value)
+
+
+def _positive(value) -> float:
+    x = _number(value)
+    if x <= 0:
+        raise ValueError("must be a positive number")
+    return x
+
+
+def _nonnegative(value) -> float:
+    x = _number(value)
+    if x < 0:
+        raise ValueError("must be >= 0")
+    return x
+
+
+def _integer(minimum: int):
+    def check(value) -> int:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not float(value).is_integer():
+            raise ValueError("must be an integer")
+        if value < minimum:
+            raise ValueError(f"must be >= {minimum}")
+        return int(value)
+    return check
+
+
+def _one_of(*choices):
+    def check(value):
+        if value not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}")
+        return value
+    check.choices = choices
+    return check
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError("must be true or false")
+    return value
+
+
+def _point(value) -> tuple:
+    if not isinstance(value, list) or len(value) != 3:
+        raise ValueError("must be [x, y, z]")
+    return tuple(_number(v) for v in value)
+
+
+def _seeds(value) -> tuple:
+    if isinstance(value, list):
+        if not value:
+            raise ValueError("must list at least one seed")
+        return tuple(_integer(0)(s) for s in value)
+    return tuple(range(_integer(1)(value)))
+
+
+def _sweep(value) -> tuple:
+    """'<name> in [v1, v2, ...]' as (name, values); no sweep is one cell."""
+    if value is None:
+        return "none", (0.0,)
+    name, sep, rest = str(value).partition(" in ")
+    if not sep:
+        raise ValueError("must look like '<name> in [v1, v2, ...]'")
+    values = _parse_list(rest)
+    if not values:
+        raise ValueError("needs at least one value")
+    name = name.strip()
+    return name, tuple(float(_swept(name, v)) for v in values)
+
+
+def _swept(name: str, value):
+    """`value` checked as the value the sweep gives parameter `name`."""
+    if name not in SWEEPABLE:
+        raise ValueError(f"names an unknown sweep parameter {name!r}; "
+                         f"choose one of {', '.join(SWEEPABLE)}")
+    check = _number if name in _RIS_AXES else CONFIG_SCHEMA[name].check
+    try:
+        return check(value)
+    except ValueError as exc:
+        raise ValueError(f"value {value} for {name} {exc}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    carrier_hz: float
-    spacing_wavelengths: float
-    n_bs: int
-    n_ue: int
-    m_x: int
-    m_y: int
-    bs_pos_m: tuple
-    ue_pos_m: tuple
-    ris_pos_m: tuple
-    model: str
-    training: str
-    layers: int
-    s_x: int
-    s_y: int
-    range_halfwidth_wl: float
-    ue_jitter_frac: float
-    power_dbm: float
-    noise_dbm: float
-    p_max_w: float
-    noise_w: float
-    paths_bs: int
-    paths_ue: int
-    nlos_rel_power: float
-    gain_mode: str
-    q: int
-    max_iters: int
-    tol: float
-    seeds: tuple
-    workers: int
-    timing: bool
-    json_mirror: bool
-    sweep_param: str
-    sweep_values: tuple
-    out: str
+    """One experiment; every field is a config key declared as
+    `_key(check, unit, desk default, paper default)`.
+
+    Desk defaults shrink the reference layout by 1/100 and drop the
+    transmit power by the 80 dB of cascaded gain that the shorter links
+    add, keeping the operating SNR (and therefore rates and convergence
+    behavior) comparable to the reference scale while runs finish in CI
+    time.  Defaults are written as config values and pass through their
+    key's check like any parsed value.
+    """
+
+    carrier_hz: float = _key(_positive, "Hz", 30e9, 30e9)
+    spacing_wavelengths: float = _key(_positive, "multiples of the wavelength",
+                                      0.5, 0.5)
+    n_bs: int = _key(_integer(1), "antennas", 8, 16)
+    n_ue: int = _key(_integer(1), "antennas", 4, 8)
+    m_x: int = _key(_integer(1), "elements", 16, 60)
+    m_y: int = _key(_integer(1), "elements", 2, 2)
+    bs_pos_m: tuple = _key(_point, "m, [x,y,z]",
+                           [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    ue_pos_m: tuple = _key(_point, "m, [x,y,z]",
+                           [0.24, 0.0, 0.0], [24.0, 0.0, 0.0])
+    ris_pos_m: tuple = _key(_point, "m, [x,y,z]",
+                            [0.1, 0.0, 0.08], [10.0, 0.0, 8.0])
+    model: str = _key(_one_of(*MODEL_TAGS), "channel model", "NN", "NN")
+    training: str = _key(_one_of(*TRAINING_SCHEMES), "training scheme",
+                         "auto", "auto")
+    layers: int = _key(_integer(0), "refinement layers", 6, 12)
+    s_x: int = _key(_integer(1), "samples per direction", 2, 2)
+    s_y: int = _key(_integer(1), "samples per direction", 2, 2)
+    range_halfwidth_wl: float = _key(_positive, "multiples of the wavelength",
+                                     10.0, 1000.0)
+    ue_jitter_frac: float = _key(_nonnegative,
+                                 "fraction of the range halfwidth", 0.05, 0.05)
+    power_dbm: float = _key(_number, "dBm", -50.0, 30.0)
+    noise_dbm: float = _key(_number, "dBm", -105.0, -105.0)
+    paths_bs: int = _key(_integer(1), "paths incl. LoS", 3, 3)
+    paths_ue: int = _key(_integer(1), "paths incl. LoS", 3, 3)
+    nlos_rel_power: float = _key(_positive, "relative to LoS power",
+                                 0.01, 0.01)
+    gain_mode: str = _key(_one_of(*GAIN_MODES), "LoS gain scale",
+                          "friis", "friis")
+    q: int = _key(_integer(0), "streams, 0 = auto", 0, 0)
+    max_iters: int = _key(_integer(1), "iterations", 20, 20)
+    tol: float = _key(_positive, "relative rate change", 1e-4, 1e-4)
+    seeds: tuple = _key(_seeds, "list, or a count expanded to 0..n-1",
+                        20, 20)
+    workers: int = _key(_integer(1), "processes", 1, 1)
+    timing: bool = _key(_flag, "true breaks byte determinism", False, False)
+    json_mirror: bool = _key(_flag, "also write a JSON mirror", False, False)
+    sweep: tuple = _key(_sweep, "'<name> in [v1, v2, ...]'", None, None)
+    out: str = _key(str, "output CSV path", "results.csv", "results.csv")
+
+    @property
+    def p_max_w(self) -> float:
+        return dbm_to_watts(self.power_dbm)
+
+    @property
+    def noise_w(self) -> float:
+        return dbm_to_watts(self.noise_dbm)
+
+    @property
+    def sweep_param(self) -> str:
+        return self.sweep[0]
+
+    @property
+    def sweep_values(self) -> tuple:
+        return self.sweep[1]
+
+
+CONFIG_SCHEMA = {f.name: f.metadata["key"] for f in fields(ExperimentConfig)}
 
 
 @dataclass(frozen=True)
@@ -164,44 +278,27 @@ def _parse_scalar(text: str):
         return text
 
 
-def _parse_list(text: str, lineno: int) -> list:
+def _parse_list(text: str) -> list:
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
-        raise ConfigError(f"line {lineno}: expected a [..] list, got {text!r}")
+        raise ValueError(f"expects a [..] list, got {text!r}")
     body = text[1:-1].strip()
     if not body:
         return []
     return [_parse_scalar(tok) for tok in body.split(",")]
 
 
-def _parse_sweep(text: str, lineno: int) -> tuple[str, tuple]:
-    parts = text.split(" in ", 1)
-    if len(parts) != 2:
-        raise ConfigError(
-            f"line {lineno}: sweep must look like '<name> in [v1, v2, ...]'")
-    name = parts[0].strip()
-    if name not in SWEEPABLE:
-        raise ConfigError(
-            f"line {lineno}: unknown sweep parameter {name!r}; "
-            f"choose one of {', '.join(SWEEPABLE)}")
-    values = _parse_list(parts[1], lineno)
-    if not values or not all(isinstance(v, (int, float)) for v in values):
-        raise ConfigError(f"line {lineno}: sweep values must be numeric")
-    return name, tuple(float(v) for v in values)
-
-
 def scale_defaults(scale: str) -> dict:
     if scale not in ("desk", "paper"):
         raise ConfigError(f"unknown scale {scale!r}; use 'desk' or 'paper'")
-    idx = 1 if scale == "desk" else 2
-    return {key: spec[idx] for key, spec in CONFIG_SCHEMA.items()
-            if key != "sweep"}
+    return {key: getattr(spec, scale) for key, spec in CONFIG_SCHEMA.items()}
 
 
 def parse_config(text: str, scale: str = "desk") -> ExperimentConfig:
     """Parse a key/value config document on top of the scale's defaults."""
-    values = scale_defaults(scale)
-    sweep: tuple[str, tuple] | None = None
+    values = {key: CONFIG_SCHEMA[key].check(default)
+              for key, default in scale_defaults(scale).items()}
+    given = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -209,108 +306,20 @@ def parse_config(text: str, scale: str = "desk") -> ExperimentConfig:
         if ":" not in line:
             raise ConfigError(f"line {lineno}: expected 'key: value', got {raw!r}")
         key, _, val = line.partition(":")
-        key = key.strip()
-        val = val.strip()
-        if key == "sweep":
-            if sweep is not None:
-                raise ConfigError(
-                    f"line {lineno}: multiple sweep parameters; only one allowed")
-            sweep = _parse_sweep(val, lineno)
-            continue
+        key, val = key.strip(), val.strip()
         if key not in CONFIG_SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in ("bs_pos_m", "ue_pos_m", "ris_pos_m"):
-            vec = _parse_list(val, lineno)
-            if len(vec) != 3 or not all(isinstance(v, (int, float)) for v in vec):
-                raise ConfigError(f"line {lineno}: {key} must be [x, y, z]")
-            values[key] = [float(v) for v in vec]
-        elif key == "seeds":
-            if val.startswith("["):
-                seeds = _parse_list(val, lineno)
-                if not seeds or not all(isinstance(s, int) and s >= 0 for s in seeds):
-                    raise ConfigError(
-                        f"line {lineno}: seeds must be nonnegative integers")
-                values[key] = seeds
-            else:
-                values[key] = _parse_scalar(val)
-        else:
-            values[key] = _parse_scalar(val)
-        _check_value(key, values[key], lineno)
-
-    seeds = values["seeds"]
-    if isinstance(seeds, int):
-        if seeds < 1:
-            raise ConfigError("seeds count must be >= 1")
-        seeds = list(range(seeds))
-    sweep_param, sweep_values = sweep if sweep is not None else ("none", (0.0,))
-
-    return ExperimentConfig(
-        carrier_hz=float(values["carrier_hz"]),
-        spacing_wavelengths=float(values["spacing_wavelengths"]),
-        n_bs=int(values["n_bs"]), n_ue=int(values["n_ue"]),
-        m_x=int(values["m_x"]), m_y=int(values["m_y"]),
-        bs_pos_m=tuple(values["bs_pos_m"]),
-        ue_pos_m=tuple(values["ue_pos_m"]),
-        ris_pos_m=tuple(values["ris_pos_m"]),
-        model=str(values["model"]),
-        training=str(values["training"]),
-        layers=int(values["layers"]),
-        s_x=int(values["s_x"]), s_y=int(values["s_y"]),
-        range_halfwidth_wl=float(values["range_halfwidth_wl"]),
-        ue_jitter_frac=float(values["ue_jitter_frac"]),
-        power_dbm=float(values["power_dbm"]),
-        noise_dbm=float(values["noise_dbm"]),
-        p_max_w=dbm_to_watts(float(values["power_dbm"])),
-        noise_w=dbm_to_watts(float(values["noise_dbm"])),
-        paths_bs=int(values["paths_bs"]), paths_ue=int(values["paths_ue"]),
-        nlos_rel_power=float(values["nlos_rel_power"]),
-        gain_mode=str(values["gain_mode"]),
-        q=int(values["q"]),
-        max_iters=int(values["max_iters"]),
-        tol=float(values["tol"]),
-        seeds=tuple(int(s) for s in seeds),
-        workers=int(values["workers"]),
-        timing=bool(values["timing"]),
-        json_mirror=bool(values["json_mirror"]),
-        sweep_param=sweep_param,
-        sweep_values=sweep_values,
-        out=str(values["out"]),
-    )
-
-
-def _check_value(key: str, value, lineno: int) -> None:
-    def fail(msg):
-        raise ConfigError(f"line {lineno}: {msg}")
-
-    if key in _INT_KEYS:
-        if not isinstance(value, int):
-            fail(f"{key} must be an integer")
-        if key in ("layers", "q") and value < 0:
-            fail(f"{key} must be >= 0")
-        if key not in ("layers", "q") and value < 1:
-            fail(f"{key} must be >= 1")
-    elif key in ("carrier_hz", "spacing_wavelengths", "range_halfwidth_wl",
-                 "nlos_rel_power", "tol"):
-        if not isinstance(value, (int, float)) or value <= 0:
-            fail(f"{key} must be a positive number")
-    elif key == "ue_jitter_frac":
-        if not isinstance(value, (int, float)) or value < 0:
-            fail(f"{key} must be >= 0")
-    elif key in ("power_dbm", "noise_dbm"):
-        if not isinstance(value, (int, float)):
-            fail(f"{key} must be a number in dBm")
-    elif key == "model":
-        if value not in MODEL_TAGS:
-            fail(f"model must be one of {', '.join(MODEL_TAGS)}")
-    elif key == "training":
-        if value not in TRAINING_SCHEMES:
-            fail(f"training must be one of {', '.join(TRAINING_SCHEMES)}")
-    elif key == "gain_mode":
-        if value not in ("friis", "unit"):
-            fail("gain_mode must be 'friis' or 'unit'")
-    elif key in ("timing", "json_mirror"):
-        if not isinstance(value, bool):
-            fail(f"{key} must be true or false")
+        if key == "sweep" and key in given:
+            raise ConfigError(
+                f"line {lineno}: multiple sweep parameters; only one allowed")
+        given.add(key)
+        try:
+            parsed = _parse_list(val) if val.startswith("[") \
+                else _parse_scalar(val)
+            values[key] = CONFIG_SCHEMA[key].check(parsed)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {key} {exc}") from None
+    return ExperimentConfig(**values)
 
 
 def load_config(path, scale: str = "desk") -> ExperimentConfig:
@@ -322,22 +331,15 @@ def apply_sweep(cfg: ExperimentConfig, value: float) -> ExperimentConfig:
     name = cfg.sweep_param
     if name == "none":
         return cfg
-    if name in ("m_x", "m_y", "n_bs", "n_ue", "layers", "s_x", "s_y"):
-        if value != int(value):
-            raise ConfigError(f"sweep value {value} for {name} must be an integer")
-        return replace(cfg, **{name: int(value)})
-    if name == "power_dbm":
-        return replace(cfg, power_dbm=value, p_max_w=dbm_to_watts(value))
-    if name == "noise_dbm":
-        return replace(cfg, noise_dbm=value, noise_w=dbm_to_watts(value))
-    if name in ("ris_x", "ris_y", "ris_z"):
-        axis = {"ris_x": 0, "ris_y": 1, "ris_z": 2}[name]
+    try:
+        value = _swept(name, value)
+    except ValueError as exc:
+        raise ConfigError(f"sweep {exc}") from None
+    if name in _RIS_AXES:
         pos = list(cfg.ris_pos_m)
-        pos[axis] = value
+        pos[_RIS_AXES.index(name)] = value
         return replace(cfg, ris_pos_m=tuple(pos))
-    if name == "range_halfwidth_wl":
-        return replace(cfg, range_halfwidth_wl=value)
-    raise ConfigError(f"unknown sweep parameter {name!r}")
+    return replace(cfg, **{name: value})
 
 
 def geometry_from(cfg: ExperimentConfig,
@@ -364,21 +366,32 @@ def grids_from(cfg: ExperimentConfig, geometry: SystemGeometry):
     return grid(cfg.bs_pos_m), grid(cfg.ue_pos_m)
 
 
+def cell_setup(cfg: ExperimentConfig, seed: int, index: int):
+    """Geometry, channel realization and sample grids of one cell.
+
+    The (seed, index) stream first jitters the user position uniformly by
+    up to ue_jitter_frac of the range halfwidth in x and y, then draws the
+    channel.  Returns (geometry, realization, grid_bs, grid_ue).
+    """
+    rng = rng_for(seed, index)
+    jitter = cfg.ue_jitter_frac * cfg.range_halfwidth_wl
+    lam_offsets = rng.uniform(-jitter, jitter, size=2)
+    wavelength = SPEED_OF_LIGHT / cfg.carrier_hz
+    geometry = geometry_from(cfg, ue_offset=tuple(lam_offsets * wavelength))
+    realization = synthesize_channel(
+        cfg.model, geometry, rng, n_paths_bs=cfg.paths_bs,
+        n_paths_ue=cfg.paths_ue, nlos_rel_power=cfg.nlos_rel_power,
+        gain_mode=cfg.gain_mode)
+    return (geometry, realization, *grids_from(cfg, geometry))
+
+
 def run_cell(cfg: ExperimentConfig, seed: int, sweep_index: int,
              sweep_value: float) -> ResultRow:
     """One (seed, sweep value) cell: synthesize, optimize, report."""
     cell = apply_sweep(cfg, sweep_value)
-    rng = rng_for(seed, sweep_index)
     t0 = time.perf_counter()
-    jitter = cell.ue_jitter_frac * cell.range_halfwidth_wl
-    lam_offsets = rng.uniform(-jitter, jitter, size=2)
-    wavelength = SPEED_OF_LIGHT / cell.carrier_hz
-    geometry = geometry_from(cell, ue_offset=tuple(lam_offsets * wavelength))
-    realization = synthesize_channel(
-        cell.model, geometry, rng, n_paths_bs=cell.paths_bs,
-        n_paths_ue=cell.paths_ue, nlos_rel_power=cell.nlos_rel_power,
-        gain_mode=cell.gain_mode)
-    grid_bs, grid_ue = grids_from(cell, geometry)
+    geometry, realization, grid_bs, grid_ue = cell_setup(cell, seed,
+                                                         sweep_index)
     state = ao_loop(
         realization, geometry, p_max=cell.p_max_w, noise_var=cell.noise_w,
         grid_bs=grid_bs, grid_ue=grid_ue,

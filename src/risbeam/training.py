@@ -19,11 +19,15 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from functools import reduce
+from itertools import product
 
 import numpy as np
 
 from .channel import ChannelRealization
 from .codebook import (
+    SIDE_BS,
+    SIDE_UE,
     Codebook,
     Codeword,
     SamplingGrid,
@@ -108,17 +112,78 @@ def es_overhead_hybrid(m: int, layers: int, s_x: int, s_y: int) -> int:
     return m * 4 * layers * s_x * s_y
 
 
+def exhaustive_search(realization: ChannelRealization, w: np.ndarray,
+                      noise_var: float, codebook: Codebook) -> TrainingReport:
+    """Flat scan of a prebuilt codebook; the baseline for everything else."""
+    if len(codebook) == 0:
+        raise ValueError("empty codebook")
+    rates = rates_for_phase_batch(realization, codebook.words, w, noise_var)
+    k = int(np.argmax(rates))
+    rec = LayerRecord(layer=0, choice=(k,), best_rate=float(rates[k]),
+                      evaluations_total=len(codebook))
+    return TrainingReport(best_codeword=codebook[k], best_rate=float(rates[k]),
+                          evaluations=len(codebook), layer_trace=[rec])
+
+
+def _sweep(realization: ChannelRealization, w: np.ndarray, noise_var: float,
+           book: Codebook) -> TrainingReport:
+    """Flat scan of an angular codebook, recording the (ix, iy) grid pick."""
+    report = exhaustive_search(realization, w, noise_var, book)
+    tag = report.best_codeword.provenance
+    report.layer_trace[0] = replace(report.layer_trace[0],
+                                    choice=(tag.ix, tag.iy))
+    return report
+
+
 def angular_sweep(realization: ChannelRealization, w: np.ndarray,
                   noise_var: float, geometry: SystemGeometry) -> TrainingReport:
     """Score every angular codeword; m_x*m_y evaluations."""
-    book = build_ff_codebook(geometry)
-    rates = rates_for_phase_batch(realization, book.words, w, noise_var)
-    k = int(np.argmax(rates))
-    tag = book.provenance[k]
-    rec = LayerRecord(layer=0, choice=(tag.ix, tag.iy),
-                      best_rate=float(rates[k]), evaluations_total=len(book))
-    return TrainingReport(best_codeword=book[k], best_rate=float(rates[k]),
-                          evaluations=len(book), layer_trace=[rec])
+    return _sweep(realization, w, noise_var, build_ff_codebook(geometry))
+
+
+def _descend(realization: ChannelRealization, w: np.ndarray,
+             noise_var: float, geometry: SystemGeometry, ranges: list,
+             budget: TrainingBudget, report: TrainingReport,
+             prefix: Codebook | None = None) -> TrainingReport:
+    """Layered quadrant refinement shared by the refining schemes.
+
+    `ranges` lists (grid, side) pairs in choice order.  Each layer
+    quadrisects every range, builds each quadrant's sample list once,
+    stars one list per range onto the fixed `prefix` for every quadrant
+    combination (first range slowest), scores all candidates in one batch,
+    and descends into the winning combination.  Lists are starred last
+    range first, so hierarchical codewords carry the user-side sample as
+    their first operand.
+    Evaluations, layer records and the best codeword accumulate into
+    `report`, which is returned.
+    """
+    grids = [replace(grid, s_x=budget.s_x, s_y=budget.s_y)
+             for grid, _ in ranges]
+    head = [] if prefix is None else [prefix]
+    combos = list(product(range(4), repeat=len(ranges)))
+    for layer in range(1, budget.max_layers + 1):
+        subs = [subdivide_range(grid) for grid in grids]
+        lists = [[build_distance_component(sub, side, geometry)
+                  for sub in quads]
+                 for quads, (_, side) in zip(subs, ranges)]
+        books = []
+        for combo in combos:
+            parts = [quads[q] for quads, q in zip(lists, combo)]
+            books.append(reduce(star, head + parts[::-1]))
+        words = np.vstack([b.words for b in books])
+        rates = rates_for_phase_batch(realization, words, w, noise_var)
+        report.evaluations += words.shape[0]
+        k = int(np.argmax(rates))
+        c, s = divmod(k, len(books[0]))
+        layer_best = float(rates[k])
+        report.layer_trace.append(LayerRecord(
+            layer=layer, choice=tuple(q + 1 for q in combos[c]),
+            best_rate=layer_best, evaluations_total=report.evaluations))
+        if layer_best > report.best_rate:
+            report.best_rate = layer_best
+            report.best_codeword = books[c][s]
+        grids = [quads[q] for quads, q in zip(subs, combos[c])]
+    return report
 
 
 def hierarchical_nn(realization: ChannelRealization, w: np.ndarray,
@@ -134,42 +199,10 @@ def hierarchical_nn(realization: ChannelRealization, w: np.ndarray,
     """
     if budget.max_layers < 1:
         raise ValueError("hierarchical training requires max_layers >= 1")
-    cur_bs = replace(grid_bs, s_x=budget.s_x, s_y=budget.s_y)
-    cur_ue = replace(grid_ue, s_x=budget.s_x, s_y=budget.s_y)
-
-    best_rate = -np.inf
-    best_word: Codeword | None = None
-    evaluations = 0
-    trace: list[LayerRecord] = []
-
-    for layer in range(1, budget.max_layers + 1):
-        subs_bs = subdivide_range(cur_bs)
-        subs_ue = subdivide_range(cur_ue)
-        # each side's four sample lists are shared across the 16 pairings
-        bs_lists = [build_distance_component(sub, "B", geometry)
-                    for sub in subs_bs]
-        ue_lists = [build_distance_component(sub, "U", geometry)
-                    for sub in subs_ue]
-        books = [star(ue_lists[j], bs_lists[i])
-                 for i in range(4) for j in range(4)]
-        words = np.vstack([b.words for b in books])
-        rates = rates_for_phase_batch(realization, words, w, noise_var)
-        evaluations += words.shape[0]
-        k = int(np.argmax(rates))
-        per_book = len(books[0])
-        pair, s = divmod(k, per_book)
-        i, j = divmod(pair, 4)
-        layer_best = float(rates[k])
-        trace.append(LayerRecord(layer=layer, choice=(i + 1, j + 1),
-                                 best_rate=layer_best,
-                                 evaluations_total=evaluations))
-        if layer_best > best_rate:
-            best_rate = layer_best
-            best_word = books[pair][s]
-        cur_bs, cur_ue = subs_bs[i], subs_ue[j]
-
-    return TrainingReport(best_codeword=best_word, best_rate=best_rate,
-                          evaluations=evaluations, layer_trace=trace)
+    empty = TrainingReport(best_codeword=None, best_rate=-np.inf,
+                           evaluations=0, layer_trace=[])
+    return _descend(realization, w, noise_var, geometry,
+                    [(grid_bs, SIDE_BS), (grid_ue, SIDE_UE)], budget, empty)
 
 
 def two_stage_hybrid(realization: ChannelRealization, w: np.ndarray,
@@ -185,50 +218,10 @@ def two_stage_hybrid(realization: ChannelRealization, w: np.ndarray,
     """
     if side not in ("NF", "FN"):
         raise ValueError(f"side must be 'NF' or 'FN', got {side!r}")
-    angular = build_angular_component(geometry)
-    rates = rates_for_phase_batch(realization, angular.words, w, noise_var)
-    k1 = int(np.argmax(rates))
-    evaluations = len(angular)
-    tag = angular.provenance[k1]
-    best_rate = float(rates[k1])
-    best_word = angular[k1]
-    trace = [LayerRecord(layer=0, choice=(tag.ix, tag.iy),
-                         best_rate=best_rate, evaluations_total=evaluations)]
-
-    fixed = Codebook(words=angular.words[k1:k1 + 1],
-                     provenance=(angular.provenance[k1],))
-    side_letter = "B" if side == "NF" else "U"
-    cur = replace(grid, s_x=budget.s_x, s_y=budget.s_y)
-    for layer in range(1, budget.max_layers + 1):
-        subs = subdivide_range(cur)
-        books = [star(fixed, build_distance_component(sub, side_letter, geometry))
-                 for sub in subs]
-        words = np.vstack([b.words for b in books])
-        layer_rates = rates_for_phase_batch(realization, words, w, noise_var)
-        evaluations += words.shape[0]
-        k = int(np.argmax(layer_rates))
-        i, s = divmod(k, len(books[0]))
-        layer_best = float(layer_rates[k])
-        trace.append(LayerRecord(layer=layer, choice=(i + 1,),
-                                 best_rate=layer_best,
-                                 evaluations_total=evaluations))
-        if layer_best > best_rate:
-            best_rate = layer_best
-            best_word = books[i][s]
-        cur = subs[i]
-
-    return TrainingReport(best_codeword=best_word, best_rate=best_rate,
-                          evaluations=evaluations, layer_trace=trace)
-
-
-def exhaustive_search(realization: ChannelRealization, w: np.ndarray,
-                      noise_var: float, codebook: Codebook) -> TrainingReport:
-    """Flat scan of a prebuilt codebook; the baseline for everything else."""
-    if len(codebook) == 0:
-        raise ValueError("empty codebook")
-    rates = rates_for_phase_batch(realization, codebook.words, w, noise_var)
-    k = int(np.argmax(rates))
-    rec = LayerRecord(layer=0, choice=(k,), best_rate=float(rates[k]),
-                      evaluations_total=len(codebook))
-    return TrainingReport(best_codeword=codebook[k], best_rate=float(rates[k]),
-                          evaluations=len(codebook), layer_trace=[rec])
+    report = _sweep(realization, w, noise_var,
+                    build_angular_component(geometry))
+    win = report.best_codeword
+    fixed = Codebook(words=win.coeffs[None, :], provenance=(win.provenance,))
+    near = SIDE_BS if side == "NF" else SIDE_UE
+    return _descend(realization, w, noise_var, geometry, [(grid, near)],
+                    budget, report, prefix=fixed)

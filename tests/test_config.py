@@ -1,0 +1,109 @@
+"""Config declarations against the README, parse-time validation, and the
+run exit status."""
+
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+from risbeam import cli
+from risbeam.harness import (
+    CONFIG_SCHEMA,
+    ConfigError,
+    parse_config,
+    parse_result_csv,
+    run_experiment,
+)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_rows():
+    """(key, unit column, desk text, paper text) per key in the README table."""
+    text = README.read_text()
+    table = text[text.index("| key | unit / form |"):].split("\n\n", 1)[0]
+    rows = []
+    for line in table.splitlines()[2:]:
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+        keys = re.findall(r"`(\w+)`", cells[0])
+        desk, paper = ([v.strip("` ") for v in cell.split(", ")]
+                       if len(keys) > 1 else [cell.strip("`")]
+                       for cell in cells[2:4])
+        rows += [(k, cells[1], d, p) for k, d, p in zip(keys, desk, paper)]
+    return rows
+
+
+def test_readme_table_lists_every_key_once():
+    keys = [row[0] for row in readme_rows()]
+    assert sorted(keys) == sorted(CONFIG_SCHEMA)
+    assert len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("key,unit,desk,paper", readme_rows())
+def test_readme_defaults_and_choices_match_declaration(key, unit, desk, paper):
+    spec = CONFIG_SCHEMA[key]
+    for scale, text, declared in (("desk", desk, spec.desk),
+                                  ("paper", paper, spec.paper)):
+        if text == "none":
+            assert declared is None
+            continue
+        documented = getattr(parse_config(f"{key}: {text}", scale=scale), key)
+        assert documented == getattr(parse_config("", scale=scale), key)
+    allowed = unit.strip("`").split("\\|") if "\\|" in unit else None
+    choices = getattr(spec.check, "choices", None)
+    if choices is not None:
+        assert allowed == list(choices)
+    for value in allowed or ():
+        parse_config(f"{key}: {value}")
+
+
+def test_gain_mode_matched_parses_and_runs():
+    text = "model: FF\nseeds: [0]\nmax_iters: 3\nlayers: 1\n"
+    matched = parse_config(text + "gain_mode: matched\n")
+    assert matched.gain_mode == "matched"
+    result = run_experiment(matched)
+    assert not result.errors
+    rate = result.rows[0].rate_bps_hz
+    assert math.isfinite(rate) and rate > 0
+    # the planar LoS gain grows by sqrt(paths), so the rate must move
+    assert rate != run_experiment(parse_config(text)).rows[0].rate_bps_hz
+
+
+@pytest.mark.parametrize("text", [
+    "carrier_hz: nan",
+    "power_dbm: inf",
+    "noise_dbm: -inf",
+    "tol: nan",
+    "ris_pos_m: [0.1, nan, 0.08]",
+    "sweep: power_dbm in [-50, nan]",
+    "sweep: ris_z in [inf]",
+])
+def test_non_finite_numbers_rejected_at_parse(text):
+    with pytest.raises(ConfigError, match="line 1: .*finite"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("text,match", [
+    ("m_x: 4.5", "m_x must be an integer"),
+    ("sweep: m_x in [4.5]", "m_x must be an integer"),
+    ("sweep: layers in [1, 2.5]", "layers must be an integer"),
+    ("sweep: n_bs in [0, 4]", "n_bs must be >= 1"),
+    ("n_bs: true", "n_bs must be an integer"),
+])
+def test_integer_keys_checked_at_parse(text, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config(text)
+
+
+def test_zero_layer_sweep_stays_legal():
+    assert parse_config("sweep: layers in [0, 1]").sweep_values == (0.0, 1.0)
+
+
+def test_run_exits_nonzero_when_a_cell_fails(tmp_path, capsys):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("model: NN\nlayers: 0\nseeds: [0]\n")
+    out = tmp_path / "res.csv"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) != 0
+    assert "failed cell" in capsys.readouterr().err
+    assert len(parse_result_csv(out)) == 1    # the row is still written
