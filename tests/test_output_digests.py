@@ -1,8 +1,8 @@
 """Byte pins on the files the CLI and the experiment scripts write.
 
 Every digest below is the sha256 of one output file produced at desk
-scale (and, for codebook dumps, at paper scale too) with small seed
-counts.  A refactor that claims identical behavior must leave all of them
+scale (and, for codebook and channel dumps, at paper scale too) with
+small seed counts.  A refactor that claims identical behavior must leave all of them
 unchanged; a deliberate output change updates the digest in the same
 commit and says why.  The digests were recorded with numpy 2.4 on x86-64
 (OpenBLAS); another BLAS may round the last printed digit differently.
@@ -59,6 +59,26 @@ DIGESTS = {
         "fe11685a1767a6cdd31160686650df6836824952f3f34c96e6bef0a50fe2fc59",
     "codebook/fn-paper.csv":
         "ed22c8df0f34417015a4df661ff82dc39f38032fcbac3a0226f0b95b0ea87794",
+    "channel/ff-desk.json":
+        "9e3b5d018204f4f9b42518bf575ee8cffabdc10bf54008c1f3d901b849a5eba4",
+    "channel/nf-desk.json":
+        "82563e57875a00c4982efa190207f943efc416aa571cc4a125df6c5dfb34bed0",
+    "channel/fn-desk.json":
+        "04fc7b20bb1abae3cb55858f834ad2be720a71d0f41e2861a9807f2ad0bf54fd",
+    "channel/nn-desk.json":
+        "3e2e346c3e55bb2519efd5816cc61f43ed6f6e6272770ca470cbc136950736e1",
+    "channel/ff-paper.json":
+        "b22739114cbbd026261acf20bcebb036dd3b8e59f7d85dda9fae3d0e09fc9816",
+    "channel/nf-paper.json":
+        "f8ced29a48e9e3f4fbee2ed8eb4a0f5c5839ad08dd402f5c90989945996ff22f",
+    "channel/fn-paper.json":
+        "175cff51b4359856a328db50a2fd2a131e79597297235f46d2b6b28ad51dc861",
+    "channel/nn-paper.json":
+        "cae95341ab5b30343b44762426d75f6b42bb4335baca4b0173cf20e241c5a2de",
+    "channel/ff-desk-matched.json":
+        "1470402de9c65276d7011303e1b6c8b52d4e1de4ee538d2b64a5c9cb728ce6bb",
+    "channel/ff-desk-unit.json":
+        "dce855e60e4a19d36d6a6c3193365c75864e265e2af9997ad2148cb773da600b",
     "scripts/convergence_curves.csv":
         "fbfb42bb09b420f703d4ee3cbcc55c3d001b91dd8eb04508059b38d3a97b8f37",
     "scripts/overhead_vs_step.csv":
@@ -93,6 +113,25 @@ def test_codebook_dumps(kind, scale, tmp_path):
     assert cli.main(["codebook", "dump", "--kind", kind, "--scale", scale,
                      "--out", str(out)]) == 0
     assert sha256(out) == DIGESTS[f"codebook/{kind}-{scale}.csv"]
+
+
+@pytest.mark.parametrize("scale", ("desk", "paper"))
+@pytest.mark.parametrize("model", ("FF", "NF", "FN", "NN"))
+def test_channel_dumps(model, scale, tmp_path):
+    out = tmp_path / "channel.json"
+    assert cli.main(["channel", "dump", "--model", model, "--seed", "0",
+                     "--scale", scale, "--out", str(out)]) == 0
+    assert sha256(out) == DIGESTS[f"channel/{model.lower()}-{scale}.json"]
+
+
+@pytest.mark.parametrize("gain_mode", ("matched", "unit"))
+def test_channel_dump_gain_modes(gain_mode, tmp_path):
+    cfg = tmp_path / "gain.cfg"
+    cfg.write_text(f"gain_mode: {gain_mode}\n")
+    out = tmp_path / "channel.json"
+    assert cli.main(["channel", "dump", "--model", "FF", "--seed", "0",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+    assert sha256(out) == DIGESTS[f"channel/ff-desk-{gain_mode}.json"]
 
 
 @pytest.mark.parametrize("script", sorted(SCRIPTS))
