@@ -24,9 +24,7 @@ import numpy as np
 from .geometry import (
     LINK_BS_RIS,
     LINK_RIS_UE,
-    NODE_BS,
     NODE_RIS,
-    NODE_UE,
     SystemGeometry,
     centered_offsets,
 )
@@ -161,47 +159,42 @@ def upa_response(azimuth: float, elevation: float, m_x: int, m_y: int,
     return np.kron(ax, ay) / np.sqrt(m_x * m_y)
 
 
+def _response(node: str, azimuth: float, elevation: float,
+              geometry: SystemGeometry) -> np.ndarray:
+    """Planar-wave response at a node: the UPA at the RIS, the ULA elsewhere
+    (which ignores the elevation)."""
+    if node == NODE_RIS:
+        return upa_response(azimuth, elevation, geometry.m_x, geometry.m_y,
+                            geometry)
+    return ula_response(azimuth, geometry.n_elements(node), geometry)
+
+
 def far_channel(spec: FarFieldSpec, geometry: SystemGeometry) -> np.ndarray:
     """Multipath planar-wave link matrix.
 
-    BS-RIS: sqrt(M*n_bs/L) * sum_l gain_l * a_ris(aoa) a_bs(aod)^H,
-    shape (M, n_bs).  RIS-user: sqrt(M*n_ue/L) * sum_l gain_l *
-    a_ue(aoa) a_ris(aod)^H, shape (n_ue, M).
+    sqrt(N_rx*N_tx/L) * sum_l gain_l * a_rx(aoa) a_tx(aod)^H with shape
+    (N_rx, N_tx): (M, n_bs) for BS-RIS, (n_ue, M) for RIS-user.
     """
-    m_x, m_y = geometry.m_x, geometry.m_y
-    n_paths = len(spec.paths)
-    if spec.link == LINK_BS_RIS:
-        scale = np.sqrt(geometry.m * geometry.n_bs / n_paths)
-        out = np.zeros((geometry.m, geometry.n_bs), dtype=complex)
-        for p in spec.paths:
-            a_ris = upa_response(p.azimuth_aoa, p.elevation_aoa, m_x, m_y, geometry)
-            a_bs = ula_response(p.azimuth_aod, geometry.n_bs, geometry)
-            out += p.gain * np.outer(a_ris, a_bs.conj())
-    else:
-        scale = np.sqrt(geometry.m * geometry.n_ue / n_paths)
-        out = np.zeros((geometry.n_ue, geometry.m), dtype=complex)
-        for p in spec.paths:
-            a_ue = ula_response(p.azimuth_aoa, geometry.n_ue, geometry)
-            a_ris = upa_response(p.azimuth_aod, p.elevation_aod, m_x, m_y, geometry)
-            out += p.gain * np.outer(a_ue, a_ris.conj())
-    return scale * out
+    tx, rx = geometry.link_endpoints(spec.link)
+    n_rx, n_tx = geometry.n_elements(rx), geometry.n_elements(tx)
+    out = np.zeros((n_rx, n_tx), dtype=complex)
+    for p in spec.paths:
+        a_rx = _response(rx, p.azimuth_aoa, p.elevation_aoa, geometry)
+        a_tx = _response(tx, p.azimuth_aod, p.elevation_aod, geometry)
+        out += p.gain * np.outer(a_rx, a_tx.conj())
+    return np.sqrt(n_rx * n_tx / len(spec.paths)) * out
 
 
 def exact_distances(link: str, geometry: SystemGeometry) -> np.ndarray:
-    """All element-pair distances of a link.
+    """All element-pair distances of a link, shape (N_rx, N_tx).
 
     BS-RIS returns shape (M, n_bs); RIS-user returns (n_ue, M), matching
     the near-field matrix layouts.
     """
-    if link == LINK_BS_RIS:
-        rx = geometry.element_positions(NODE_RIS)
-        tx = geometry.element_positions(NODE_BS)
-    elif link == LINK_RIS_UE:
-        rx = geometry.element_positions(NODE_UE)
-        tx = geometry.element_positions(NODE_RIS)
-    else:
-        raise ValueError(f"unknown link {link!r}")
-    return np.linalg.norm(rx[:, None, :] - tx[None, :, :], axis=-1)
+    tx, rx = geometry.link_endpoints(link)
+    rx_pos = geometry.element_positions(rx)
+    tx_pos = geometry.element_positions(tx)
+    return np.linalg.norm(rx_pos[:, None, :] - tx_pos[None, :, :], axis=-1)
 
 
 def taylor_distances(link: str, geometry: SystemGeometry) -> np.ndarray:
@@ -212,20 +205,15 @@ def taylor_distances(link: str, geometry: SystemGeometry) -> np.ndarray:
     u the x direction cosine of the RIS element seen from the midpoint.
     Validation aid only; the channel itself uses exact_distances.
     """
-    ris = geometry.element_positions(NODE_RIS)
-    if link == LINK_BS_RIS:
-        mid, n = geometry.bs_mid, geometry.n_bs
-    elif link == LINK_RIS_UE:
-        mid, n = geometry.ue_mid, geometry.n_ue
-    else:
-        raise ValueError(f"unknown link {link!r}")
-    rel = ris - mid[None, :]
+    tx, rx = geometry.link_endpoints(link)
+    ula = tx if rx == NODE_RIS else rx
+    rel = geometry.element_positions(NODE_RIS) - geometry.midpoint(ula)[None, :]
     r = np.linalg.norm(rel, axis=1)
     u = rel[:, 0] / r
-    t = centered_offsets(n, geometry.spacing_m)
+    t = centered_offsets(geometry.n_elements(ula), geometry.spacing_m)
     approx = (r[:, None] - np.outer(u, t)
               + np.outer(1.0 - u * u, t * t) / (2.0 * r[:, None]))
-    return approx if link == LINK_BS_RIS else approx.T
+    return approx if rx == NODE_RIS else approx.T
 
 
 def near_channel(link: str, geometry: SystemGeometry) -> np.ndarray:
@@ -272,19 +260,21 @@ def _angles_from_cosines(ux: float, uy: float) -> tuple[float, float]:
     return az, el
 
 
+def _path(link: str, gain: complex, az_ris: float, el_ris: float,
+          az_ula: float) -> PathSpec:
+    """PathSpec with the RIS angles at the RIS end of the link and the ULA
+    azimuth (broadside elevation) at the other end."""
+    ris, ula = (az_ris, el_ris), (az_ula, np.pi / 2)
+    aoa, aod = (ris, ula) if link == LINK_BS_RIS else (ula, ris)
+    return PathSpec(gain=gain, azimuth_aoa=aoa[0], elevation_aoa=aoa[1],
+                    azimuth_aod=aod[0], elevation_aod=aod[1])
+
+
 def los_path(link: str, geometry: SystemGeometry, gain: complex) -> PathSpec:
     """LoS PathSpec with the geometric angles of the link."""
     ux, uy = _link_direction_cosines(link, geometry)
-    az_ris, el_ris = _angles_from_cosines(ux, uy)
-    if link == LINK_BS_RIS:
-        # departure at the BS ULA, arrival at the RIS
-        az_ula = float(np.arcsin(np.clip(ux, -1.0, 1.0)))
-        return PathSpec(gain=gain, azimuth_aoa=az_ris, elevation_aoa=el_ris,
-                        azimuth_aod=az_ula, elevation_aod=np.pi / 2)
-    # departure at the RIS, arrival at the user ULA
-    az_ula = float(np.arcsin(np.clip(ux, -1.0, 1.0)))
-    return PathSpec(gain=gain, azimuth_aoa=az_ula, elevation_aoa=np.pi / 2,
-                    azimuth_aod=az_ris, elevation_aod=el_ris)
+    return _path(link, gain, *_angles_from_cosines(ux, uy),
+                 float(np.arcsin(np.clip(ux, -1.0, 1.0))))
 
 
 def random_far_spec(link: str, geometry: SystemGeometry, rng: np.random.Generator,
@@ -307,14 +297,10 @@ def random_far_spec(link: str, geometry: SystemGeometry, rng: np.random.Generato
     the valid direction-cosine ranges.
     """
     friis = geometry.wavelength_m / (4.0 * np.pi * geometry.link_distance(link))
-    if gain_mode == "matched":
-        amp = friis * np.sqrt(n_paths)
-    elif gain_mode == "friis":
-        amp = friis
-    elif gain_mode == "unit":
-        amp = 1.0
-    else:
+    if gain_mode not in GAIN_MODES:
         raise ValueError(f"unknown gain_mode {gain_mode!r}")
+    amp = {"friis": friis, "matched": friis * np.sqrt(n_paths),
+           "unit": 1.0}[gain_mode]
     los_gain = amp * np.exp(2j * np.pi * rng.random())
     paths = [los_path(link, geometry, los_gain)]
     sigma = np.sqrt(nlos_rel_power / 2.0) * amp
@@ -326,15 +312,8 @@ def random_far_spec(link: str, geometry: SystemGeometry, rng: np.random.Generato
             if ux * ux + uy * uy <= 1.0:
                 break
         az_ris, el_ris = _angles_from_cosines(ux, uy)
-        az_ula = float(np.arcsin(rng.uniform(-1.0, 1.0)))
-        if link == LINK_BS_RIS:
-            paths.append(PathSpec(gain=g, azimuth_aoa=az_ris,
-                                  elevation_aoa=el_ris, azimuth_aod=az_ula,
-                                  elevation_aod=np.pi / 2))
-        else:
-            paths.append(PathSpec(gain=g, azimuth_aoa=az_ula,
-                                  elevation_aoa=np.pi / 2, azimuth_aod=az_ris,
-                                  elevation_aod=el_ris))
+        paths.append(_path(link, g, az_ris, el_ris,
+                           float(np.arcsin(rng.uniform(-1.0, 1.0)))))
     return FarFieldSpec(link=link, paths=tuple(paths))
 
 
@@ -345,18 +324,12 @@ def synthesize_channel(tag: str, geometry: SystemGeometry,
     """Draw one ChannelRealization for the given model tag."""
     if tag not in MODEL_TAGS:
         raise ValueError(f"unknown model tag {tag!r}")
-    if LINK_BS_RIS in NEAR_LINKS[tag]:
-        g_br = near_channel(LINK_BS_RIS, geometry)
-    else:
-        spec = random_far_spec(LINK_BS_RIS, geometry, rng, n_paths_bs,
-                               nlos_rel_power, gain_mode)
-        g_br = far_channel(spec, geometry)
-    if LINK_RIS_UE in NEAR_LINKS[tag]:
-        g_ru = near_channel(LINK_RIS_UE, geometry)
-    else:
-        spec = random_far_spec(LINK_RIS_UE, geometry, rng, n_paths_ue,
-                               nlos_rel_power, gain_mode)
-        g_ru = far_channel(spec, geometry)
+    g_br, g_ru = [
+        near_channel(link, geometry) if link in NEAR_LINKS[tag]
+        else far_channel(random_far_spec(link, geometry, rng, n_paths,
+                                         nlos_rel_power, gain_mode), geometry)
+        for link, n_paths in ((LINK_BS_RIS, n_paths_bs),
+                              (LINK_RIS_UE, n_paths_ue))]
     return ChannelRealization(g_bs_ris=g_br, g_ris_ue=g_ru, model_tag=tag)
 
 

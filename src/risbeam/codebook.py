@@ -21,6 +21,9 @@ from .geometry import NODE_RIS, SystemGeometry
 SIDE_BS = "B"
 SIDE_UE = "U"
 
+# the side whose distances a one-sided near-field model tag samples
+NEAR_SIDE = {"NF": SIDE_BS, "FN": SIDE_UE}
+
 _UNIT_TOL = 1e-12
 
 
@@ -187,20 +190,6 @@ def distance_steering(x: float, y: float, side_z: float,
                     provenance=None)
 
 
-def _sample_steering_list(grid: SamplingGrid, side: str,
-                          geometry: SystemGeometry) -> Codebook:
-    """Conjugated distance steering vectors at the grid sample points."""
-    pts = grid.sample_points()
-    pos = geometry.element_positions(NODE_RIS)
-    xyz = np.array([[x, y, grid.fixed_z] for x, y in pts])
-    r = np.linalg.norm(xyz[:, None, :] - pos[None, :, :], axis=-1)
-    if np.any(r <= 0.0):
-        raise ValueError("sample point coincides with a RIS element")
-    words = np.exp(2j * np.pi * r / geometry.wavelength_m)  # conjugated
-    tags = tuple(PointTag(side=side, x=x, y=y) for x, y in pts)
-    return Codebook(words=words, provenance=tags)
-
-
 def star(a: Codebook, b: Codebook) -> Codebook:
     """Elementwise-product combination: output row i*|b|+j = a_i * b_j."""
     if a.words.shape[1] != b.words.shape[1]:
@@ -215,9 +204,8 @@ def star(a: Codebook, b: Codebook) -> Codebook:
 def build_nn_codebook(grid_bs: SamplingGrid, grid_ue: SamplingGrid,
                       geometry: SystemGeometry) -> Codebook:
     """Doubly-sampled codebook: user-side samples combined with BS-side ones."""
-    ue_side = _sample_steering_list(grid_ue, SIDE_UE, geometry)
-    bs_side = _sample_steering_list(grid_bs, SIDE_BS, geometry)
-    return star(ue_side, bs_side)
+    return star(build_distance_component(grid_ue, SIDE_UE, geometry),
+                build_distance_component(grid_bs, SIDE_BS, geometry))
 
 
 def build_angular_component(geometry: SystemGeometry) -> Codebook:
@@ -227,10 +215,19 @@ def build_angular_component(geometry: SystemGeometry) -> Codebook:
 
 def build_distance_component(grid: SamplingGrid, side: str,
                              geometry: SystemGeometry) -> Codebook:
-    """Second hybrid component: conjugated sample steering for one side."""
+    """Second hybrid component: conjugated distance steering vectors at
+    the grid sample points of one side."""
     if side not in (SIDE_BS, SIDE_UE):
         raise ValueError(f"side must be {SIDE_BS!r} or {SIDE_UE!r}")
-    return _sample_steering_list(grid, side, geometry)
+    pts = grid.sample_points()
+    pos = geometry.element_positions(NODE_RIS)
+    xyz = np.array([[x, y, grid.fixed_z] for x, y in pts])
+    r = np.linalg.norm(xyz[:, None, :] - pos[None, :, :], axis=-1)
+    if np.any(r <= 0.0):
+        raise ValueError("sample point coincides with a RIS element")
+    words = np.exp(2j * np.pi * r / geometry.wavelength_m)  # conjugated
+    tags = tuple(PointTag(side=side, x=x, y=y) for x, y in pts)
+    return Codebook(words=words, provenance=tags)
 
 
 def build_hybrid_codebook(side_tag: str, grid: SamplingGrid,
@@ -241,11 +238,7 @@ def build_hybrid_codebook(side_tag: str, grid: SamplingGrid,
     identical grids therefore differ only in which side's distances enter
     the second component.
     """
-    if side_tag == "NF":
-        side = SIDE_BS
-    elif side_tag == "FN":
-        side = SIDE_UE
-    else:
+    if side_tag not in NEAR_SIDE:
         raise ValueError(f"side_tag must be 'NF' or 'FN', got {side_tag!r}")
     return star(build_angular_component(geometry),
-                build_distance_component(grid, side, geometry))
+                build_distance_component(grid, NEAR_SIDE[side_tag], geometry))

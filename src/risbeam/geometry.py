@@ -98,6 +98,13 @@ class SystemGeometry:
         return {NODE_BS: self.bs_mid, NODE_UE: self.ue_mid,
                 NODE_RIS: self.ris_mid}[node]
 
+    def n_elements(self, node: str) -> int:
+        """Element count of the node's array (M for the RIS)."""
+        counts = {NODE_BS: self.n_bs, NODE_UE: self.n_ue, NODE_RIS: self.m}
+        if node not in counts:
+            raise ValueError(f"unknown node {node!r}")
+        return counts[node]
+
     def element_positions(self, node: str) -> np.ndarray:
         """Element coordinates as an (N, 3) array.
 
@@ -105,33 +112,23 @@ class SystemGeometry:
         midpoint.  RIS elements sit in the plane z = ris_mid[2], ordered
         row-major with the y index fastest.
         """
-        if node == NODE_BS:
-            out = np.tile(self.bs_mid, (self.n_bs, 1))
-            out[:, 0] += centered_offsets(self.n_bs, self.spacing_m)
-            return out
-        if node == NODE_UE:
-            out = np.tile(self.ue_mid, (self.n_ue, 1))
-            out[:, 0] += centered_offsets(self.n_ue, self.spacing_m)
-            return out
+        n = self.n_elements(node)
+        out = np.tile(self.midpoint(node), (n, 1))
         if node == NODE_RIS:
-            dx = centered_offsets(self.m_x, self.spacing_m)
-            dy = centered_offsets(self.m_y, self.spacing_m)
-            out = np.tile(self.ris_mid, (self.m, 1))
-            out[:, 0] += np.repeat(dx, self.m_y)
-            out[:, 1] += np.tile(dy, self.m_x)
-            return out
-        raise ValueError(f"unknown node {node!r}")
+            out[:, 0] += np.repeat(centered_offsets(self.m_x, self.spacing_m),
+                                   self.m_y)
+            out[:, 1] += np.tile(centered_offsets(self.m_y, self.spacing_m),
+                                 self.m_x)
+        else:
+            out[:, 0] += centered_offsets(n, self.spacing_m)
+        return out
 
     def aperture(self, node: str) -> float:
         """Physical aperture: (N-1)d for the ULAs, planar diagonal for the RIS."""
         d = self.spacing_m
-        if node == NODE_BS:
-            return (self.n_bs - 1) * d
-        if node == NODE_UE:
-            return (self.n_ue - 1) * d
         if node == NODE_RIS:
             return float(np.hypot((self.m_x - 1) * d, (self.m_y - 1) * d))
-        raise ValueError(f"unknown node {node!r}")
+        return (self.n_elements(node) - 1) * d
 
     def link_endpoints(self, link: str) -> tuple[str, str]:
         if link == LINK_BS_RIS:

@@ -435,12 +435,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     summary = []
     per_value = len(cfg.seeds)
+    nan = float("nan")
     for vi, value in enumerate(cfg.sweep_values):
-        rates = np.array([r.rate_bps_hz
-                          for r in rows[vi * per_value:(vi + 1) * per_value]])
+        rates = [row.rate_bps_hz for row, err
+                 in outcomes[vi * per_value:(vi + 1) * per_value]
+                 if err is None]
+        mean, std = (np.mean(rates), np.std(rates)) if rates else (nan, nan)
         summary.append((cfg.sweep_param, float(value), cfg.model,
-                        float(np.mean(rates)), float(np.std(rates)),
-                        int(rates.size)))
+                        float(mean), float(std), len(rates)))
     return ExperimentResult(rows=rows, summary=summary, errors=errors)
 
 

@@ -14,11 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelRealization, PhaseShiftVector, cascade
-from .codebook import SamplingGrid
-from .geometry import SystemGeometry
+from .channel import NEAR_LINKS, ChannelRealization, PhaseShiftVector, cascade
+from .codebook import NEAR_SIDE, SIDE_BS, SamplingGrid
+from .geometry import LINK_BS_RIS, LINK_RIS_UE, SystemGeometry
 
-_BUDGET_SLACK = 1e-9
+# Precoder accepts powers up to p_max * (1 + slack): relative, so the check
+# is as tight at desk power scale (p_max ~ 1e-8 W) as at paper scale (1 W)
+_BUDGET_REL_SLACK = 1e-9
+# solve_precoder's bisection stops once the budget is met to this relative gap
+_BUDGET_REL_TOL = 1e-12
+_MAX_BISECT = 500
 
 
 @dataclass(frozen=True)
@@ -35,7 +40,7 @@ class Precoder:
         if self.p_max <= 0:
             raise ValueError("p_max must be positive")
         power = float(np.sum(np.abs(w) ** 2))
-        if power > self.p_max + _BUDGET_SLACK:
+        if power > self.p_max * (1.0 + _BUDGET_REL_SLACK):
             raise ValueError(f"precoder power {power} exceeds budget {self.p_max}")
         object.__setattr__(self, "w", w)
 
@@ -137,9 +142,8 @@ def weight_update(e: np.ndarray) -> np.ndarray:
     return 0.5 * (f + f.conj().T)
 
 
-def solve_precoder(h: np.ndarray, u: np.ndarray, f: np.ndarray, p_max: float,
-                   budget_rel_tol: float = 1e-12,
-                   max_bisect: int = 500) -> Precoder:
+def solve_precoder(h: np.ndarray, u: np.ndarray, f: np.ndarray,
+                   p_max: float) -> Precoder:
     """Minimize Tr(W^H A W) - 2 Tr(Re(F U^H H W)) s.t. ||W||_F^2 <= p_max.
 
     A = H^H U F U^H H.  Solved in closed form through the eigenbasis of A:
@@ -176,18 +180,18 @@ def solve_precoder(h: np.ndarray, u: np.ndarray, f: np.ndarray, p_max: float,
     mu = 0.0
     if not norm_sq(0.0) <= p_max:            # also catches inf
         lo, hi = 0.0, float(np.sqrt(np.sum(row_pow) / p_max))
-        for _ in range(max_bisect):
+        for _ in range(_MAX_BISECT):
             mu = 0.5 * (lo + hi)
             val = norm_sq(mu)
             if val > p_max:
                 lo = mu
             else:
                 hi = mu
-                if p_max - val <= budget_rel_tol * p_max:
+                if p_max - val <= _BUDGET_REL_TOL * p_max:
                     break
         else:
             raise RuntimeError(
-                f"power bisection did not converge in {max_bisect} steps")
+                f"power bisection did not converge in {_MAX_BISECT} steps")
         mu = hi                              # feasible side of the bracket
 
     denom = lam + mu
@@ -204,16 +208,11 @@ def default_stream_count(tag: str, geometry: SystemGeometry,
     Planar-wave links cap the rank at their path count; the all-spherical
     model supports up to min(n_bs, n_ue, M) streams.
     """
-    cap = min(geometry.n_bs, geometry.n_ue)
-    if tag == "FF":
-        return min(cap, l_b, l_u)
-    if tag == "NF":
-        return min(cap, l_u)
-    if tag == "FN":
-        return min(cap, l_b)
-    if tag == "NN":
-        return min(cap, geometry.m)
-    raise ValueError(f"unknown model tag {tag!r}")
+    if tag not in NEAR_LINKS:
+        raise ValueError(f"unknown model tag {tag!r}")
+    far = [n for link, n in ((LINK_BS_RIS, l_b), (LINK_RIS_UE, l_u))
+           if link not in NEAR_LINKS[tag]]
+    return min(geometry.n_bs, geometry.n_ue, *(far or [geometry.m]))
 
 
 def _initial_precoder(h0: np.ndarray, q: int, p_max: float) -> np.ndarray:
@@ -246,9 +245,8 @@ def ao_loop(realization: ChannelRealization, geometry: SystemGeometry, *,
     from . import training  # deferred: training builds on the rate helpers
 
     tag = realization.model_tag
-    if scheme == "auto":
-        scheme = {"FF": "angular", "NN": "hierarchical",
-                  "NF": "two_stage", "FN": "two_stage"}[tag]
+    if scheme == "auto":   # by the number of spherical-wave links
+        scheme = ("angular", "two_stage", "hierarchical")[len(NEAR_LINKS[tag])]
     if q is None:
         q = default_stream_count(tag, geometry, l_b=l_b, l_u=l_u)
     q = min(q, geometry.n_bs, geometry.n_ue)   # streams beyond this are dead
@@ -264,8 +262,8 @@ def ao_loop(realization: ChannelRealization, geometry: SystemGeometry, *,
             return training.hierarchical_nn(realization, w, noise_var,
                                             grid_bs, grid_ue, budget, geometry)
         if scheme == "two_stage":
-            side = "NF" if tag == "NF" else "FN"
-            grid = grid_bs if side == "NF" else grid_ue
+            side = tag if tag in NEAR_SIDE else "FN"   # forced on FF or NN
+            grid = grid_bs if NEAR_SIDE[side] == SIDE_BS else grid_ue
             if grid is None or budget is None:
                 raise ValueError("two-stage training needs the near-side grid and a budget")
             return training.two_stage_hybrid(realization, w, noise_var,

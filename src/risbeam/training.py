@@ -26,6 +26,7 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .codebook import (
+    NEAR_SIDE,
     SIDE_BS,
     SIDE_UE,
     Codebook,
@@ -216,12 +217,11 @@ def two_stage_hybrid(realization: ChannelRealization, w: np.ndarray,
     layer scores 4 quadrant sub-codebooks of s_x*s_y samples each.
     Total evaluations: M + 4 * max_layers * s_x * s_y.
     """
-    if side not in ("NF", "FN"):
+    if side not in NEAR_SIDE:
         raise ValueError(f"side must be 'NF' or 'FN', got {side!r}")
     report = _sweep(realization, w, noise_var,
                     build_angular_component(geometry))
     win = report.best_codeword
     fixed = Codebook(words=win.coeffs[None, :], provenance=(win.provenance,))
-    near = SIDE_BS if side == "NF" else SIDE_UE
-    return _descend(realization, w, noise_var, geometry, [(grid, near)],
-                    budget, report, prefix=fixed)
+    return _descend(realization, w, noise_var, geometry,
+                    [(grid, NEAR_SIDE[side])], budget, report, prefix=fixed)

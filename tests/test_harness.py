@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risbeam import cli, harness
 from risbeam.channel import load_channel_json
@@ -175,6 +177,20 @@ class TestRunExperiment:
         assert len(result.errors) == 1
         assert np.isnan(result.rows[0].rate_bps_hz)
 
+    def test_summary_counts_successful_cells_only(self, tmp_path):
+        # zero jitter: the NN channel then does not depend on the cell
+        # index, so the layers-1 cells match those of a layers-1-only run
+        base = "model: NN\nseeds: [0, 1]\nmax_iters: 2\nue_jitter_frac: 0\n"
+        result = run_experiment(parse_config(base + "sweep: layers in [0, 1]"))
+        alone = run_experiment(parse_config(base + "sweep: layers in [1]"))
+        assert len(result.errors) == 2
+        _, value, _, mean, std, n = result.summary[0]
+        assert value == 0 and np.isnan(mean) and np.isnan(std) and n == 0
+        assert result.summary[1] == alone.summary[0]
+        emit_results(result, tmp_path / "r.csv")
+        lines = (tmp_path / "r.summary.csv").read_text().splitlines()
+        assert lines[1] == "layers,0,NN,nan,nan,0"
+
     def test_aggregation_matches_independent_reimplementation(self):
         cfg = parse_config(TINY + "sweep: power_dbm in [-50, -45]\n")
         result = run_experiment(cfg)
@@ -275,6 +291,25 @@ class TestCli:
         cli.main(["run", str(cfg), "--seed", "5", "--out", str(out)])
         rows = parse_result_csv(out)
         assert [r.seed for r in rows] == [5]
+
+    @settings(max_examples=5, deadline=None)
+    @given(model=st.sampled_from(["FF", "NF", "FN", "NN"]),
+           seeds=st.lists(st.integers(0, 99), min_size=1, max_size=3,
+                          unique=True))
+    def test_run_bytes_independent_of_workers(self, tmp_path_factory, model,
+                                              seeds):
+        tmp = tmp_path_factory.mktemp("workers")
+        outputs = []
+        for workers in (1, 2):
+            cfg = self.write_config(
+                tmp, TINY.replace("model: FF", f"model: {model}")
+                .replace("seeds: [0, 1]", f"seeds: {seeds}")
+                + f"workers: {workers}\n")
+            out = tmp / f"w{workers}.csv"
+            assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+            outputs.append((out.read_bytes(),
+                            out.with_suffix(".summary.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_codebook_dump(self, tmp_path):
         out = tmp_path / "book.csv"

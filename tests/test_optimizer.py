@@ -2,10 +2,13 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risbeam.channel import ChannelRealization, near_channel, synthesize_channel
 from risbeam.codebook import SamplingGrid
 from risbeam.geometry import LINK_BS_RIS, LINK_RIS_UE, SystemGeometry
+from risbeam.harness import parse_config
 from risbeam.optimizer import (
     AOState,
     Combiner,
@@ -232,6 +235,23 @@ class TestSolvePrecoder:
         with pytest.raises(ValueError):
             solve_precoder(np.eye(2), np.eye(2), np.eye(2), p_max=0.0)
 
+    @settings(max_examples=20, deadline=None)
+    @given(scale=st.sampled_from(["desk", "paper"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_exact_budget_accepted_at_both_power_scales(self, scale, seed):
+        p_max = parse_config("", scale=scale).p_max_w
+        rng = np.random.default_rng(seed)
+        w = rand_matrix(rng, (6, 2))
+        Precoder(w=w * (np.sqrt(p_max) / np.linalg.norm(w)), p_max=p_max)
+        # a weak channel pushes the unconstrained optimum far past the
+        # budget, so the solve ends on it
+        h = rand_matrix(rng, (4, 6)) * 1e-3 * np.sqrt(p_max)
+        u = rand_matrix(rng, (4, 2))
+        a = rand_matrix(rng, (2, 2))
+        p = solve_precoder(h, u, a @ a.conj().T + 0.5 * np.eye(2), p_max)
+        power = np.sum(np.abs(p.w) ** 2)
+        assert p_max * (1 - 1e-9) <= power <= p_max * (1 + 1e-9)
+
 
 class TestStreamCounts:
     def test_defaults_per_tag(self, desk):
@@ -315,6 +335,12 @@ class TestContainers:
     def test_precoder_budget_enforced(self):
         with pytest.raises(ValueError, match="budget"):
             Precoder(w=np.ones((2, 2)), p_max=1.0)
+
+    def test_budget_overshoot_rejected_at_desk_power_scale(self):
+        p_max = parse_config("", scale="desk").p_max_w      # 1e-8 W
+        w = np.full((2, 2), np.sqrt(1.09 * p_max / 4))
+        with pytest.raises(ValueError, match="budget"):
+            Precoder(w=w, p_max=p_max)
 
     def test_combiner_requires_finite(self):
         with pytest.raises(ValueError):
