@@ -2,7 +2,7 @@
 
 Every digest below is the sha256 of one output file produced at desk
 scale (and, for codebook and channel dumps, at paper scale too) with
-small seed counts.  A refactor that claims identical behavior must leave all of them
+small seed counts, or of what `risbeam validate` prints at either scale.  A refactor that claims identical behavior must leave all of them
 unchanged; a deliberate output change updates the digest in the same
 commit and says why.  The digests were recorded with numpy 2.4 on x86-64
 (OpenBLAS); another BLAS may round the last printed digit differently.
@@ -89,11 +89,23 @@ DIGESTS = {
         "de0e16ee939496595ef943872f8ee196a825144047c89d0a278b352ba080d084",
     "scripts/ris_position_sweep.csv":
         "37a1427aac605c7b0bbae423fa7535c9559dffc902990e8c31129cec6a0bda0e",
+    "validate/desk.txt":
+        "a48cd4d1eb13120f68409430a4d911c0e037f0193e209328b5025bbd0bdb3537",
+    "validate/paper.txt":
+        "a48cd4d1eb13120f68409430a4d911c0e037f0193e209328b5025bbd0bdb3537",
 }
 
 
 def sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("scale", ("desk", "paper"))
+def test_validate_output(scale, capsys):
+    assert cli.main(["validate", "--scale", scale]) == 0
+    printed = capsys.readouterr().out.encode()
+    assert hashlib.sha256(printed).hexdigest() == \
+        DIGESTS[f"validate/{scale}.txt"]
 
 
 @pytest.mark.parametrize("name", RUN_CONFIGS)
