@@ -31,7 +31,7 @@ def main():
         for name, tag, scheme in harness.VARIANTS:
             for seed in range(args.seeds):
                 geometry, real, gb, gu = harness.cell_setup(
-                    replace(cfg, model=tag), seed, 0)
+                    replace(cfg, model=tag), seed)
                 state = ao_loop(real, geometry, p_max=cfg.p_max_w,
                                 noise_var=cfg.noise_w, grid_bs=gb, grid_ue=gu,
                                 budget=budget, max_iters=cfg.max_iters,

@@ -33,7 +33,7 @@ def main():
 
     rows = []
     for seed in range(args.seeds):
-        geometry, real, gb, gu = harness.cell_setup(cfg, seed, 0)
+        geometry, real, gb, gu = harness.cell_setup(cfg, seed)
         w = _initial_precoder(cascade(real, np.ones(geometry.m)),
                               default_stream_count("NN", geometry), cfg.p_max_w)
         for layers in range(1, args.max_layers + 1):

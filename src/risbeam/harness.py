@@ -5,8 +5,9 @@ is declared once, as a field of ExperimentConfig carrying its check, unit
 and desk/paper defaults; parsing, validation, the scale defaults and
 sweeps all derive from those declarations, so a bad value is rejected at
 parse time with its line number.  All randomness is drawn from
-counter-based generators keyed by (seed, sweep index), so a run is a pure
-function of (config, seeds) regardless of worker count.
+counter-based generators keyed by the seed alone, so a run is a pure
+function of (config, seeds) regardless of worker count, and every value
+of a sweep sees the same draws for a given seed (a paired comparison).
 
 See the schema table in the README (or CONFIG_SCHEMA below) for every
 key, its unit, and the desk/paper defaults.
@@ -366,14 +367,19 @@ def grids_from(cfg: ExperimentConfig, geometry: SystemGeometry):
     return grid(cfg.bs_pos_m), grid(cfg.ue_pos_m)
 
 
-def cell_setup(cfg: ExperimentConfig, seed: int, index: int):
+def cell_setup(cfg: ExperimentConfig, seed: int):
     """Geometry, channel realization and sample grids of one cell.
 
-    The (seed, index) stream first jitters the user position uniformly by
-    up to ue_jitter_frac of the range halfwidth in x and y, then draws the
-    channel.  Returns (geometry, realization, grid_bs, grid_ue).
+    The seed's stream first jitters the user position uniformly by up to
+    ue_jitter_frac of the range halfwidth in x and y, then draws the
+    channel.  How many numbers are drawn depends only on the model and
+    the path counts, which no sweep changes, so every value of a sweep
+    sees the same draws, array sweeps (m_x, n_bs, ...) included.  A
+    swept value can still change what a draw means: range_halfwidth_wl
+    scales the jitter, and m_x or n_bs change the arrays that the drawn
+    paths illuminate.  Returns (geometry, realization, grid_bs, grid_ue).
     """
-    rng = rng_for(seed, index)
+    rng = rng_for(seed, 0)
     jitter = cfg.ue_jitter_frac * cfg.range_halfwidth_wl
     lam_offsets = rng.uniform(-jitter, jitter, size=2)
     wavelength = SPEED_OF_LIGHT / cfg.carrier_hz
@@ -385,13 +391,12 @@ def cell_setup(cfg: ExperimentConfig, seed: int, index: int):
     return (geometry, realization, *grids_from(cfg, geometry))
 
 
-def run_cell(cfg: ExperimentConfig, seed: int, sweep_index: int,
+def run_cell(cfg: ExperimentConfig, seed: int,
              sweep_value: float) -> ResultRow:
     """One (seed, sweep value) cell: synthesize, optimize, report."""
     cell = apply_sweep(cfg, sweep_value)
     t0 = time.perf_counter()
-    geometry, realization, grid_bs, grid_ue = cell_setup(cell, seed,
-                                                         sweep_index)
+    geometry, realization, grid_bs, grid_ue = cell_setup(cell, seed)
     state = ao_loop(
         realization, geometry, p_max=cell.p_max_w, noise_var=cell.noise_w,
         grid_bs=grid_bs, grid_ue=grid_ue,
@@ -408,9 +413,9 @@ def run_cell(cfg: ExperimentConfig, seed: int, sweep_index: int,
 
 
 def _cell_job(args):
-    cfg, seed, sweep_index, sweep_value = args
+    cfg, seed, sweep_value = args
     try:
-        return run_cell(cfg, seed, sweep_index, sweep_value), None
+        return run_cell(cfg, seed, sweep_value), None
     except Exception as exc:  # recorded, not fatal
         row = ResultRow(seed=seed, sweep_param=cfg.sweep_param,
                         sweep_value=float(sweep_value), model=cfg.model,
@@ -421,9 +426,8 @@ def _cell_job(args):
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """All (seed x sweep value) cells, merged in deterministic order."""
-    jobs = [(cfg, seed, vi, value)
-            for vi, value in enumerate(cfg.sweep_values)
-            for seed in cfg.seeds]
+    jobs = [(cfg, seed, value)
+            for value in cfg.sweep_values for seed in cfg.seeds]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             outcomes = list(pool.map(_cell_job, jobs))

@@ -177,10 +177,20 @@ class TestRunExperiment:
         assert len(result.errors) == 1
         assert np.isnan(result.rows[0].rate_bps_hz)
 
+    def test_sweep_values_see_the_same_draws(self):
+        base = "model: FF\nseeds: [0, 1]\nmax_iters: 2\n"
+        alone = run_experiment(parse_config(base + "sweep: power_dbm in [-50]"))
+        paired = run_experiment(
+            parse_config(base + "sweep: power_dbm in [-60, -50]"))
+        assert not alone.errors and not paired.errors
+        def cells(rows):
+            return [(r.seed, r.sweep_value, r.rate_bps_hz, r.evaluations,
+                     r.iterations) for r in rows]
+        assert cells(paired.rows[2:]) == cells(alone.rows)
+        assert paired.summary[1] == alone.summary[0]
+
     def test_summary_counts_successful_cells_only(self, tmp_path):
-        # zero jitter: the NN channel then does not depend on the cell
-        # index, so the layers-1 cells match those of a layers-1-only run
-        base = "model: NN\nseeds: [0, 1]\nmax_iters: 2\nue_jitter_frac: 0\n"
+        base = "model: NN\nseeds: [0, 1]\nmax_iters: 2\n"
         result = run_experiment(parse_config(base + "sweep: layers in [0, 1]"))
         alone = run_experiment(parse_config(base + "sweep: layers in [1]"))
         assert len(result.errors) == 2

@@ -36,13 +36,13 @@ DIGESTS = {
     "run/desk_nn.summary.csv":
         "0d971f6f0680f7ebbd7736f0fe742749588dc57d2ce4caa88b143ee3c1989340",
     "run/desk_power_sweep.csv":
-        "7d18e801ca8ffbe56aa7d1ec5979b57fd6c2d17deff18cebd82bc7460faec9fb",
+        "3417f34d7296bce3f280d74dd6be626a5a26759121b3277013dcc28fcc3dbd6d",
     "run/desk_power_sweep.summary.csv":
-        "16c5ef74834b9ec3970e0f13873bd78dbb792b6ccd0b0eb04eeb010c7aacb3b2",
+        "ef416d74e45f5b6574d4d87e6c2d34348ba5ecc30744c7fbaf6af8bc81ff9e4d",
     "run/desk_ris_height.csv":
-        "b30f48d9cbd695122601dff1c91d51889ea503bb8f9e9b954cf735fa40eb144b",
+        "5ae4bb1bc7ab717d28c7123b54f75f9afda8c9ee2d8dc58ee0c65c2977cfe0b3",
     "run/desk_ris_height.summary.csv":
-        "0519dd441a98f1bfbbaaa6e4c13febfb1ad83515fcd7af8325694e2ea426d28d",
+        "6a681d1d98e75c0c727fffd44b7a0dec46ebde0e3312539084f68c2e7136b76c",
     "codebook/ff-desk.csv":
         "1fde08680b4094ee70c0272d8b0fc2a27c095951fdbc982c8577badf4df0a465",
     "codebook/nn-desk.csv":
@@ -84,11 +84,11 @@ DIGESTS = {
     "scripts/overhead_vs_step.csv":
         "466f2e805837a1c1236a130c64b4f84b3fd130b8cdd0d647deda0bb3b5c7fc87",
     "scripts/power_sweep.csv":
-        "da0ef82e28f9d9552b30274de32d04e354834d5a7cb3be90a21fd69377b494c8",
+        "999c5b48e8c9c57f801dda69b7fe8cc638842022db69e27c91de2787136340dd",
     "scripts/rate_vs_layers.csv":
         "de0e16ee939496595ef943872f8ee196a825144047c89d0a278b352ba080d084",
     "scripts/ris_position_sweep.csv":
-        "37a1427aac605c7b0bbae423fa7535c9559dffc902990e8c31129cec6a0bda0e",
+        "7c2cf4bd4a3489301ce3c6ac4e95e2833ed0ec14f6af1f11fe06889cffedabfc",
     "validate/desk.txt":
         "a48cd4d1eb13120f68409430a4d911c0e037f0193e209328b5025bbd0bdb3537",
     "validate/paper.txt":
