@@ -33,8 +33,8 @@ def _default_config(args) -> harness.ExperimentConfig:
 def _cmd_run(args) -> int:
     cfg = _default_config(args)
     result = harness.run_experiment(cfg)
-    harness.emit_results(result, cfg.out, timing=args.timing or cfg.timing,
-                         json_mirror=args.json or cfg.json_mirror)
+    harness.emit_results(result, cfg.out, timing=args.timing,
+                         json_mirror=args.json)
     for err in result.errors:
         print(f"error: failed cell: {err}", file=sys.stderr)
     print(f"wrote {len(result.rows)} rows to {cfg.out}")
@@ -133,13 +133,9 @@ def _validation_checks(scale: str):
     e = optimizer.mse_matrix(h, w, u, 0.5)
     f = optimizer.weight_update(e)
     p = optimizer.solve_precoder(h, u, f, p_max=1.0)
-    a = h.conj().T @ u @ f @ u.conj().T @ h
-    b = h.conj().T @ u @ f
-    power = float(np.sum(np.abs(p.w) ** 2))
-    mu = max(0.0, float(np.real(np.vdot(p.w, b - a @ p.w))
-                        / max(power, 1e-300)))
-    kkt = np.linalg.norm(a @ p.w + mu * p.w - b) / np.linalg.norm(b)
-    checks.append(("precoder satisfies its stationarity equation", kkt < 1e-7))
+    stationarity, _, _ = optimizer.precoder_kkt(h, u, f, p.w, p_max=1.0)
+    checks.append(("precoder satisfies its stationarity equation",
+                   stationarity < 1e-7))
 
     state = optimizer.ao_loop(real, geo, p_max=cfg.p_max_w, noise_var=cfg.noise_w,
                               grid_bs=grid_bs, grid_ue=grid_ue, budget=budget,

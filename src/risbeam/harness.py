@@ -114,12 +114,6 @@ def _one_of(*choices):
     return check
 
 
-def _flag(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError("must be true or false")
-    return value
-
-
 def _point(value) -> tuple:
     if not isinstance(value, list) or len(value) != 3:
         raise ValueError("must be [x, y, z]")
@@ -210,8 +204,6 @@ class ExperimentConfig:
     seeds: tuple = _key(_seeds, "list, or a count expanded to 0..n-1",
                         20, 20)
     workers: int = _key(_integer(1), "processes", 1, 1)
-    timing: bool = _key(_flag, "true breaks byte determinism", False, False)
-    json_mirror: bool = _key(_flag, "also write a JSON mirror", False, False)
     sweep: tuple = _key(_sweep, "'<name> in [v1, v2, ...]'", None, None)
     out: str = _key(str, "output CSV path", "results.csv", "results.csv")
 

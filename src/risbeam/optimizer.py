@@ -9,7 +9,6 @@ full cycle.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,14 +73,6 @@ class AOState:
     @property
     def rate(self) -> float:
         return self.rate_history[-1]
-
-    def trace_to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "rate_bps_hz", "gamma", "evaluations"])
-            for row in self.trace:
-                writer.writerow([row[0], f"{row[1]:.12g}", f"{row[2]:.12g}",
-                                 row[3]])
 
 
 def achievable_rate(h: np.ndarray, w: np.ndarray, noise_var: float) -> float:
@@ -199,6 +190,26 @@ def solve_precoder(h: np.ndarray, u: np.ndarray, f: np.ndarray,
         scaled = np.where((row_pow > 0.0)[:, None], bt / denom[:, None], 0.0)
     w = basis @ scaled
     return Precoder(w=w, p_max=p_max)
+
+
+def precoder_kkt(h: np.ndarray, u: np.ndarray, f: np.ndarray, w: np.ndarray,
+                 p_max: float) -> tuple[float, float, float]:
+    """KKT residuals of `w` for the problem solve_precoder solves.
+
+    Evaluates A and B = H^H U F afresh, recovers the multiplier
+    mu = max(0, Re<W, B - A W> / ||W||^2), and returns (stationarity,
+    slack, mu) with stationarity ||A W + mu W - B|| / ||B|| and slack
+    mu (p_max - ||W||^2) / (||B|| sqrt(p_max)).  Both are dimensionless,
+    so one threshold holds at any channel gain and power scale.
+    """
+    a = h.conj().T @ u @ f @ u.conj().T @ h
+    b = h.conj().T @ u @ f
+    power = float(np.sum(np.abs(w) ** 2))
+    mu = max(0.0, float(np.real(np.vdot(w, b - a @ w)) / max(power, 1e-300)))
+    b_norm = np.linalg.norm(b)
+    stationarity = float(np.linalg.norm(a @ w + mu * w - b) / b_norm)
+    slack = float(mu * (p_max - power) / (b_norm * np.sqrt(p_max)))
+    return stationarity, slack, mu
 
 
 def default_stream_count(tag: str, geometry: SystemGeometry,

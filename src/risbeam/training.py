@@ -17,7 +17,6 @@ deterministic functions of (channel, precoder, grids, budget).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import product
@@ -78,17 +77,6 @@ class TrainingReport:
     best_rate: float
     evaluations: int
     layer_trace: list[LayerRecord]
-
-    def trace_to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["layer", "choice_i", "choice_j", "best_rate",
-                             "evaluations"])
-            for rec in self.layer_trace:
-                i = rec.choice[0] if len(rec.choice) > 0 else ""
-                j = rec.choice[1] if len(rec.choice) > 1 else ""
-                writer.writerow([rec.layer, i, j, f"{rec.best_rate:.12g}",
-                                 rec.evaluations_total])
 
 
 def sweep_overhead(m_x: int, m_y: int) -> int:

@@ -1,14 +1,17 @@
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risbeam.channel import ChannelRealization, near_channel, synthesize_channel
+from risbeam.channel import (
+    ChannelRealization,
+    cascade,
+    near_channel,
+    synthesize_channel,
+)
 from risbeam.codebook import SamplingGrid
 from risbeam.geometry import LINK_BS_RIS, LINK_RIS_UE, SystemGeometry
-from risbeam.harness import parse_config
+from risbeam.harness import cell_setup, parse_config
 from risbeam.optimizer import (
     AOState,
     Combiner,
@@ -18,6 +21,7 @@ from risbeam.optimizer import (
     default_stream_count,
     mse_matrix,
     optimal_combiner,
+    precoder_kkt,
     rates_for_phase_batch,
     solve_precoder,
     weight_update,
@@ -217,23 +221,45 @@ class TestSolvePrecoder:
         for _ in range(50):
             p_max = float(rng.choice([1e-4, 1e6]))
             h, u, f, p = self._instance(rng, p_max)
-            a = h.conj().T @ u @ f @ u.conj().T @ h
-            b = h.conj().T @ u @ f
+            stationarity, slack, _ = precoder_kkt(h, u, f, p.w, p_max)
+            assert stationarity <= 1e-8
+            assert slack <= 1e-6
             power = np.sum(np.abs(p.w) ** 2)
-            resid = b - a @ p.w
-            mu = max(0.0, np.real(np.vdot(p.w, resid)) / max(power, 1e-300))
-            stat = np.linalg.norm(a @ p.w + mu * p.w - b) / np.linalg.norm(b)
-            assert stat <= 1e-8
-            assert mu * (p_max - power) <= 1e-6 * p_max
             if p_max - power < 1e-6 * p_max:
                 active += 1
             else:
                 inactive += 1
         assert active > 10 and inactive > 10
 
+    def test_kkt_flags_an_inactive_budget_with_positive_multiplier(self):
+        # half the optimal power with the budget left slack: mu > 0 but
+        # the budget is not active, which complementary slackness forbids
+        rng = np.random.default_rng(14)
+        h, u, f, p = self._instance(rng, p_max=1e6)
+        w = p.w * np.sqrt(0.5)
+        _, slack, mu = precoder_kkt(h, u, f, w, 1e6)
+        assert mu > 0 and slack > 1e-3
+
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValueError):
             solve_precoder(np.eye(2), np.eye(2), np.eye(2), p_max=0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(tag=st.sampled_from(["FF", "NF", "FN", "NN"]),
+           scale=st.sampled_from(["desk", "paper"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_kkt_on_cell_channels_at_both_power_scales(self, tag, scale, seed):
+        cfg = parse_config(f"model: {tag}\nlayers: 1", scale=scale)
+        geometry, real, gb, gu = cell_setup(cfg, seed)
+        state = ao_loop(real, geometry, p_max=cfg.p_max_w,
+                        noise_var=cfg.noise_w, grid_bs=gb, grid_ue=gu,
+                        budget=TrainingBudget(cfg.layers, cfg.s_x, cfg.s_y),
+                        max_iters=2)
+        stationarity, slack, _ = precoder_kkt(
+            cascade(real, state.phases), state.combiner.u, state.weight,
+            state.precoder.w, cfg.p_max_w)
+        assert stationarity <= 1e-8
+        assert slack <= 1e-6
 
     @settings(max_examples=20, deadline=None)
     @given(scale=st.sampled_from(["desk", "paper"]),
@@ -315,14 +341,15 @@ class TestAOLoop:
         assert eigs.min() > 0.0
         np.testing.assert_allclose(state.weight, state.weight.conj().T)
 
-    def test_trace_export(self, tmp_path):
+    def test_trace_records_every_iteration(self):
         state = self.run(max_iters=3)
-        out = tmp_path / "ao.csv"
-        state.trace_to_csv(out)
-        with open(out, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["iteration", "rate_bps_hz", "gamma", "evaluations"]
-        assert len(rows) == len(state.rate_history) + 1
+        rates = state.rate_history
+        assert len(state.trace) == state.iterations + 1 == len(rates)
+        assert state.trace[0] == (0, rates[0], np.inf, 0)
+        for t, (it, rate, gamma, evals) in enumerate(state.trace[1:], 1):
+            assert (it, rate, evals) == (t, rates[t], t * 16 * 4 * 16)
+            assert gamma == abs(rates[t] - rates[t - 1]) / abs(rates[t - 1])
+        assert state.trace[-1][2] == state.gamma
 
     def test_missing_grids_diagnosed(self):
         g, real, _, _ = desk_setup()

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -355,16 +353,15 @@ class TestScaleInvariance:
         assert a.best_codeword.provenance == b.best_codeword.provenance
 
 
-def test_trace_csv_export(tmp_path):
+def test_layer_trace_records_every_layer():
     g = desk_geometry()
     real = nn_realization(g)
     gb, gu = desk_grids(g)
     rep = hierarchical_nn(real, matched_precoder(real, g), NOISE, gb, gu,
                           TrainingBudget(max_layers=2), g)
-    out = tmp_path / "trace.csv"
-    rep.trace_to_csv(out)
-    with open(out, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["layer", "choice_i", "choice_j", "best_rate", "evaluations"]
-    assert len(rows) == 3
-    assert int(rows[2][4]) == rep.evaluations
+    assert [rec.layer for rec in rep.layer_trace] == [1, 2]
+    for rec in rep.layer_trace:
+        assert len(rec.choice) == 2 and set(rec.choice) <= {1, 2, 3, 4}
+        assert rec.evaluations_total == hierarchical_overhead(rec.layer, 2, 2)
+    assert rep.layer_trace[-1].evaluations_total == rep.evaluations
+    assert max(rec.best_rate for rec in rep.layer_trace) == rep.best_rate
