@@ -56,6 +56,7 @@ class SystemGeometry:
     ue_mid: np.ndarray = field(default_factory=lambda: np.zeros(3))
     ris_mid: np.ndarray = field(default_factory=lambda: np.zeros(3))
     wavelength_m: float | None = None
+    _ris_positions: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.carrier_hz <= 0:
@@ -78,6 +79,13 @@ class SystemGeometry:
             if vec.shape != (3,):
                 raise ValueError(f"{name} must be a 3-vector")
             object.__setattr__(self, name, vec)
+        ris = np.tile(self.ris_mid, (self.m, 1))
+        ris[:, 0] += np.repeat(centered_offsets(self.m_x, self.spacing_m),
+                               self.m_y)
+        ris[:, 1] += np.tile(centered_offsets(self.m_y, self.spacing_m),
+                             self.m_x)
+        ris.flags.writeable = False
+        object.__setattr__(self, "_ris_positions", ris)
 
     @classmethod
     def build(cls, carrier_hz, n_bs, n_ue, m_x, m_y, bs_mid, ue_mid, ris_mid,
@@ -110,17 +118,13 @@ class SystemGeometry:
 
         BS and user elements run along the x-axis through the array
         midpoint.  RIS elements sit in the plane z = ris_mid[2], ordered
-        row-major with the y index fastest.
+        row-major with the y index fastest, in a read-only array built once.
         """
+        if node == NODE_RIS:
+            return self._ris_positions
         n = self.n_elements(node)
         out = np.tile(self.midpoint(node), (n, 1))
-        if node == NODE_RIS:
-            out[:, 0] += np.repeat(centered_offsets(self.m_x, self.spacing_m),
-                                   self.m_y)
-            out[:, 1] += np.tile(centered_offsets(self.m_y, self.spacing_m),
-                                 self.m_x)
-        else:
-            out[:, 0] += centered_offsets(n, self.spacing_m)
+        out[:, 0] += centered_offsets(n, self.spacing_m)
         return out
 
     def aperture(self, node: str) -> float:

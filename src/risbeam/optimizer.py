@@ -34,8 +34,8 @@ class Precoder:
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=complex)
-        if w.ndim != 2:
-            raise ValueError("precoder must be a matrix")
+        if w.ndim != 2 or not np.all(np.isfinite(w)):
+            raise ValueError("precoder must be a finite matrix")
         if self.p_max <= 0:
             raise ValueError("p_max must be positive")
         power = float(np.sum(np.abs(w) ** 2))
@@ -90,17 +90,18 @@ def rates_for_phase_batch(realization: ChannelRealization, phis: np.ndarray,
                           w: np.ndarray, noise_var: float) -> np.ndarray:
     """Achievable rate for each row of `phis` applied as RIS coefficients.
 
-    Vectorized over the candidate set: HW is assembled per candidate from
-    the cached product G_bs_ris @ W and reduced through a batched SVD.
+    One GEMM phis @ C, C[m, (u, q)] = G_ris_ue[u, m] (G_bs_ris W)[m, q] / s
+    with s = sqrt(noise_var), gives each candidate's B = HW / s; its rate is
+    the q x q log-det log2 det(I_q + B^H B).  Non-finite rates raise.
     """
-    t = realization.g_bs_ris @ w                       # (M, q)
-    bw = np.einsum("um,km,mq->kuq", realization.g_ris_ue, phis, t)
-    if min(bw.shape[1], bw.shape[2]) == 1:
-        # rank-one product: the single singular value is the Frobenius norm
-        s2 = np.sum(np.abs(bw) ** 2, axis=(1, 2))
-        return np.log2(1.0 + s2 / noise_var)
-    s = np.linalg.svd(bw, compute_uv=False)
-    return np.sum(np.log2(1.0 + s * s / noise_var), axis=1)
+    t = realization.g_bs_ris @ w / np.sqrt(noise_var)           # (M, q)
+    c = realization.g_ris_ue.T[:, :, None] * t[:, None, :]      # (M, n_ue, q)
+    b = (phis @ c.reshape(len(c), -1)).reshape(-1, *c.shape[1:])
+    gram = np.eye(t.shape[1]) + b.conj().swapaxes(1, 2) @ b
+    rates = np.linalg.slogdet(gram)[1]
+    if not np.all(np.isfinite(rates)):
+        raise ValueError("non-finite rate operands")
+    return rates / np.log(2.0)
 
 
 def mse_matrix(h: np.ndarray, w: np.ndarray, u: np.ndarray,

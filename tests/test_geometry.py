@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,18 @@ def test_ris_2x2_grid_positions_and_ordering():
                          [10 + 0.0025, -0.0025, 8.0],
                          [10 + 0.0025, +0.0025, 8.0]])
     np.testing.assert_allclose(pos, expected, atol=1e-15)
+
+
+def test_ris_positions_computed_once_and_read_only():
+    g = make(m_x=3, m_y=2)
+    pos = g.element_positions(NODE_RIS)
+    assert g.element_positions(NODE_RIS) is pos
+    with pytest.raises(ValueError):
+        pos[0, 0] = 0.0
+    # a copy with a new midpoint gets its own layout
+    moved = replace(g, ris_mid=g.ris_mid + [1.0, 0.0, 0.0])
+    np.testing.assert_allclose(moved.element_positions(NODE_RIS),
+                               pos + [1.0, 0.0, 0.0], rtol=0, atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)

@@ -96,6 +96,48 @@ class TestAchievableRate:
         np.testing.assert_allclose(batch, singles, rtol=1e-10)
 
 
+class TestRateKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(tag=st.sampled_from(["FF", "NF", "FN", "NN"]),
+           scale=st.sampled_from(["desk", "paper"]),
+           seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 16, 256]),
+           data=st.data())
+    def test_rows_match_scalar_rate_at_both_scales(self, tag, scale, seed, k,
+                                                   data):
+        cfg = parse_config(f"model: {tag}", scale=scale)
+        geometry, real, _, _ = cell_setup(cfg, seed)
+        # q = 1 and the square case q = n_ue are both in range
+        q = data.draw(st.integers(1, min(geometry.n_bs, geometry.n_ue)),
+                      label="q")
+        rng = np.random.default_rng(seed)
+        w = rand_matrix(rng, (geometry.n_bs, q))
+        w *= np.sqrt(cfg.p_max_w) / np.linalg.norm(w)
+        phis = np.exp(-1j * rng.uniform(0, 2 * np.pi, (k, geometry.m)))
+        batch = rates_for_phase_batch(real, phis, w, cfg.noise_w)
+        singles = [achievable_rate(cascade(real, p), w, cfg.noise_w)
+                   for p in phis]
+        assert batch.shape == (k,)
+        # both sides round 1 + x for a tiny x, so a row's error floor is a
+        # few ulps of 1 in absolute terms (rates reach 1e-6 bit at desk FF)
+        np.testing.assert_allclose(batch, singles, rtol=1e-10, atol=1e-14)
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("operand", ["phis", "w"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_operand_rejected(self, bad, operand, q):
+        g, real, _, _ = desk_setup()
+        rng = np.random.default_rng(9)
+        w = rand_matrix(rng, (g.n_bs, q)) * 1e-5
+        phis = np.exp(-1j * rng.uniform(0, 2 * np.pi, (4, g.m)))
+        if operand == "phis":
+            phis[1, 3] = bad
+        else:
+            w[2, 0] = bad
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="non-finite"):
+            rates_for_phase_batch(real, phis, w, 1e-13)
+
+
 class TestMseMatrix:
     def test_zero_combiner_gives_identity(self):
         rng = np.random.default_rng(5)
@@ -362,6 +404,11 @@ class TestContainers:
     def test_precoder_budget_enforced(self):
         with pytest.raises(ValueError, match="budget"):
             Precoder(w=np.ones((2, 2)), p_max=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_precoder_requires_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Precoder(w=np.full((2, 2), bad), p_max=1.0)
 
     def test_budget_overshoot_rejected_at_desk_power_scale(self):
         p_max = parse_config("", scale="desk").p_max_w      # 1e-8 W
