@@ -4,9 +4,10 @@
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_7.json
 
 PARENT_DIR and CHANGE_DIR are checkouts of the two commits.  For each
-pair and each `--trace` setting, `bench/run.py --workload all` runs in
-both, the parent first in odd pairs and the change first in even ones;
-the final JSON line of every run is kept.
+of PAIRS pairs and each `--trace` setting, `bench/run.py --workload all
+--seconds SECONDS` runs in both, the parent first in odd pairs and the
+change first in even ones; the final JSON line of every run is kept.
+A run that reports `correct: false` or any failed row stops the script.
 The file also holds, per trace setting, each metric's median over the
 pairs on both sides and the median over the pairs of change / parent.
 """
@@ -18,18 +19,27 @@ import subprocess
 import sys
 from pathlib import Path
 
+PAIRS = 10
+SECONDS = 12
 
-def run(checkout: Path, seconds: float, trace: int) -> dict:
+
+def run(checkout: Path, trace: int) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", "all",
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True,
                          text=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    result = json.loads(out.strip().splitlines()[-1])
+    if not result["correct"] or result["failed"]:
+        raise RuntimeError(f"{checkout} --trace {trace}: correct="
+                           f"{result['correct']}, failed={result['failed']}")
+    return result
 
 
 def summary(pairs: list) -> dict:
     values = {side: {} for side in ("parent", "change", "ratio")}
     for pair in pairs:
+        if pair["change"]["metrics"].keys() != pair["parent"]["metrics"].keys():
+            raise ValueError("parent and change report different metrics")
         for name, metric in pair["change"]["metrics"].items():
             old = pair["parent"]["metrics"][name]["value"]
             new = metric["value"]
@@ -45,22 +55,19 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--pairs", type=int, default=3)
-    ap.add_argument("--seconds", type=float, default=12.0)
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
 
-    record = {"command": f"bench/run.py --workload all --seconds "
-                         f"{args.seconds:g} --trace <0|1>",
+    record = {"command": f"bench/run.py --workload all --seconds {SECONDS} "
+                         f"--trace <0|1>",
               "order": "parent first in odd pairs, change first in even"}
     for trace in (0, 1):
         pairs = []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change")[::1 if i % 2 == 0 else -1]
-            pair = {side: run(getattr(args, side), args.seconds, trace)
-                    for side in order}
+            pair = {side: run(getattr(args, side), trace) for side in order}
             pairs.append(pair)
-            print(f"trace {trace} pair {i + 1}/{args.pairs} done", flush=True)
+            print(f"trace {trace} pair {i + 1}/{PAIRS} done", flush=True)
         record[f"trace{trace}"] = {"median": summary(pairs), "pairs": pairs}
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
