@@ -1,8 +1,9 @@
 """Byte pins on the files the CLI and the experiment scripts write.
 
 Every digest below is the sha256 of one output file produced at desk
-scale (and, for codebook and channel dumps, at paper scale too) with
-small seed counts, or of what `risbeam validate` prints at either scale.  A refactor that claims identical behavior must leave all of them
+scale (and, for codebook and channel dumps and for one `run` cell of
+every training variant, at paper scale too) with small seed counts, or
+of what `risbeam validate` prints at either scale.  A refactor that claims identical behavior must leave all of them
 unchanged; a deliberate output change updates the digest in the same
 commit and says why.  The digests were recorded with numpy 2.4 on x86-64
 (OpenBLAS); another BLAS may round the last printed digit differently.
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from risbeam import cli
+from risbeam import cli, harness
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,6 +44,26 @@ DIGESTS = {
         "5ae4bb1bc7ab717d28c7123b54f75f9afda8c9ee2d8dc58ee0c65c2977cfe0b3",
     "run/desk_ris_height.summary.csv":
         "6a681d1d98e75c0c727fffd44b7a0dec46ebde0e3312539084f68c2e7136b76c",
+    "run/paper-NN-hierarchical.csv":
+        "198d3e7716f1b9bd4a8299e48a9fd932112c167e1c6cb0ce6967234f8284320a",
+    "run/paper-NN-hierarchical.summary.csv":
+        "005046a172192bfa239cc878a6d676ebb67b2ac5f557d44d74ba737035a8d1ef",
+    "run/paper-NF-two-stage.csv":
+        "3024dd4001bed2156677a7b237d2a1ec7c9bda6755e7da23365843e3977473d6",
+    "run/paper-NF-two-stage.summary.csv":
+        "a52d53cf6bcfbc5d012fc725a990a1e657f44ed704e4d2d47bb22c40428984f1",
+    "run/paper-FN-two-stage.csv":
+        "69d14a3972cc18957ed7050c9bb6633f72f2ba32f454c416531592e2b777a28a",
+    "run/paper-FN-two-stage.summary.csv":
+        "a8f989a938c2f8d15e81c6cb6fa340bacdde72e43181dedd7e323476e8db1e0f",
+    "run/paper-NN-angular.csv":
+        "58591148834c74a56e7d30eefe7528c4b2b4b95297c023bebcd39d1e2d4e885a",
+    "run/paper-NN-angular.summary.csv":
+        "0dac08b6df723764f4049fd04a705955f926647458b81d9a4b68a335414fecd6",
+    "run/paper-FF-angular.csv":
+        "506e32ab2520b721b11bb4ec1a515b235afddd28ab736e88fbfad2430e82e6e0",
+    "run/paper-FF-angular.summary.csv":
+        "c8408f56725738af29611257ee440f7e215f3291c5955badb5785cd059072d5c",
     "codebook/ff-desk.csv":
         "1fde08680b4094ee70c0272d8b0fc2a27c095951fdbc982c8577badf4df0a465",
     "codebook/nn-desk.csv":
@@ -116,6 +137,18 @@ def test_run_outputs(name, tmp_path):
     assert sha256(out) == DIGESTS[f"run/{name}.csv"]
     assert sha256(out.with_suffix(".summary.csv")) == \
         DIGESTS[f"run/{name}.summary.csv"]
+
+
+@pytest.mark.parametrize("name,model,scheme", harness.VARIANTS)
+def test_paper_run_outputs(name, model, scheme, tmp_path):
+    cfg = tmp_path / "variant.cfg"
+    cfg.write_text(f"model: {model}\ntraining: {scheme}\n")
+    out = tmp_path / f"{name}.csv"
+    assert cli.main(["run", str(cfg), "--scale", "paper", "--seed", "0",
+                     "--out", str(out)]) == 0
+    assert sha256(out) == DIGESTS[f"run/paper-{name}.csv"]
+    assert sha256(out.with_suffix(".summary.csv")) == \
+        DIGESTS[f"run/paper-{name}.summary.csv"]
 
 
 @pytest.mark.parametrize("scale", ("desk", "paper"))
