@@ -12,7 +12,6 @@ from dataclasses import replace
 
 from risbeam import harness
 from risbeam.optimizer import ao_loop
-from risbeam.training import TrainingBudget
 
 
 def main():
@@ -23,8 +22,6 @@ def main():
     args = ap.parse_args()
 
     cfg = harness.parse_config("", scale=args.scale)
-    budget = TrainingBudget(max_layers=cfg.layers, s_x=cfg.s_x, s_y=cfg.s_y)
-
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "seed", "iteration", "rate_bps_hz", "gamma"])
@@ -34,7 +31,7 @@ def main():
                     replace(cfg, model=tag), seed)
                 state = ao_loop(real, geometry, p_max=cfg.p_max_w,
                                 noise_var=cfg.noise_w, grid_bs=gb, grid_ue=gu,
-                                budget=budget, max_iters=cfg.max_iters,
+                                layers=cfg.layers, max_iters=cfg.max_iters,
                                 tol=cfg.tol, scheme=scheme)
                 for it, rate, gamma, _ in state.trace:
                     writer.writerow([name, seed, it, f"{rate:.12g}",

@@ -17,7 +17,7 @@ from risbeam import harness
 from risbeam.channel import cascade
 from risbeam.codebook import build_nn_codebook
 from risbeam.optimizer import _initial_precoder, default_stream_count
-from risbeam.training import TrainingBudget, exhaustive_search, hierarchical_nn
+from risbeam.training import exhaustive_search, hierarchical_nn
 
 
 def main():
@@ -37,8 +37,7 @@ def main():
         w = _initial_precoder(cascade(real, np.ones(geometry.m)),
                               default_stream_count("NN", geometry), cfg.p_max_w)
         for layers in range(1, args.max_layers + 1):
-            rep = hierarchical_nn(real, w, cfg.noise_w, gb, gu,
-                                  TrainingBudget(layers, cfg.s_x, cfg.s_y),
+            rep = hierarchical_nn(real, w, cfg.noise_w, gb, gu, layers,
                                   geometry)
             rows.append((f"layered-L{layers}", seed, layers, rep.best_rate,
                          rep.evaluations))

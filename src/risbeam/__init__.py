@@ -39,7 +39,6 @@ from .optimizer import (
     weight_update,
 )
 from .training import (
-    TrainingBudget,
     TrainingReport,
     angular_sweep,
     exhaustive_search,

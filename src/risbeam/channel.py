@@ -100,8 +100,7 @@ class PhaseShiftVector:
     @classmethod
     def from_coefficients(cls, coeffs) -> "PhaseShiftVector":
         coeffs = np.asarray(coeffs, dtype=complex).ravel()
-        mag = np.abs(coeffs)
-        if np.any(np.abs(mag - 1.0) > 1e-12):
+        if not np.all(np.abs(np.abs(coeffs) - 1.0) <= 1e-12):   # NaN fails
             raise ValueError("coefficients must be unit modulus")
         return cls(phases=np.mod(-np.angle(coeffs), 2.0 * np.pi))
 

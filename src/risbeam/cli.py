@@ -114,14 +114,13 @@ def _validation_checks(scale: str):
 
     rng = harness.rng_for(0, 0)
     real = channel.synthesize_channel("NN", geo, rng)
-    budget = training.TrainingBudget(max_layers=2, s_x=2, s_y=2)
     w0 = optimizer._initial_precoder(
         channel.cascade(real, np.ones(geo.m)), 1, cfg.p_max_w)
     rep = training.hierarchical_nn(real, w0, cfg.noise_w, grid_bs, grid_ue,
-                                   budget, geo)
+                                   2, geo)
     checks.append(("hierarchical counter matches its closed form",
                    rep.evaluations == training.hierarchical_overhead(2, 2, 2)))
-    rep2 = training.two_stage_hybrid(real, w0, cfg.noise_w, grid_bs, budget,
+    rep2 = training.two_stage_hybrid(real, w0, cfg.noise_w, grid_bs, 2,
                                      "NF", geo)
     checks.append(("two-stage counter matches its closed form",
                    rep2.evaluations == training.two_stage_overhead(geo.m, 2, 2, 2)))
@@ -138,7 +137,7 @@ def _validation_checks(scale: str):
                    stationarity < 1e-7))
 
     state = optimizer.ao_loop(real, geo, p_max=cfg.p_max_w, noise_var=cfg.noise_w,
-                              grid_bs=grid_bs, grid_ue=grid_ue, budget=budget,
+                              grid_bs=grid_bs, grid_ue=grid_ue, layers=2,
                               max_iters=5)
     hist = np.array(state.rate_history)
     checks.append(("rate history is nondecreasing",

@@ -63,7 +63,7 @@ class Codeword:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex).ravel()
-        if np.any(np.abs(np.abs(c) - 1.0) > _UNIT_TOL):
+        if not np.all(np.abs(np.abs(c) - 1.0) <= _UNIT_TOL):   # NaN fails
             raise ValueError("codeword entries must be unit modulus")
         object.__setattr__(self, "coeffs", c)
 
@@ -81,7 +81,7 @@ class Codebook:
             raise ValueError("words must be a (K, M) array")
         if len(self.provenance) != w.shape[0]:
             raise ValueError("one provenance entry per codeword required")
-        if np.any(np.abs(np.abs(w) - 1.0) > _UNIT_TOL):
+        if not np.all(np.abs(np.abs(w) - 1.0) <= _UNIT_TOL):   # NaN fails
             raise ValueError("codebook entries must be unit modulus")
         object.__setattr__(self, "words", w)
         object.__setattr__(self, "provenance", tuple(self.provenance))
@@ -122,6 +122,9 @@ class SamplingGrid:
     fixed_z: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.x_min, self.x_max, self.y_min,
+                                   self.y_max, self.fixed_z])):
+            raise ValueError("sampling range and height must be finite")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("degenerate sampling range")
         if self.s_x < 1 or self.s_y < 1:
@@ -166,17 +169,22 @@ def ff_steering(beta: float, delta: float, m_x: int, m_y: int,
 
 
 def build_ff_codebook(geometry: SystemGeometry) -> Codebook:
-    """All m_x*m_y conjugated angular steering vectors on the beam grid."""
+    """All m_x*m_y conjugated angular steering vectors on the beam grid.
+
+    Word (ix, iy) is the x phase ramp of beta_ix*delta_iy times the y ramp
+    of delta_iy, as in `ff_steering`, formed for every grid pair at once.
+    """
     betas = angular_grid_values(geometry.m_x)
     deltas = angular_grid_values(geometry.m_y)
-    words, tags = [], []
-    for ix, beta in enumerate(betas, start=1):
-        for iy, delta in enumerate(deltas, start=1):
-            cw = ff_steering(beta, delta, geometry.m_x, geometry.m_y, geometry)
-            words.append(cw.coeffs.conj())
-            tags.append(AngleTag(ix=ix, iy=iy, beta=float(beta),
-                                 delta=float(delta)))
-    return Codebook(words=np.asarray(words), provenance=tuple(tags))
+    step = 2.0 * np.pi * geometry.spacing_m / geometry.wavelength_m
+    ax = np.exp(-1j * np.arange(geometry.m_x) * step * betas[:, None, None]
+                * deltas[None, :, None])    # (ix, iy, x index)
+    ay = np.exp(-1j * np.arange(geometry.m_y) * step * deltas[:, None])
+    words = (ax[:, :, :, None] * ay[None, :, None, :]).conj()
+    tags = tuple(AngleTag(ix=ix, iy=iy, beta=float(beta), delta=float(delta))
+                 for ix, beta in enumerate(betas, start=1)
+                 for iy, delta in enumerate(deltas, start=1))
+    return Codebook(words=words.reshape(len(tags), -1), provenance=tags)
 
 
 def distance_steering(x: float, y: float, side_z: float,

@@ -30,7 +30,6 @@ from .channel import GAIN_MODES, MODEL_TAGS, synthesize_channel
 from .codebook import SamplingGrid
 from .geometry import SPEED_OF_LIGHT, SystemGeometry
 from .optimizer import ao_loop
-from .training import TrainingBudget
 
 TRAINING_SCHEMES = ("auto", "angular", "hierarchical", "two_stage")
 
@@ -391,9 +390,7 @@ def run_cell(cfg: ExperimentConfig, seed: int,
     geometry, realization, grid_bs, grid_ue = cell_setup(cell, seed)
     state = ao_loop(
         realization, geometry, p_max=cell.p_max_w, noise_var=cell.noise_w,
-        grid_bs=grid_bs, grid_ue=grid_ue,
-        budget=TrainingBudget(max_layers=cell.layers, s_x=cell.s_x,
-                              s_y=cell.s_y),
+        grid_bs=grid_bs, grid_ue=grid_ue, layers=cell.layers,
         max_iters=cell.max_iters, tol=cell.tol, scheme=cell.training,
         q=cell.q if cell.q > 0 else None,
         l_b=cell.paths_bs, l_u=cell.paths_ue)

@@ -242,7 +242,7 @@ def ao_loop(realization: ChannelRealization, geometry: SystemGeometry, *,
             p_max: float, noise_var: float,
             grid_bs: SamplingGrid | None = None,
             grid_ue: SamplingGrid | None = None,
-            budget=None, max_iters: int = 20, tol: float = 1e-4,
+            layers: int | None = None, max_iters: int = 20, tol: float = 1e-4,
             scheme: str = "auto", q: int | None = None,
             l_b: int = 3, l_u: int = 3) -> AOState:
     """Alternate RIS training, combiner, weight, and precoder updates.
@@ -269,17 +269,17 @@ def ao_loop(realization: ChannelRealization, geometry: SystemGeometry, *,
         if scheme == "angular":
             return training.angular_sweep(realization, w, noise_var, geometry)
         if scheme == "hierarchical":
-            if grid_bs is None or grid_ue is None or budget is None:
-                raise ValueError("hierarchical training needs both grids and a budget")
+            if grid_bs is None or grid_ue is None or layers is None:
+                raise ValueError("hierarchical training needs both grids and a layer count")
             return training.hierarchical_nn(realization, w, noise_var,
-                                            grid_bs, grid_ue, budget, geometry)
+                                            grid_bs, grid_ue, layers, geometry)
         if scheme == "two_stage":
             side = tag if tag in NEAR_SIDE else "FN"   # forced on FF or NN
             grid = grid_bs if NEAR_SIDE[side] == SIDE_BS else grid_ue
-            if grid is None or budget is None:
-                raise ValueError("two-stage training needs the near-side grid and a budget")
+            if grid is None or layers is None:
+                raise ValueError("two-stage training needs the near-side grid and a layer count")
             return training.two_stage_hybrid(realization, w, noise_var,
-                                             grid, budget, side, geometry)
+                                             grid, layers, side, geometry)
         raise ValueError(f"unknown training scheme {scheme!r}")
 
     phi = np.ones(realization.m, dtype=complex)

@@ -12,14 +12,14 @@ pair and M RIS elements):
     exhaustive baseline    size of the supplied codebook
 
 Ties are broken toward the lowest codeword index, so reports are
-deterministic functions of (channel, precoder, grids, budget).
+deterministic functions of (channel, precoder, grids, layer count).
+The refining schemes take s_x and s_y from the grids they are given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import product
 
 import numpy as np
 
@@ -39,25 +39,6 @@ from .codebook import (
 )
 from .geometry import SystemGeometry
 from .optimizer import rates_for_phase_batch
-
-
-@dataclass(frozen=True)
-class TrainingBudget:
-    """Layer count and per-layer sample counts for the refining schemes.
-
-    max_layers = 0 is allowed and turns the two-stage scheme into a pure
-    angular sweep; the hierarchical scheme requires at least one layer.
-    """
-
-    max_layers: int
-    s_x: int = 2
-    s_y: int = 2
-
-    def __post_init__(self):
-        if self.max_layers < 0:
-            raise ValueError("max_layers must be >= 0")
-        if self.s_x < 1 or self.s_y < 1:
-            raise ValueError("sample counts must be positive")
 
 
 @dataclass(frozen=True)
@@ -132,78 +113,87 @@ def angular_sweep(realization: ChannelRealization, w: np.ndarray,
 
 def _descend(realization: ChannelRealization, w: np.ndarray,
              noise_var: float, geometry: SystemGeometry, ranges: list,
-             budget: TrainingBudget, report: TrainingReport,
+             layers: int, report: TrainingReport,
              prefix: Codebook | None = None) -> TrainingReport:
     """Layered quadrant refinement shared by the refining schemes.
 
     `ranges` lists (grid, side) pairs in choice order.  Each layer
-    quadrisects every range, builds each quadrant's sample list once,
-    stars one list per range onto the fixed `prefix` for every quadrant
-    combination (first range slowest), scores all candidates in one batch,
-    and descends into the winning combination.  Lists are starred last
-    range first, so hierarchical codewords carry the user-side sample as
-    their first operand.
+    quadrisects every range, builds each quadrant's sample list once, and
+    forms the candidates of all quadrant combinations (first range
+    slowest) as one broadcast product: the fixed `prefix` row times the
+    sample of the last range, ..., times the first, in the row and
+    multiplication order of `reduce(star, ...)`.  It scores them in one
+    batch, names only the winner (by `star` over its quadrants' lists, so
+    hierarchical codewords carry the user-side sample as their first
+    operand), and descends into the winning combination.
     Evaluations, layer records and the best codeword accumulate into
     `report`, which is returned.
     """
-    grids = [replace(grid, s_x=budget.s_x, s_y=budget.s_y)
-             for grid, _ in ranges]
+    if layers < 0:
+        raise ValueError("max_layers must be >= 0")
+    grids = [grid for grid, _ in ranges]
     head = [] if prefix is None else [prefix]
-    combos = list(product(range(4), repeat=len(ranges)))
-    for layer in range(1, budget.max_layers + 1):
+    for layer in range(1, layers + 1):
         subs = [subdivide_range(grid) for grid in grids]
         lists = [[build_distance_component(sub, side, geometry)
                   for sub in quads]
                  for quads, (_, side) in zip(subs, ranges)]
-        books = []
-        for combo in combos:
-            parts = [quads[q] for quads, q in zip(lists, combo)]
-            books.append(reduce(star, head + parts[::-1]))
-        words = np.vstack([b.words for b in books])
-        rates = rates_for_phase_batch(realization, words, w, noise_var)
-        report.evaluations += words.shape[0]
+        # (combination, row, M): each range adds the slowest quadrant
+        # axis and the fastest sample axis
+        cands = None if prefix is None else prefix.words[None]
+        for books in reversed(lists):
+            stack = np.stack([b.words for b in books])
+            cands = stack if cands is None else (
+                cands[None, :, :, None] * stack[:, None, None]).reshape(
+                    4 * len(cands), -1, stack.shape[-1])
+        rates = rates_for_phase_batch(
+            realization, cands.reshape(-1, cands.shape[-1]), w, noise_var)
+        report.evaluations += rates.size
         k = int(np.argmax(rates))
-        c, s = divmod(k, len(books[0]))
+        *picks, s = (int(i) for i in np.unravel_index(
+            k, (4,) * len(lists) + cands.shape[1:2]))
         layer_best = float(rates[k])
         report.layer_trace.append(LayerRecord(
-            layer=layer, choice=tuple(q + 1 for q in combos[c]),
+            layer=layer, choice=tuple(q + 1 for q in picks),
             best_rate=layer_best, evaluations_total=report.evaluations))
         if layer_best > report.best_rate:
             report.best_rate = layer_best
-            report.best_codeword = books[c][s]
-        grids = [quads[q] for quads, q in zip(subs, combos[c])]
+            parts = [books[q] for books, q in zip(lists, picks)]
+            report.best_codeword = reduce(star, head + parts[::-1])[s]
+        grids = [quads[q] for quads, q in zip(subs, picks)]
     return report
 
 
 def hierarchical_nn(realization: ChannelRealization, w: np.ndarray,
                     noise_var: float, grid_bs: SamplingGrid,
-                    grid_ue: SamplingGrid, budget: TrainingBudget,
+                    grid_ue: SamplingGrid, layers: int,
                     geometry: SystemGeometry) -> TrainingReport:
     """Layered search over both sample ranges.
 
     Each layer quadrisects the current BS and user ranges, scores all 16
     sub-codebooks (4 BS quadrants x 4 user quadrants, (s_x*s_y)^2 words
-    each), and descends into the winning quadrant pair.  Sample counts
-    come from the budget; the grids supply the ranges and heights.
+    each), and descends into the winning quadrant pair.  The grids supply
+    the ranges, heights and sample counts.
     """
-    if budget.max_layers < 1:
+    if layers < 1:
         raise ValueError("hierarchical training requires max_layers >= 1")
     empty = TrainingReport(best_codeword=None, best_rate=-np.inf,
                            evaluations=0, layer_trace=[])
     return _descend(realization, w, noise_var, geometry,
-                    [(grid_bs, SIDE_BS), (grid_ue, SIDE_UE)], budget, empty)
+                    [(grid_bs, SIDE_BS), (grid_ue, SIDE_UE)], layers, empty)
 
 
 def two_stage_hybrid(realization: ChannelRealization, w: np.ndarray,
-                     noise_var: float, grid: SamplingGrid,
-                     budget: TrainingBudget, side: str,
+                     noise_var: float, grid: SamplingGrid, layers: int,
+                     side: str,
                      geometry: SystemGeometry) -> TrainingReport:
     """Angular sweep first, then layered distance refinement on one side.
 
     side "NF" refines the BS-side range, "FN" the user-side range; the
     winning angular codeword stays fixed throughout stage two, where each
     layer scores 4 quadrant sub-codebooks of s_x*s_y samples each.
-    Total evaluations: M + 4 * max_layers * s_x * s_y.
+    Total evaluations: M + 4 * layers * s_x * s_y, with s_x and s_y
+    from the grid.
     """
     if side not in NEAR_SIDE:
         raise ValueError(f"side must be 'NF' or 'FN', got {side!r}")
@@ -212,4 +202,4 @@ def two_stage_hybrid(realization: ChannelRealization, w: np.ndarray,
     win = report.best_codeword
     fixed = Codebook(words=win.coeffs[None, :], provenance=(win.provenance,))
     return _descend(realization, w, noise_var, geometry,
-                    [(grid, NEAR_SIDE[side])], budget, report, prefix=fixed)
+                    [(grid, NEAR_SIDE[side])], layers, report, prefix=fixed)

@@ -50,7 +50,6 @@ from risbeam.optimizer import (
     solve_precoder,
 )
 from risbeam.training import (
-    TrainingBudget,
     angular_sweep,
     es_overhead_hybrid,
     es_overhead_nn,
@@ -108,13 +107,12 @@ def test_01_overhead_exactness():
             mismatches.append(("sweep", m_x))
         for layers in range(1, 13):
             for s in (2, 4):
-                budget = TrainingBudget(max_layers=layers, s_x=s, s_y=s)
                 hier = hierarchical_nn(real, w, NOISE_W, grid(0, 0, s),
-                                       grid(0.24, 0, s), budget, g)
+                                       grid(0.24, 0, s), layers, g)
                 if hier.evaluations != 16 * layers * (s * s) ** 2:
                     mismatches.append(("hier", m_x, layers, s))
                 two = two_stage_hybrid(real, w, NOISE_W, grid(0, 0, s),
-                                       budget, "NF", g)
+                                       layers, "NF", g)
                 if two.evaluations != m + 4 * layers * s * s:
                     mismatches.append(("two", m_x, layers, s))
                 # closed forms of the flat-search baselines
@@ -198,7 +196,7 @@ def test_03_hierarchical_matches_flat_search():
         w = _initial_precoder(cascade(real, np.ones(g.m)),
                               default_stream_count("NN", g), cfg.p_max_w)
         rep = hierarchical_nn(real, w, cfg.noise_w, gb, gu,
-                              TrainingBudget(max_layers=2, s_x=2, s_y=2), g)
+                              2, g)
         book = build_nn_codebook(replace(gb, s_x=8, s_y=8),
                                  replace(gu, s_x=8, s_y=8), g)
         es = exhaustive_search(real, w, cfg.noise_w, book)
@@ -226,7 +224,7 @@ def test_04_ao_monotone_and_convergent():
             gb, gu = harness.grids_from(tag_cfg, g)
             state = ao_loop(real, g, p_max=cfg.p_max_w, noise_var=cfg.noise_w,
                             grid_bs=gb, grid_ue=gu,
-                            budget=TrainingBudget(cfg.layers, cfg.s_x, cfg.s_y),
+                            layers=cfg.layers,
                             max_iters=20, tol=1e-4)
             total += 1
             monotone += bool(np.all(np.diff(state.rate_history) >= -1e-6))
@@ -317,7 +315,7 @@ def test_07_on_grid_alignment_gain():
 def test_08_model_ordering(table2):
     # full-scale layout, CI-sized realization count
     half = 1000 * table2.wavelength_m
-    budget = TrainingBudget(max_layers=12, s_x=2, s_y=2)
+    layers = 12
     def grid(cx, z):
         return SamplingGrid(x_min=cx - half, x_max=cx + half,
                             y_min=-half, y_max=half, s_x=2, s_y=2, fixed_z=z)
@@ -339,7 +337,7 @@ def test_08_model_ordering(table2):
                                      ris_mid=(10, 0, 8))
             real = synthesize_channel(tag, g, rng, gain_mode="friis")
             state = ao_loop(real, g, p_max=1.0, noise_var=NOISE_W,
-                            grid_bs=gb, grid_ue=gu, budget=budget,
+                            grid_bs=gb, grid_ue=gu, layers=layers,
                             max_iters=20, tol=1e-4, scheme=scheme)
             rates.append(state.rate)
         means[name] = float(np.mean(rates))

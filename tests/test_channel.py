@@ -165,6 +165,10 @@ class TestPhaseShiftVector:
         with pytest.raises(ValueError):
             PhaseShiftVector.from_coefficients([1.0, 0.5])
 
+    def test_nan_coefficients_rejected(self):
+        with pytest.raises(ValueError, match="unit modulus"):
+            PhaseShiftVector.from_coefficients([1.0, np.nan])
+
 
 class TestCascade:
     def nn_realization(self, g):

@@ -84,14 +84,13 @@ class TestAngularCodebook:
         np.testing.assert_allclose(angular_grid_values(4),
                                    [-0.75, -0.25, 0.25, 0.75])
 
-    def test_codewords_are_conjugated_steering(self):
-        g = geom(m_x=3, m_y=2)
-        book = build_ff_codebook(g)
-        for k in range(len(book)):
-            tag = book.provenance[k]
-            raw = ff_steering(tag.beta, tag.delta, 3, 2, g)
-            np.testing.assert_allclose(book.words[k], raw.coeffs.conj(),
-                                       atol=1e-12)
+    def test_codewords_are_conjugated_steering(self, desk, table2):
+        for g in (geom(m_x=3, m_y=2), desk, table2):
+            book = build_ff_codebook(g)
+            for k in range(len(book)):
+                tag = book.provenance[k]
+                raw = ff_steering(tag.beta, tag.delta, g.m_x, g.m_y, g)
+                assert book.words[k].tobytes() == raw.coeffs.conj().tobytes()
 
     def test_ordering_y_fastest(self):
         book = build_ff_codebook(geom(m_x=3, m_y=2))
@@ -184,6 +183,15 @@ class TestSamplingGrid:
         with pytest.raises(ValueError, match="degenerate"):
             SamplingGrid(x_min=0, x_max=0, y_min=0, y_max=1, s_x=1, s_y=1,
                          fixed_z=0)
+
+    @pytest.mark.parametrize("bad", [dict(x_min=-np.inf), dict(y_max=np.inf),
+                                     dict(fixed_z=np.nan)],
+                             ids=["x_min", "y_max", "fixed_z"])
+    def test_non_finite_bounds_rejected(self, bad):
+        args = dict(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, s_x=2, s_y=2,
+                    fixed_z=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            SamplingGrid(**{**args, **bad})
 
     def test_subdivide_quadrant_order(self):
         quads = subdivide_range(unit_grid())
@@ -315,3 +323,14 @@ class TestExport:
 def test_codeword_rejects_non_unit_entries():
     with pytest.raises(ValueError):
         Codeword(coeffs=np.array([1.0, 0.7]), provenance=None)
+
+
+def test_codeword_rejects_nan_entries():
+    with pytest.raises(ValueError, match="unit modulus"):
+        Codeword(coeffs=np.array([1.0, np.nan]), provenance=None)
+
+
+def test_codebook_rejects_nan_entries():
+    with pytest.raises(ValueError, match="unit modulus"):
+        Codebook(words=np.array([[1.0, complex(np.nan, 0.0)]]),
+                 provenance=(None,))

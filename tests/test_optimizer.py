@@ -26,7 +26,6 @@ from risbeam.optimizer import (
     solve_precoder,
     weight_update,
 )
-from risbeam.training import TrainingBudget
 
 NOISE = 0.5
 
@@ -295,7 +294,7 @@ class TestSolvePrecoder:
         geometry, real, gb, gu = cell_setup(cfg, seed)
         state = ao_loop(real, geometry, p_max=cfg.p_max_w,
                         noise_var=cfg.noise_w, grid_bs=gb, grid_ue=gu,
-                        budget=TrainingBudget(cfg.layers, cfg.s_x, cfg.s_y),
+                        layers=cfg.layers,
                         max_iters=2)
         stationarity, slack, _ = precoder_kkt(
             cascade(real, state.phases), state.combiner.u, state.weight,
@@ -343,7 +342,7 @@ class TestAOLoop:
             real = synthesize_channel(tag, g, np.random.default_rng(seed))
         return ao_loop(real, g, p_max=self.P_MAX, noise_var=self.NOISE_W,
                        grid_bs=gb, grid_ue=gu,
-                       budget=TrainingBudget(max_layers=4, s_x=2, s_y=2),
+                       layers=4,
                        max_iters=max_iters, tol=1e-4, scheme=scheme, q=q)
 
     def test_zero_iterations_returns_initialization(self):

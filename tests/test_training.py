@@ -20,7 +20,8 @@ from risbeam.codebook import (
 from risbeam.geometry import LINK_BS_RIS, LINK_RIS_UE, SystemGeometry
 from risbeam.optimizer import rates_for_phase_batch
 from risbeam.training import (
-    TrainingBudget,
+    TrainingReport,
+    _descend,
     angular_sweep,
     es_overhead_hybrid,
     es_overhead_nn,
@@ -84,7 +85,7 @@ class TestOverheadCounters:
         real = nn_realization(g)
         gb, gu = desk_grids(g, s=s)
         rep = hierarchical_nn(real, matched_precoder(real, g), NOISE, gb, gu,
-                              TrainingBudget(max_layers=layers, s_x=s, s_y=s), g)
+                              layers, g)
         assert rep.evaluations == hierarchical_overhead(layers, s, s)
 
     @pytest.mark.parametrize("layers,s", [(0, 2), (1, 2), (4, 3)])
@@ -93,7 +94,7 @@ class TestOverheadCounters:
         real = nn_realization(g)
         gb, _ = desk_grids(g, s=s)
         rep = two_stage_hybrid(real, matched_precoder(real, g), NOISE, gb,
-                               TrainingBudget(max_layers=layers, s_x=s, s_y=s),
+                               layers,
                                "NF", g)
         assert rep.evaluations == two_stage_overhead(g.m, layers, s, s)
 
@@ -103,7 +104,7 @@ class TestOverheadCounters:
         gb, gu = desk_grids(g)
         with pytest.raises(ValueError, match="max_layers"):
             hierarchical_nn(real, matched_precoder(real, g), NOISE, gb, gu,
-                            TrainingBudget(max_layers=0), g)
+                            0, g)
 
     def test_flat_search_ratio_at_documented_operating_point(self):
         # the layered scheme needs about 2% of the flat-search cost when
@@ -162,24 +163,26 @@ class TestHierarchical:
         cy = 0.5 * (cell.y_min + cell.y_max)
         g = desk_geometry(ue=(cx, cy, 0.0))
         real = nn_realization(g)
-        budget = TrainingBudget(max_layers=3, s_x=2, s_y=2)
+        layers = 3
         rep = hierarchical_nn(real, matched_precoder(real, g), NOISE,
-                              gb, gu, budget, g0)
+                              gb, gu, layers, g0)
         ue_tag = rep.best_codeword.provenance.first
         assert ue_tag.side == "U"
         half_cell = (gu.x_max - gu.x_min) / 2 ** 4
         assert abs(ue_tag.x - cx) <= half_cell + 1e-12
         assert abs(ue_tag.y - cy) <= half_cell + 1e-12
 
-    def test_layer_choices_match_direct_scan(self):
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_layer_choices_match_direct_scan(self, s):
         g = desk_geometry(ue=(0.26, 0.01, 0.0))
         real = nn_realization(g)
-        gb, gu = desk_grids(g)
+        gb, gu = desk_grids(g, s=s)
         w = matched_precoder(real, g)
-        budget = TrainingBudget(max_layers=2, s_x=2, s_y=2)
-        rep = hierarchical_nn(real, w, NOISE, gb, gu, budget, g)
+        layers = 2
+        rep = hierarchical_nn(real, w, NOISE, gb, gu, layers, g)
 
         cur_bs, cur_ue = gb, gu
+        winners = []
         for rec in rep.layer_trace:
             subs_bs = subdivide_range(cur_bs)
             subs_ue = subdivide_range(cur_ue)
@@ -190,19 +193,26 @@ class TestHierarchical:
                     rates = rates_for_phase_batch(real, book.words, w, NOISE)
                     if rates.max() > best_rate:
                         best_rate, best_pair = float(rates.max()), (i + 1, j + 1)
+                        best_word = book[int(np.argmax(rates))]
             assert rec.choice == best_pair
             assert rec.best_rate == pytest.approx(best_rate, rel=1e-12)
+            winners.append(best_word)
             cur_bs = subs_bs[rec.choice[0] - 1]
             cur_ue = subs_ue[rec.choice[1] - 1]
+        # the kept codeword is the winner of the first layer reaching its rate
+        first = [rec.best_rate for rec in rep.layer_trace].index(rep.best_rate)
+        assert rep.best_codeword.coeffs.tobytes() == \
+            winners[first].coeffs.tobytes()
+        assert rep.best_codeword.provenance == winners[first].provenance
 
     def test_reports_are_deterministic(self):
         g = desk_geometry(ue=(0.25, -0.005, 0.0))
         real = nn_realization(g)
         gb, gu = desk_grids(g)
         w = matched_precoder(real, g)
-        budget = TrainingBudget(max_layers=2, s_x=2, s_y=2)
-        a = hierarchical_nn(real, w, NOISE, gb, gu, budget, g)
-        b = hierarchical_nn(real, w, NOISE, gb, gu, budget, g)
+        layers = 2
+        a = hierarchical_nn(real, w, NOISE, gb, gu, layers, g)
+        b = hierarchical_nn(real, w, NOISE, gb, gu, layers, g)
         np.testing.assert_array_equal(a.best_codeword.coeffs,
                                       b.best_codeword.coeffs)
         assert a.best_rate == b.best_rate
@@ -216,7 +226,7 @@ class TestHierarchical:
                        y_min=0.0, y_max=1.0)
         with pytest.raises(ValueError, match="degenerate"):
             hierarchical_nn(nn_realization(g), matched_precoder(real, g), NOISE,
-                            gb, tiny, TrainingBudget(max_layers=3), g)
+                            gb, tiny, 3, g)
 
 
 class TestTwoStage:
@@ -226,21 +236,22 @@ class TestTwoStage:
         w = matched_precoder(real, g)
         gb, _ = desk_grids(g)
         two = two_stage_hybrid(real, w, NOISE, gb,
-                               TrainingBudget(max_layers=0), "NF", g)
+                               0, "NF", g)
         sweep = angular_sweep(real, w, NOISE, g)
         assert two.evaluations == g.m
         assert two.best_rate == pytest.approx(sweep.best_rate, rel=1e-12)
         np.testing.assert_allclose(two.best_codeword.coeffs,
                                    sweep.best_codeword.coeffs)
 
-    def test_side_selects_refined_grid(self):
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_side_selects_refined_grid(self, s):
         # reconstruct layer 1 by hand and pin which side's distances were
         # combined with the fixed angular codeword
         from risbeam.codebook import Codebook, build_distance_component, star
 
         g = desk_geometry()
-        gb, gu = desk_grids(g)
-        budget = TrainingBudget(max_layers=1, s_x=2, s_y=2)
+        gb, gu = desk_grids(g, s=s)
+        layers = 1
         real = nn_realization(g)
         w = matched_precoder(real, g)
         angular = build_ff_codebook(g)
@@ -249,7 +260,7 @@ class TestTwoStage:
         fixed = Codebook(words=angular.words[k1:k1 + 1],
                          provenance=(angular.provenance[k1],))
         for side, grid, letter in (("NF", gb, "B"), ("FN", gu, "U")):
-            rep = two_stage_hybrid(real, w, NOISE, grid, budget, side, g)
+            rep = two_stage_hybrid(real, w, NOISE, grid, layers, side, g)
             assert rep.layer_trace[0].choice == (
                 angular.provenance[k1].ix, angular.provenance[k1].iy)
             best = -np.inf
@@ -257,22 +268,33 @@ class TestTwoStage:
                 book = star(fixed, build_distance_component(sub, letter, g))
                 assert all(t.second.side == letter for t in book.provenance)
                 rates = rates_for_phase_batch(real, book.words, w, NOISE)
-                best = max(best, float(rates.max()))
+                if rates.max() > best:
+                    best, winner = float(rates.max()), book[int(np.argmax(rates))]
             assert rep.layer_trace[1].best_rate == pytest.approx(best, rel=1e-12)
+            # a layer's winner is kept only when it beats the sweep
+            kept = winner if best > stage1[k1] else angular[k1]
+            assert rep.best_codeword.coeffs.tobytes() == kept.coeffs.tobytes()
+            # from an empty report, layer 1 always names its winner
+            empty = TrainingReport(best_codeword=None, best_rate=-np.inf,
+                                   evaluations=0, layer_trace=[])
+            named = _descend(real, w, NOISE, g, [(grid, letter)], 1, empty,
+                             prefix=fixed).best_codeword
+            assert named.coeffs.tobytes() == winner.coeffs.tobytes()
+            assert named.provenance == winner.provenance
 
     def test_bad_side_rejected(self):
         g = desk_geometry()
         real = nn_realization(g)
         with pytest.raises(ValueError):
             two_stage_hybrid(real, matched_precoder(real, g), NOISE,
-                             desk_grids(g)[0], TrainingBudget(1), "NN", g)
+                             desk_grids(g)[0], 1, "NN", g)
 
     def test_stage_records(self):
         g = desk_geometry()
         real = nn_realization(g)
         gb, _ = desk_grids(g)
         rep = two_stage_hybrid(real, matched_precoder(real, g), NOISE, gb,
-                               TrainingBudget(max_layers=3), "NF", g)
+                               3, "NF", g)
         assert rep.layer_trace[0].layer == 0
         assert len(rep.layer_trace[0].choice) == 2
         assert [r.layer for r in rep.layer_trace[1:]] == [1, 2, 3]
@@ -319,7 +341,7 @@ class TestExhaustiveSearch:
         gb, gu = desk_grids(g)
         w = matched_precoder(real, g)
         rep = hierarchical_nn(real, w, NOISE, gb, gu,
-                              TrainingBudget(max_layers=2, s_x=2, s_y=2), g)
+                              2, g)
         book = build_nn_codebook(replace(gb, s_x=8, s_y=8),
                                  replace(gu, s_x=8, s_y=8), g)
         es = exhaustive_search(real, w, NOISE, book)
@@ -358,7 +380,7 @@ def test_layer_trace_records_every_layer():
     real = nn_realization(g)
     gb, gu = desk_grids(g)
     rep = hierarchical_nn(real, matched_precoder(real, g), NOISE, gb, gu,
-                          TrainingBudget(max_layers=2), g)
+                          2, g)
     assert [rec.layer for rec in rep.layer_trace] == [1, 2]
     for rec in rep.layer_trace:
         assert len(rec.choice) == 2 and set(rec.choice) <= {1, 2, 3, 4}
