@@ -195,8 +195,7 @@ def test_03_hierarchical_matches_flat_search():
         gb, gu = harness.grids_from(cfg, g)
         w = _initial_precoder(cascade(real, np.ones(g.m)),
                               default_stream_count("NN", g), cfg.p_max_w)
-        rep = hierarchical_nn(real, w, cfg.noise_w, gb, gu,
-                              2, g)
+        rep = hierarchical_nn(real, w, cfg.noise_w, gb, gu, 2, g)
         book = build_nn_codebook(replace(gb, s_x=8, s_y=8),
                                  replace(gu, s_x=8, s_y=8), g)
         es = exhaustive_search(real, w, cfg.noise_w, book)

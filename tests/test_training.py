@@ -235,8 +235,7 @@ class TestTwoStage:
         real = nn_realization(g)
         w = matched_precoder(real, g)
         gb, _ = desk_grids(g)
-        two = two_stage_hybrid(real, w, NOISE, gb,
-                               0, "NF", g)
+        two = two_stage_hybrid(real, w, NOISE, gb, 0, "NF", g)
         sweep = angular_sweep(real, w, NOISE, g)
         assert two.evaluations == g.m
         assert two.best_rate == pytest.approx(sweep.best_rate, rel=1e-12)
@@ -340,8 +339,7 @@ class TestExhaustiveSearch:
         real = nn_realization(g)
         gb, gu = desk_grids(g)
         w = matched_precoder(real, g)
-        rep = hierarchical_nn(real, w, NOISE, gb, gu,
-                              2, g)
+        rep = hierarchical_nn(real, w, NOISE, gb, gu, 2, g)
         book = build_nn_codebook(replace(gb, s_x=8, s_y=8),
                                  replace(gu, s_x=8, s_y=8), g)
         es = exhaustive_search(real, w, NOISE, book)
@@ -379,8 +377,7 @@ def test_layer_trace_records_every_layer():
     g = desk_geometry()
     real = nn_realization(g)
     gb, gu = desk_grids(g)
-    rep = hierarchical_nn(real, matched_precoder(real, g), NOISE, gb, gu,
-                          2, g)
+    rep = hierarchical_nn(real, matched_precoder(real, g), NOISE, gb, gu, 2, g)
     assert [rec.layer for rec in rep.layer_trace] == [1, 2]
     for rec in rep.layer_trace:
         assert len(rec.choice) == 2 and set(rec.choice) <= {1, 2, 3, 4}
