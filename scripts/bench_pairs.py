@@ -1,15 +1,24 @@
 #!/usr/bin/env python3
 """Benchmark a change against its parent in alternating pairs of runs.
 
-    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_7.json
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_<n>.json
 
 PARENT_DIR and CHANGE_DIR are checkouts of the two commits.  For each
 of PAIRS pairs and each `--trace` setting, `bench/run.py --workload all
 --seconds SECONDS` runs in both, the parent first in odd pairs and the
 change first in even ones; the final JSON line of every run is kept.
 A run that reports `correct: false` or any failed row stops the script.
-The file also holds, per trace setting, each metric's median over the
-pairs on both sides and the median over the pairs of change / parent.
+The file also holds, per trace setting and metric:
+
+- `median`: the median over the pairs on both sides, and the median
+  over the pairs of change / parent;
+- `quartiles`: the first and third quartile on both sides (the
+  exclusive method of `statistics.quantiles`);
+- `wins`: the number of pairs in which the change was better, in the
+  direction BENCHMARK.json gives as `better` (ties count for neither).
+
+A gain may be claimed when the change wins at least 9 of 10 pairs and
+the medians differ by more than the parent's quartile distance.
 """
 
 import argparse
@@ -35,8 +44,9 @@ def run(checkout: Path, trace: int) -> dict:
     return result
 
 
-def summary(pairs: list) -> dict:
+def summary(pairs: list, better: dict) -> dict:
     values = {side: {} for side in ("parent", "change", "ratio")}
+    wins = {}
     for pair in pairs:
         if pair["change"]["metrics"].keys() != pair["parent"]["metrics"].keys():
             raise ValueError("parent and change report different metrics")
@@ -47,8 +57,18 @@ def summary(pairs: list) -> dict:
             values["change"].setdefault(name, []).append(new)
             if old:
                 values["ratio"].setdefault(name, []).append(new / old)
-    return {side: {name: statistics.median(v) for name, v in sorted(m.items())}
-            for side, m in values.items()}
+            # metric names are <workload>.<benchmark metric>
+            sign = {"higher": 1, "lower": -1}[better[name.split(".", 1)[1]]]
+            wins[name] = wins.get(name, 0) + (sign * (new - old) > 0)
+    return {
+        "median": {side: {name: statistics.median(v)
+                          for name, v in sorted(m.items())}
+                   for side, m in values.items()},
+        "quartiles": {side: {name: statistics.quantiles(v, n=4)[::2]
+                             for name, v in sorted(values[side].items())}
+                      for side in ("parent", "change")},
+        "wins": dict(sorted(wins.items())),
+    }
 
 
 def main():
@@ -57,6 +77,9 @@ def main():
     ap.add_argument("change", type=Path)
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
+    declared = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"]
+              for m in declared["end_to_end"] + declared["per_layer"]}
 
     record = {"command": f"bench/run.py --workload all --seconds {SECONDS} "
                          f"--trace <0|1>",
@@ -68,7 +91,7 @@ def main():
             pair = {side: run(getattr(args, side), trace) for side in order}
             pairs.append(pair)
             print(f"trace {trace} pair {i + 1}/{PAIRS} done", flush=True)
-        record[f"trace{trace}"] = {"median": summary(pairs), "pairs": pairs}
+        record[f"trace{trace}"] = {**summary(pairs, better), "pairs": pairs}
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

@@ -11,6 +11,7 @@ sample fastest, and the combine operator varies its left operand slowest.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -122,8 +123,8 @@ class SamplingGrid:
     fixed_z: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.x_min, self.x_max, self.y_min,
-                                   self.y_max, self.fixed_z])):
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min,
+                                        self.y_max, self.fixed_z))):
             raise ValueError("sampling range and height must be finite")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("degenerate sampling range")
@@ -187,15 +188,24 @@ def build_ff_codebook(geometry: SystemGeometry) -> Codebook:
     return Codebook(words=words.reshape(len(tags), -1), provenance=tags)
 
 
+def distance_words(xyz: np.ndarray, geometry: SystemGeometry) -> np.ndarray:
+    """Conjugated spherical-wave steering words, shape (..., M), for the
+    points `xyz` of shape (..., 3): exp(+2j*pi*r/lambda) per RIS element."""
+    pos = geometry.element_positions(NODE_RIS)
+    r = np.linalg.norm(xyz[..., None, :] - pos, axis=-1)
+    if np.any(r <= 0.0):
+        raise ValueError("sample point coincides with a RIS element")
+    words = np.exp(2j * np.pi * r / geometry.wavelength_m)
+    if not np.all(np.abs(np.abs(words) - 1.0) <= _UNIT_TOL):   # NaN fails
+        raise ValueError("sample points must be finite")
+    return words
+
+
 def distance_steering(x: float, y: float, side_z: float,
                       geometry: SystemGeometry) -> Codeword:
     """Spherical-wave steering from point (x, y, side_z) to every RIS element."""
-    pos = geometry.element_positions(NODE_RIS)
-    r = np.linalg.norm(pos - np.array([x, y, side_z])[None, :], axis=1)
-    if np.any(r <= 0.0):
-        raise ValueError("point coincides with a RIS element")
-    return Codeword(coeffs=np.exp(-2j * np.pi * r / geometry.wavelength_m),
-                    provenance=None)
+    word = distance_words(np.array([x, y, side_z], dtype=float), geometry)
+    return Codeword(coeffs=word.conj(), provenance=None)
 
 
 def star(a: Codebook, b: Codebook) -> Codebook:
@@ -223,17 +233,13 @@ def build_angular_component(geometry: SystemGeometry) -> Codebook:
 
 def build_distance_component(grid: SamplingGrid, side: str,
                              geometry: SystemGeometry) -> Codebook:
-    """Second hybrid component: conjugated distance steering vectors at
-    the grid sample points of one side."""
+    """Second hybrid component: `distance_words` at the grid sample points
+    of one side, tagged with the side and the point."""
     if side not in (SIDE_BS, SIDE_UE):
         raise ValueError(f"side must be {SIDE_BS!r} or {SIDE_UE!r}")
     pts = grid.sample_points()
-    pos = geometry.element_positions(NODE_RIS)
-    xyz = np.array([[x, y, grid.fixed_z] for x, y in pts])
-    r = np.linalg.norm(xyz[:, None, :] - pos[None, :, :], axis=-1)
-    if np.any(r <= 0.0):
-        raise ValueError("sample point coincides with a RIS element")
-    words = np.exp(2j * np.pi * r / geometry.wavelength_m)  # conjugated
+    words = distance_words(np.array([[x, y, grid.fixed_z] for x, y in pts]),
+                           geometry)
     tags = tuple(PointTag(side=side, x=x, y=y) for x, y in pts)
     return Codebook(words=words, provenance=tags)
 

@@ -34,6 +34,7 @@ from .codebook import (
     build_angular_component,
     build_distance_component,
     build_ff_codebook,
+    distance_words,
     star,
     subdivide_range,
 )
@@ -118,31 +119,32 @@ def _descend(realization: ChannelRealization, w: np.ndarray,
     """Layered quadrant refinement shared by the refining schemes.
 
     `ranges` lists (grid, side) pairs in choice order.  Each layer
-    quadrisects every range, builds each quadrant's sample list once, and
-    forms the candidates of all quadrant combinations (first range
-    slowest) as one broadcast product: the fixed `prefix` row times the
+    quadrisects every range and turns the sample points of its four
+    quadrants into one (4, S, M) array of `distance_words`.  It forms the
+    candidates of all quadrant combinations (first range slowest) as one
+    broadcast product of plain arrays: the fixed `prefix` row times the
     sample of the last range, ..., times the first, in the row and
     multiplication order of `reduce(star, ...)`.  It scores them in one
-    batch, names only the winner (by `star` over its quadrants' lists, so
-    hierarchical codewords carry the user-side sample as their first
-    operand), and descends into the winning combination.
-    Evaluations, layer records and the best codeword accumulate into
-    `report`, which is returned.
+    batch and descends into the winning combination.  Only the best
+    layer's winning quadrants and row are kept; after the last layer the
+    winner is named once, by `star` over the `build_distance_component`
+    lists of those quadrants (so hierarchical codewords carry the
+    user-side sample as their first operand).  Evaluations, layer records
+    and the best codeword accumulate into `report`, which is returned.
     """
     if layers < 0:
         raise ValueError("max_layers must be >= 0")
     grids = [grid for grid, _ in ranges]
-    head = [] if prefix is None else [prefix]
+    winner = None
     for layer in range(1, layers + 1):
         subs = [subdivide_range(grid) for grid in grids]
-        lists = [[build_distance_component(sub, side, geometry)
-                  for sub in quads]
-                 for quads, (_, side) in zip(subs, ranges)]
         # (combination, row, M): each range adds the slowest quadrant
         # axis and the fastest sample axis
         cands = None if prefix is None else prefix.words[None]
-        for books in reversed(lists):
-            stack = np.stack([b.words for b in books])
+        for quads in reversed(subs):
+            stack = distance_words(np.array(
+                [[(x, y, q.fixed_z) for x, y in q.sample_points()]
+                 for q in quads]), geometry)
             cands = stack if cands is None else (
                 cands[None, :, :, None] * stack[:, None, None]).reshape(
                     4 * len(cands), -1, stack.shape[-1])
@@ -151,16 +153,21 @@ def _descend(realization: ChannelRealization, w: np.ndarray,
         report.evaluations += rates.size
         k = int(np.argmax(rates))
         *picks, s = (int(i) for i in np.unravel_index(
-            k, (4,) * len(lists) + cands.shape[1:2]))
+            k, (4,) * len(subs) + cands.shape[1:2]))
         layer_best = float(rates[k])
         report.layer_trace.append(LayerRecord(
             layer=layer, choice=tuple(q + 1 for q in picks),
             best_rate=layer_best, evaluations_total=report.evaluations))
+        grids = [quads[q] for quads, q in zip(subs, picks)]
         if layer_best > report.best_rate:
             report.best_rate = layer_best
-            parts = [books[q] for books, q in zip(lists, picks)]
-            report.best_codeword = reduce(star, head + parts[::-1])[s]
-        grids = [quads[q] for quads, q in zip(subs, picks)]
+            winner = grids, s
+    if winner is not None:
+        best_grids, row = winner
+        head = [] if prefix is None else [prefix]
+        parts = [build_distance_component(grid, side, geometry)
+                 for grid, (_, side) in zip(best_grids, ranges)]
+        report.best_codeword = reduce(star, head + parts[::-1])[row]
     return report
 
 

@@ -25,6 +25,7 @@ from risbeam.codebook import (
     build_hybrid_codebook,
     build_nn_codebook,
     distance_steering,
+    distance_words,
     ff_steering,
     star,
     subdivide_range,
@@ -124,6 +125,32 @@ class TestDistanceSteering:
         g = geom(m_x=1, m_y=1, ris_mid=(1, 2, 3))
         with pytest.raises(ValueError):
             distance_steering(1.0, 2.0, 3.0, g)
+
+
+class TestDistanceWords:
+    def test_stacked_quadrants_match_components_bitwise(self):
+        g = geom()
+        quads = subdivide_range(unit_grid(3, 2, z=0.5))
+        xyz = np.array([[(x, y, q.fixed_z) for x, y in q.sample_points()]
+                        for q in quads])
+        words = distance_words(xyz, g)
+        assert words.shape == (4, 6, g.m)
+        for q, row in zip(quads, words):
+            book = build_distance_component(q, "U", g)
+            assert row.tobytes() == book.words.tobytes()
+        assert distance_words(xyz[2, 1], g).shape == (g.m,)
+        assert distance_words(xyz[2, 1], g).tobytes() == words[2, 1].tobytes()
+
+    def test_nan_point_rejected(self):
+        xyz = np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            distance_words(xyz, geom())
+
+    def test_point_on_element_rejected(self):
+        g = geom()
+        xyz = np.stack([np.zeros(3), g.element_positions(NODE_RIS)[3]])
+        with pytest.raises(ValueError, match="coincides"):
+            distance_words(xyz, g)
 
 
 class TestStar:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from functools import reduce
 
+from risbeam import training
 from risbeam.channel import (
     ChannelRealization,
     FarFieldSpec,
@@ -11,10 +13,13 @@ from risbeam.channel import (
     near_channel,
 )
 from risbeam.codebook import (
+    Codebook,
     SamplingGrid,
     angular_grid_values,
+    build_distance_component,
     build_ff_codebook,
     build_nn_codebook,
+    star,
     subdivide_range,
 )
 from risbeam.geometry import LINK_BS_RIS, LINK_RIS_UE, SystemGeometry
@@ -246,8 +251,6 @@ class TestTwoStage:
     def test_side_selects_refined_grid(self, s):
         # reconstruct layer 1 by hand and pin which side's distances were
         # combined with the fixed angular codeword
-        from risbeam.codebook import Codebook, build_distance_component, star
-
         g = desk_geometry()
         gb, gu = desk_grids(g, s=s)
         layers = 1
@@ -384,3 +387,95 @@ def test_layer_trace_records_every_layer():
         assert rec.evaluations_total == hierarchical_overhead(rec.layer, 2, 2)
     assert rep.layer_trace[-1].evaluations_total == rep.evaluations
     assert max(rec.best_rate for rec in rep.layer_trace) == rep.best_rate
+
+
+class TestArrayNativeDescent:
+    """Layers score plain arrays; the public builders name the winner."""
+
+    @staticmethod
+    def capture_phis(monkeypatch):
+        batches = []
+
+        def spy(realization, phis, w, noise_var):
+            batches.append(phis.copy())
+            return rates_for_phase_batch(realization, phis, w, noise_var)
+
+        monkeypatch.setattr(training, "rates_for_phase_batch", spy)
+        return batches
+
+    @staticmethod
+    def sweep_winner(real, w, g):
+        angular = build_ff_codebook(g)
+        k = int(np.argmax(rates_for_phase_batch(real, angular.words, w,
+                                                NOISE)))
+        return Codebook(words=angular.words[k:k + 1],
+                        provenance=(angular.provenance[k],))
+
+    def test_hierarchical_layer1_phis_are_star_rows(self, monkeypatch):
+        g = desk_geometry(ue=(0.26, 0.01, 0.0))
+        real = nn_realization(g)
+        gb, gu = desk_grids(g)
+        gu = replace(gu, s_x=3)
+        batches = self.capture_phis(monkeypatch)
+        hierarchical_nn(real, matched_precoder(real, g), NOISE, gb, gu, 1, g)
+        # BS quadrant slowest, then user quadrant, then star(user, BS) rows
+        expected = np.concatenate([
+            star(build_distance_component(su, "U", g),
+                 build_distance_component(sb, "B", g)).words
+            for sb in subdivide_range(gb) for su in subdivide_range(gu)])
+        assert len(batches) == 1
+        assert batches[0].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("side", ["NF", "FN"])
+    def test_two_stage_layer1_phis_are_star_rows(self, monkeypatch, side):
+        g = desk_geometry()
+        real = nn_realization(g)
+        w = matched_precoder(real, g)
+        grid = desk_grids(g, s=3)[side == "FN"]
+        fixed = self.sweep_winner(real, w, g)
+        batches = self.capture_phis(monkeypatch)
+        two_stage_hybrid(real, w, NOISE, grid, 1, side, g)
+        letter = {"NF": "B", "FN": "U"}[side]
+        expected = np.concatenate([
+            star(fixed, build_distance_component(q, letter, g)).words
+            for q in subdivide_range(grid)])
+        assert len(batches) == 2     # the sweep, then layer 1
+        assert batches[1].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("scheme", ["NN", "NF", "FN"])
+    def test_replayed_trace_names_the_kept_codeword(self, scheme):
+        g = desk_geometry(ue=(0.26, 0.01, 0.0))
+        real = nn_realization(g)
+        w = matched_precoder(real, g)
+        gb, gu = desk_grids(g)
+        layers = 4
+        if scheme == "NN":
+            ranges, head = [(gb, "B"), (gu, "U")], []
+            rep = hierarchical_nn(real, w, NOISE, gb, gu, layers, g)
+        else:
+            # from an empty report every layer may name the kept codeword,
+            # so stage two's winner is named even when the sweep beats it
+            ranges = [(gb, "B")] if scheme == "NF" else [(gu, "U")]
+            head = [self.sweep_winner(real, w, g)]
+            empty = TrainingReport(best_codeword=None, best_rate=-np.inf,
+                                   evaluations=0, layer_trace=[])
+            rep = _descend(real, w, NOISE, g, ranges, layers, empty,
+                           prefix=head[0])
+        rates = [rec.best_rate for rec in rep.layer_trace]
+        best = rates.index(rep.best_rate)
+        if scheme == "NN":
+            # this cell peaks at layer 3 of 4: the kept codeword is not
+            # the last layer's
+            assert best == 2
+        grids = [grid for grid, _ in ranges]
+        for rec in rep.layer_trace[:best + 1]:
+            grids = [subdivide_range(grid)[q - 1]
+                     for grid, q in zip(grids, rec.choice)]
+        parts = [build_distance_component(grid, letter, g)
+                 for grid, (_, letter) in zip(grids, ranges)]
+        book = reduce(star, head + parts[::-1])
+        replayed = rates_for_phase_batch(real, book.words, w, NOISE)
+        s = int(np.argmax(replayed))
+        assert replayed[s] == pytest.approx(rep.best_rate, rel=1e-12)
+        assert rep.best_codeword.coeffs.tobytes() == book[s].coeffs.tobytes()
+        assert rep.best_codeword.provenance == book[s].provenance
