@@ -431,11 +431,11 @@ class TestArrayNativeDescent:
         g = desk_geometry()
         real = nn_realization(g)
         w = matched_precoder(real, g)
-        grid = desk_grids(g, s=3)[side == "FN"]
+        gb, gu = desk_grids(g, s=3)
+        grid, letter = (gb, "B") if side == "NF" else (gu, "U")
         fixed = self.sweep_winner(real, w, g)
         batches = self.capture_phis(monkeypatch)
         two_stage_hybrid(real, w, NOISE, grid, 1, side, g)
-        letter = {"NF": "B", "FN": "U"}[side]
         expected = np.concatenate([
             star(fixed, build_distance_component(q, letter, g)).words
             for q in subdivide_range(grid)])
