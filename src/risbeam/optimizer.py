@@ -9,6 +9,7 @@ full cycle.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,8 @@ _BUDGET_REL_SLACK = 1e-9
 # solve_precoder's bisection stops once the budget is met to this relative gap
 _BUDGET_REL_TOL = 1e-12
 _MAX_BISECT = 500
+# rates_for_phase_batch's work arrays, one set per thread
+_WORK = threading.local()
 
 
 @dataclass(frozen=True)
@@ -86,18 +89,48 @@ def achievable_rate(h: np.ndarray, w: np.ndarray, noise_var: float) -> float:
     return float(np.sum(np.log2(1.0 + s * s / noise_var)))
 
 
+def _work_arrays(m: int, k: int, n_ue: int, q: int) -> tuple:
+    """This thread's (C, B, conj B, Gram) for the kernel shape, reused
+    while the shape repeats and replaced when it changes."""
+    key = (m, k, n_ue, q)
+    if getattr(_WORK, "key", None) != key:
+        # C is laid out as numpy lays out g_ris_ue.T * t for C-ordered
+        # channels and as the GEMM then reads it: an F-ordered (M, n_ue)
+        # view for q = 1, C-ordered otherwise; the same BLAS path then
+        # gives the same bits
+        c = (np.empty((n_ue, m, q), dtype=complex).transpose(1, 0, 2)
+             if q == 1 else np.empty((m, n_ue, q), dtype=complex))
+        _WORK.key = key
+        _WORK.arrays = (c,
+                        np.empty((k, n_ue, q), dtype=complex),
+                        np.empty((k, n_ue, q), dtype=complex),
+                        np.empty((k, q, q), dtype=complex))
+    return _WORK.arrays
+
+
 def rates_for_phase_batch(realization: ChannelRealization, phis: np.ndarray,
                           w: np.ndarray, noise_var: float) -> np.ndarray:
     """Achievable rate for each row of `phis` applied as RIS coefficients.
 
     One GEMM phis @ C, C[m, (u, q)] = G_ris_ue[u, m] (G_bs_ris W)[m, q] / s
     with s = sqrt(noise_var), gives each candidate's B = HW / s; its rate is
-    the q x q log-det log2 det(I_q + B^H B).  Non-finite rates raise.
+    the q x q log-det log2 det(I_q + B^H B).  Non-finite rates raise.  A 1-D
+    `phis` is one candidate.  C, B, conj B and the Gram stack are written
+    into work arrays that are per-thread and reused while the shape
+    repeats, so paper-scale batches do not fault in fresh pages per call;
+    the returned rates are always a fresh array.
     """
+    phis = np.asarray(phis)
     t = realization.g_bs_ris @ w / np.sqrt(noise_var)           # (M, q)
-    c = realization.g_ris_ue.T[:, :, None] * t[:, None, :]      # (M, n_ue, q)
-    b = (phis @ c.reshape(len(c), -1)).reshape(-1, *c.shape[1:])
-    gram = np.eye(t.shape[1]) + b.conj().swapaxes(1, 2) @ b
+    m, q = t.shape
+    n_ue = realization.g_ris_ue.shape[0]
+    k = phis.shape[0] if phis.ndim == 2 else 1
+    c, b, bc, gram = _work_arrays(m, k, n_ue, q)
+    np.multiply(realization.g_ris_ue.T[:, :, None], t[:, None, :], out=c)
+    np.matmul(phis, c.reshape(m, -1), out=b.reshape(phis.shape[:-1] + (-1,)))
+    np.conjugate(b, out=bc)
+    np.matmul(bc.swapaxes(1, 2), b, out=gram)
+    np.add(np.eye(q), gram, out=gram)
     rates = np.linalg.slogdet(gram)[1]
     if not np.all(np.isfinite(rates)):
         raise ValueError("non-finite rate operands")
