@@ -1,0 +1,52 @@
+"""`summary` in scripts/bench_pairs.py, which decides every claimed gain."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+summary = runpy.run_path(str(SCRIPT))["summary"]
+
+BETTER = {"evals_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
+
+
+def pair(parent: dict, change: dict) -> dict:
+    return {side: {"metrics": {name: {"value": v} for name, v in values.items()}}
+            for side, values in (("parent", parent), ("change", change))}
+
+
+def test_wins_follow_the_declared_direction_and_ties_count_for_neither():
+    faster_and_lighter = pair(
+        {"w.evals_per_s": 10, "w.setup_s": 2.0, "w.peak_rss_mb": 90},
+        {"w.evals_per_s": 12, "w.setup_s": 1.0, "w.peak_rss_mb": 80})
+    slower_and_heavier = pair(
+        {"w.evals_per_s": 10, "w.setup_s": 1.0, "w.peak_rss_mb": 80},
+        {"w.evals_per_s": 8, "w.setup_s": 2.0, "w.peak_rss_mb": 90})
+    tie = pair({"w.evals_per_s": 10, "w.setup_s": 1.0, "w.peak_rss_mb": 80},
+               {"w.evals_per_s": 10, "w.setup_s": 1.0, "w.peak_rss_mb": 80})
+    pairs = [faster_and_lighter] * 3 + [slower_and_heavier, tie]
+    assert summary(pairs, BETTER)["wins"] == {
+        "w.evals_per_s": 3, "w.peak_rss_mb": 3, "w.setup_s": 3}
+
+
+def test_medians_ratios_and_exclusive_quartiles():
+    parent = [float(v) for v in range(1, 11)]
+    change = [2 * v for v in parent]
+    pairs = [pair({"w.evals_per_s": p}, {"w.evals_per_s": c})
+             for p, c in zip(parent, change)]
+    got = summary(pairs, BETTER)
+    assert got["median"] == {"parent": {"w.evals_per_s": 5.5},
+                             "change": {"w.evals_per_s": 11.0},
+                             "ratio": {"w.evals_per_s": 2.0}}
+    # exclusive method: positions (n + 1) / 4 = 2.75 and 3 (n + 1) / 4 = 8.25
+    assert got["quartiles"] == {"parent": {"w.evals_per_s": [2.75, 8.25]},
+                                "change": {"w.evals_per_s": [5.5, 16.5]}}
+    assert got["wins"] == {"w.evals_per_s": 10}
+
+
+def test_mismatched_metric_names_raise():
+    pairs = [pair({"w.setup_s": 1.0}, {"w.setup_s": 1.0}),
+             pair({"w.setup_s": 1.0}, {"w.peak_rss_mb": 80})]
+    with pytest.raises(ValueError, match="different metrics"):
+        summary(pairs, BETTER)

@@ -3,14 +3,19 @@ run exit status."""
 
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from risbeam import cli
+from risbeam import cli, harness
 from risbeam.harness import (
     CONFIG_SCHEMA,
+    SWEEPABLE,
     ConfigError,
+    ExperimentConfig,
     parse_config,
     parse_result_csv,
     run_experiment,
@@ -107,3 +112,78 @@ def test_run_exits_nonzero_when_a_cell_fails(tmp_path, capsys):
     assert cli.main(["run", str(cfg), "--out", str(out)]) != 0
     assert "failed cell" in capsys.readouterr().err
     assert len(parse_result_csv(out)) == 1    # the row is still written
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def value_strategy(check):
+    """Raw config values (as read from text) that `check` accepts."""
+    if hasattr(check, "choices"):
+        return st.sampled_from(check.choices)
+    simple = {
+        harness._number: FINITE,
+        harness._positive: st.floats(min_value=0.0, exclude_min=True,
+                                     allow_infinity=False),
+        harness._nonnegative: st.floats(min_value=0.0, allow_infinity=False),
+        harness._point: st.lists(FINITE, min_size=3, max_size=3),
+        harness._seeds: st.integers(1, 50) | st.lists(st.integers(0, 2**40),
+                                                      min_size=1, max_size=5),
+        harness._sweep: st.none() | sweep_text(),
+        # ".csv" keeps the path from reading as a number or a bool
+        str: st.from_regex(r"[a-z][a-z0-9_]{0,8}(/[a-z0-9_]{1,8}){0,2}\.csv",
+                           fullmatch=True),
+    }
+    if check in simple:
+        return simple[check]
+    minimum = next(n for n in (0, 1) if accepts(check, n))   # _integer(n)
+    return st.integers(minimum, minimum + 10**6)
+
+
+def accepts(check, value) -> bool:
+    try:
+        check(value)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def sweep_text(draw):
+    name = draw(st.sampled_from(SWEEPABLE))
+    check = harness._number if name in harness._RIS_AXES \
+        else CONFIG_SCHEMA[name].check
+    values = draw(st.lists(value_strategy(check), min_size=1, max_size=4))
+    return f"{name} in {render_value(values)}"
+
+
+def render_value(value) -> str:
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(render_value(v) for v in value) + "]"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def render(cfg: ExperimentConfig) -> str:
+    """Config text with one line per declared field of `cfg`."""
+    lines = []
+    for f in fields(ExperimentConfig):
+        value = getattr(cfg, f.name)
+        if f.name == "sweep":
+            if cfg.sweep_param == "none":
+                continue
+            value = f"{cfg.sweep_param} in {render_value(cfg.sweep_values)}"
+        lines.append(f"{f.name}: {render_value(value)}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def configs(draw):
+    return ExperimentConfig(**{key: spec.check(draw(value_strategy(spec.check),
+                                                    label=key))
+                               for key, spec in CONFIG_SCHEMA.items()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=configs(), scale=st.sampled_from(["desk", "paper"]))
+def test_config_round_trips_through_its_rendered_text(cfg, scale):
+    assert parse_config(render(cfg), scale=scale) == cfg

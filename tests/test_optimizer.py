@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +138,91 @@ class TestRateKernel:
         with np.errstate(invalid="ignore"), \
                 pytest.raises(ValueError, match="non-finite"):
             rates_for_phase_batch(real, phis, w, 1e-13)
+
+
+def reference_rates(real, phis, w, noise_var):
+    """The kernel's steps in its order, each product a fresh array."""
+    t = real.g_bs_ris @ w / np.sqrt(noise_var)
+    c = real.g_ris_ue.T[:, :, None] * t[:, None, :]
+    b = (phis @ c.reshape(len(c), -1)).reshape(-1, *c.shape[1:])
+    gram = np.eye(t.shape[1]) + b.conj().swapaxes(1, 2) @ b
+    return np.linalg.slogdet(gram)[1] / np.log(2.0)
+
+
+def kernel_cases():
+    """(realization, phis, w, noise) for K in {1, 16, 256}, q in {1, n_ue},
+    at desk and paper scale; shuffled, then again in reverse, so that all
+    but one call change the shape."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for scale in ("desk", "paper"):
+        cfg = parse_config("model: NN", scale=scale)
+        geometry, real, _, _ = cell_setup(cfg, 5)
+        for q in (1, geometry.n_ue):
+            for k in (1, 16, 256):
+                w = rand_matrix(rng, (geometry.n_bs, q))
+                w *= np.sqrt(cfg.p_max_w) / np.linalg.norm(w)
+                phis = np.exp(-1j * rng.uniform(0, 2 * np.pi, (k, geometry.m)))
+                cases.append((real, phis, w, cfg.noise_w))
+    order = rng.permutation(len(cases))
+    return [cases[i] for i in np.concatenate([order, order[::-1]])]
+
+
+class TestRateKernelWorkArrays:
+    """The kernel reuses per-thread work arrays; none may reach a result."""
+
+    def test_interleaved_shapes_match_fresh_arrays_bit_for_bit(self):
+        for real, phis, w, noise in kernel_cases():
+            got = rates_for_phase_batch(real, phis, w, noise)
+            assert np.array_equal(got, reference_rates(real, phis, w, noise))
+
+    def test_returned_rates_survive_later_calls(self):
+        cases = kernel_cases()
+        real, phis, w, noise = cases[0]
+        first = rates_for_phase_batch(real, phis, w, noise)
+        kept = first.copy()
+        rates_for_phase_batch(real, phis[::-1].copy(), w, noise)  # same shape
+        for case in cases[1:4]:
+            rates_for_phase_batch(*case)
+        assert np.array_equal(first, kept)
+
+    def test_threads_scoring_at_once_get_the_serial_rates(self):
+        # the paper-scale K = 256, q = n_ue shape twice with other phases,
+        # and one other shape
+        cases = kernel_cases()
+        real, phis, w, noise = max(cases, key=lambda c: c[1].size * c[2].size)
+        cases = [(real, phis, w, noise), (real, phis.conj(), w, noise),
+                 cases[0]]
+        serial = [rates_for_phase_batch(*case) for case in cases]
+        start = threading.Barrier(len(cases), timeout=30)
+        got = [[] for _ in cases]
+
+        def score(i):
+            start.wait()
+            for _ in range(25):
+                got[i].append(rates_for_phase_batch(*cases[i]))
+
+        threads = [threading.Thread(target=score, args=(i,))
+                   for i in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for want, runs in zip(serial, got):
+            assert len(runs) == 25
+            assert all(np.array_equal(r, want) for r in runs)
+
+    def test_one_dimensional_phis_is_one_candidate(self):
+        for real, phis, w, noise in kernel_cases()[:6]:
+            got = rates_for_phase_batch(real, phis[0], w, noise)
+            assert got.shape == (1,)
+            assert np.array_equal(got, reference_rates(real, phis[0], w, noise))
 
 
 class TestMseMatrix:
