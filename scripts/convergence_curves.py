@@ -11,7 +11,6 @@ import csv
 from dataclasses import replace
 
 from risbeam import harness
-from risbeam.optimizer import ao_loop
 
 
 def main():
@@ -27,12 +26,8 @@ def main():
         writer.writerow(["variant", "seed", "iteration", "rate_bps_hz", "gamma"])
         for name, tag, scheme in harness.VARIANTS:
             for seed in range(args.seeds):
-                geometry, real, gb, gu = harness.cell_setup(
-                    replace(cfg, model=tag), seed)
-                state = ao_loop(real, geometry, p_max=cfg.p_max_w,
-                                noise_var=cfg.noise_w, grid_bs=gb, grid_ue=gu,
-                                layers=cfg.layers, max_iters=cfg.max_iters,
-                                tol=cfg.tol, scheme=scheme)
+                state = harness.solve_cell(
+                    replace(cfg, model=tag, training=scheme), seed)
                 for it, rate, gamma, _ in state.trace:
                     writer.writerow([name, seed, it, f"{rate:.12g}",
                                      f"{gamma:.6g}"])

@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
-"""Achievable rate as the RIS moves along one axis, per channel model.
+"""Achievable rate over a config's sweep, per channel model / training pairing.
 
-Runs the harness once per (model, training) variant with a ris_z or
-ris_x sweep and merges the per-variant summaries into a single CSV.
+Runs the harness on CONFIG once per harness.VARIANTS entry, with that
+entry's model and training scheme and seeds 0..N-1, and merges the
+per-variant summaries into one CSV.  The sweep comes from the config:
+
+    python3 scripts/variant_sweep.py configs/desk_power_sweep.cfg
+    python3 scripts/variant_sweep.py configs/paper_ris_height.cfg --scale paper
 """
 
 import argparse
@@ -14,26 +18,16 @@ from risbeam import harness
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("config", help="sweep config file")
     ap.add_argument("--scale", choices=("desk", "paper"), default="desk")
-    ap.add_argument("--axis", choices=("ris_z", "ris_x"), default="ris_z")
-    ap.add_argument("--values", default=None,
-                    help="comma-separated positions in meters")
     ap.add_argument("--seeds", type=int, default=10)
-    ap.add_argument("--out", default="ris_position.csv")
+    ap.add_argument("--out", default="variant_sweep.csv")
     args = ap.parse_args()
 
-    if args.values:
-        values = [float(v) for v in args.values.split(",")]
-    elif args.scale == "desk":
-        values = [0.02, 0.04, 0.06, 0.08, 0.10]
-    else:
-        values = [2.0, 4.0, 6.0, 8.0, 10.0]
-    sweep = f"sweep: {args.axis} in [{', '.join(str(v) for v in values)}]"
-    base = harness.parse_config(sweep, scale=args.scale)
-
+    base = harness.load_config(args.config, scale=args.scale)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["variant", args.axis, "mean_rate_bps_hz",
+        writer.writerow(["variant", base.sweep_param, "mean_rate_bps_hz",
                          "std_rate_bps_hz", "n"])
         for name, tag, scheme in harness.VARIANTS:
             cfg = replace(base, model=tag, training=scheme,

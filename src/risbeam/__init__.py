@@ -20,7 +20,6 @@ from .codebook import (
     build_ff_codebook,
     build_hybrid_codebook,
     build_nn_codebook,
-    distance_steering,
     ff_steering,
     star,
     subdivide_range,

@@ -68,7 +68,7 @@ def _cmd_channel(args) -> int:
     if args.model:
         cfg = replace(cfg, model=args.model)
     geo = harness.geometry_from(cfg)
-    rng = harness.rng_for(cfg.seeds[0], 0)
+    rng = harness.rng_for(cfg.seeds[0])
     real = channel.synthesize_channel(
         cfg.model, geo, rng, n_paths_bs=cfg.paths_bs, n_paths_ue=cfg.paths_ue,
         nlos_rel_power=cfg.nlos_rel_power, gain_mode=cfg.gain_mode)
@@ -112,7 +112,7 @@ def _validation_checks(scale: str):
     checks.append(("doubly-sampled codebook size is (s_x*s_y)^2",
                    len(nn) == 16))
 
-    rng = harness.rng_for(0, 0)
+    rng = harness.rng_for(0)
     real = channel.synthesize_channel("NN", geo, rng)
     w0 = optimizer._initial_precoder(
         channel.cascade(real, np.ones(geo.m)), 1, cfg.p_max_w)
@@ -187,8 +187,6 @@ def main(argv=None) -> int:
     p_val.set_defaults(func=_cmd_validate)
 
     args = parser.parse_args(argv)
-    if not hasattr(args, "config"):
-        args.config = None
     return args.func(args)
 
 

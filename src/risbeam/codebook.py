@@ -201,13 +201,6 @@ def distance_words(xyz: np.ndarray, geometry: SystemGeometry) -> np.ndarray:
     return words
 
 
-def distance_steering(x: float, y: float, side_z: float,
-                      geometry: SystemGeometry) -> Codeword:
-    """Spherical-wave steering from point (x, y, side_z) to every RIS element."""
-    word = distance_words(np.array([x, y, side_z], dtype=float), geometry)
-    return Codeword(coeffs=word.conj(), provenance=None)
-
-
 def star(a: Codebook, b: Codebook) -> Codebook:
     """Elementwise-product combination: output row i*|b|+j = a_i * b_j."""
     if a.words.shape[1] != b.words.shape[1]:

@@ -25,8 +25,6 @@ LINK_RIS_UE = "RIS_UE"
 FAR_FIELD = "FarField"
 NEAR_FIELD = "NearField"
 
-_REL_TOL = 1e-12
-
 
 def centered_offsets(n: int, spacing: float) -> np.ndarray:
     """Offsets k*spacing with k = i - (n-1)/2 for i = 0..n-1 (midpoint at 0)."""
@@ -39,7 +37,7 @@ class SystemGeometry:
 
     Attributes:
         carrier_hz: carrier frequency in Hz.
-        wavelength_m: carrier wavelength; must equal c/carrier_hz.
+        wavelength_m: carrier wavelength c/carrier_hz, derived, not passed.
         spacing_m: element spacing, identical for all three arrays.
         n_bs, n_ue: BS / user ULA sizes.
         m_x, m_y: RIS grid sizes along x and y (M = m_x * m_y elements).
@@ -55,7 +53,7 @@ class SystemGeometry:
     bs_mid: np.ndarray = field(default_factory=lambda: np.zeros(3))
     ue_mid: np.ndarray = field(default_factory=lambda: np.zeros(3))
     ris_mid: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    wavelength_m: float | None = None
+    wavelength_m: float = field(init=False)
     _ris_positions: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -66,14 +64,8 @@ class SystemGeometry:
         for name in ("n_bs", "n_ue", "m_x", "m_y"):
             if int(getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        derived = SPEED_OF_LIGHT / self.carrier_hz
-        if self.wavelength_m is None:
-            object.__setattr__(self, "wavelength_m", derived)
-        elif abs(self.wavelength_m - derived) > _REL_TOL * derived:
-            raise ValueError(
-                f"wavelength_m={self.wavelength_m!r} inconsistent with "
-                f"carrier_hz (expected {derived!r})"
-            )
+        object.__setattr__(self, "wavelength_m",
+                           SPEED_OF_LIGHT / self.carrier_hz)
         for name in ("bs_mid", "ue_mid", "ris_mid"):
             vec = np.asarray(getattr(self, name), dtype=float)
             if vec.shape != (3,):

@@ -29,7 +29,7 @@ import numpy as np
 from .channel import GAIN_MODES, MODEL_TAGS, synthesize_channel
 from .codebook import SamplingGrid
 from .geometry import SPEED_OF_LIGHT, SystemGeometry
-from .optimizer import ao_loop
+from .optimizer import AOState, ao_loop
 
 TRAINING_SCHEMES = ("auto", "angular", "hierarchical", "two_stage")
 
@@ -249,9 +249,9 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def rng_for(seed: int, cell_index: int) -> np.random.Generator:
-    """Counter-based stream keyed by (seed, cell); scheduling independent."""
-    key = np.array([np.uint64(seed), np.uint64(cell_index)], dtype=np.uint64)
+def rng_for(seed: int) -> np.random.Generator:
+    """Counter-based stream keyed by the seed; scheduling independent."""
+    key = np.array([np.uint64(seed), np.uint64(0)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -370,7 +370,7 @@ def cell_setup(cfg: ExperimentConfig, seed: int):
     scales the jitter, and m_x or n_bs change the arrays that the drawn
     paths illuminate.  Returns (geometry, realization, grid_bs, grid_ue).
     """
-    rng = rng_for(seed, 0)
+    rng = rng_for(seed)
     jitter = cfg.ue_jitter_frac * cfg.range_halfwidth_wl
     lam_offsets = rng.uniform(-jitter, jitter, size=2)
     wavelength = SPEED_OF_LIGHT / cfg.carrier_hz
@@ -382,18 +382,23 @@ def cell_setup(cfg: ExperimentConfig, seed: int):
     return (geometry, realization, *grids_from(cfg, geometry))
 
 
+def solve_cell(cfg: ExperimentConfig, seed: int) -> AOState:
+    """Synthesize the seed's cell and run the alternating loop on it."""
+    geometry, realization, grid_bs, grid_ue = cell_setup(cfg, seed)
+    return ao_loop(
+        realization, geometry, p_max=cfg.p_max_w, noise_var=cfg.noise_w,
+        grid_bs=grid_bs, grid_ue=grid_ue, layers=cfg.layers,
+        max_iters=cfg.max_iters, tol=cfg.tol, scheme=cfg.training,
+        q=cfg.q if cfg.q > 0 else None,
+        l_b=cfg.paths_bs, l_u=cfg.paths_ue)
+
+
 def run_cell(cfg: ExperimentConfig, seed: int,
              sweep_value: float) -> ResultRow:
     """One (seed, sweep value) cell: synthesize, optimize, report."""
     cell = apply_sweep(cfg, sweep_value)
     t0 = time.perf_counter()
-    geometry, realization, grid_bs, grid_ue = cell_setup(cell, seed)
-    state = ao_loop(
-        realization, geometry, p_max=cell.p_max_w, noise_var=cell.noise_w,
-        grid_bs=grid_bs, grid_ue=grid_ue, layers=cell.layers,
-        max_iters=cell.max_iters, tol=cell.tol, scheme=cell.training,
-        q=cell.q if cell.q > 0 else None,
-        l_b=cell.paths_bs, l_u=cell.paths_ue)
+    state = solve_cell(cell, seed)
     ms = (time.perf_counter() - t0) * 1000.0
     return ResultRow(seed=seed, sweep_param=cfg.sweep_param,
                      sweep_value=float(sweep_value), model=cell.model,

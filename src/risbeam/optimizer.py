@@ -196,10 +196,12 @@ def solve_precoder(h: np.ndarray, u: np.ndarray, f: np.ndarray,
         bt[null] = 0.0
         row_pow = np.where(null, 0.0, row_pow)
 
+    live = row_pow > 0.0
+
     def norm_sq(mu: float) -> float:
-        denom = (lam + mu) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(row_pow > 0.0, row_pow / denom, 0.0)
+        with np.errstate(divide="ignore"):   # inf at mu = 0: unbounded
+            terms = np.divide(row_pow, (lam + mu) ** 2,
+                              out=np.zeros_like(row_pow), where=live)
         return float(np.sum(terms))
 
     mu = 0.0
@@ -219,9 +221,8 @@ def solve_precoder(h: np.ndarray, u: np.ndarray, f: np.ndarray,
                 f"power bisection did not converge in {_MAX_BISECT} steps")
         mu = hi                              # feasible side of the bracket
 
-    denom = lam + mu
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.where((row_pow > 0.0)[:, None], bt / denom[:, None], 0.0)
+    scaled = np.divide(bt, (lam + mu)[:, None], out=np.zeros_like(bt),
+                       where=live[:, None])
     w = basis @ scaled
     return Precoder(w=w, p_max=p_max)
 

@@ -188,7 +188,7 @@ def test_03_hierarchical_matches_flat_search():
     wins = 0
     worst = 1.0
     for seed in range(100):
-        rng = harness.rng_for(seed, 0)
+        rng = harness.rng_for(seed)
         off = rng.uniform(-0.15 * half, 0.15 * half, 2)
         g = harness.geometry_from(cfg, ue_offset=tuple(off))
         real = nn_channel(g)
@@ -215,7 +215,7 @@ def test_04_ao_monotone_and_convergent():
     for tag in ("FF", "NF", "FN", "NN"):
         tag_cfg = replace(cfg, model=tag)
         for seed in range(50):
-            rng = harness.rng_for(seed, 0)
+            rng = harness.rng_for(seed)
             off = rng.uniform(-cfg.ue_jitter_frac * half,
                               cfg.ue_jitter_frac * half, 2)
             g = harness.geometry_from(tag_cfg, ue_offset=tuple(off))
@@ -328,7 +328,7 @@ def test_08_model_ordering(table2):
     for name, tag, scheme in variants:
         rates = []
         for seed in range(30):
-            rng = harness.rng_for(seed, 0)
+            rng = harness.rng_for(seed)
             off = rng.uniform(-0.05 * half, 0.05 * half, 2)
             g = SystemGeometry.build(30e9, n_bs=16, n_ue=8, m_x=60, m_y=2,
                                      bs_mid=(0, 0, 0),

@@ -24,7 +24,6 @@ from risbeam.codebook import (
     build_ff_codebook,
     build_hybrid_codebook,
     build_nn_codebook,
-    distance_steering,
     distance_words,
     ff_steering,
     star,
@@ -102,29 +101,31 @@ class TestAngularCodebook:
 class TestDistanceSteering:
     def test_single_element_phase(self):
         g = geom(m_x=1, m_y=1, ris_mid=(3, 0, 4))
-        cw = distance_steering(0.0, 0.0, 0.0, g)
+        coeffs = distance_words(np.array([0.0, 0.0, 0.0]), g).conj()
         expected = np.exp(-2j * np.pi * 5.0 / g.wavelength_m)
-        assert cw.coeffs[0] == pytest.approx(expected, rel=1e-12)
+        assert coeffs[0] == pytest.approx(expected, rel=1e-12)
 
     def test_boresight_symmetry(self):
         g = geom(m_x=2, m_y=2, ris_mid=(10, 0, 8))
-        cw = distance_steering(10.0, 0.0, 2.0, g)  # on the RIS axis
-        np.testing.assert_allclose(cw.coeffs, cw.coeffs[0], atol=1e-12)
+        # on the RIS axis
+        coeffs = distance_words(np.array([10.0, 0.0, 2.0]), g).conj()
+        np.testing.assert_allclose(coeffs, coeffs[0], atol=1e-12)
 
     def test_adjacent_phase_differences_flatten_with_distance(self):
         g = geom(m_x=8, m_y=1, ris_mid=(0, 0, 0))
         aperture = g.aperture(NODE_RIS)
         spreads = []
         for mult in range(2, 101, 7):
-            cw = distance_steering(0.0, 0.0, -mult * aperture, g)
-            dphi = np.angle(cw.coeffs[1:] / cw.coeffs[:-1])
+            coeffs = distance_words(np.array([0.0, 0.0, -mult * aperture]),
+                                    g).conj()
+            dphi = np.angle(coeffs[1:] / coeffs[:-1])
             spreads.append(np.max(np.abs(dphi)))
         assert all(a > b for a, b in zip(spreads, spreads[1:]))
 
     def test_coincident_point_rejected(self):
         g = geom(m_x=1, m_y=1, ris_mid=(1, 2, 3))
         with pytest.raises(ValueError):
-            distance_steering(1.0, 2.0, 3.0, g)
+            distance_words(np.array([1.0, 2.0, 3.0]), g)
 
 
 class TestDistanceWords:
@@ -251,8 +252,8 @@ class TestCompositeCodebooks:
         book = build_nn_codebook(gb, gu, g)
         (xb, yb), = gb.sample_points()
         (xu, yu), = gu.sample_points()
-        expected = (distance_steering(xu, yu, 0.1, g).coeffs.conj()
-                    * distance_steering(xb, yb, 0.0, g).coeffs.conj())
+        expected = (distance_words(np.array([xu, yu, 0.1]), g)
+                    * distance_words(np.array([xb, yb, 0.0]), g))
         assert len(book) == 1
         np.testing.assert_allclose(book.words[0], expected, atol=1e-12)
 
@@ -275,7 +276,7 @@ class TestCompositeCodebooks:
         book = build_hybrid_codebook("NF", grid, g)
         angular = build_ff_codebook(g)
         (x, y), = grid.sample_points()
-        overlay = distance_steering(x, y, 0.0, g).coeffs.conj()
+        overlay = distance_words(np.array([x, y, 0.0]), g)
         assert len(book) == len(angular)
         np.testing.assert_allclose(book.words, angular.words * overlay[None, :],
                                    atol=1e-12)

@@ -22,6 +22,7 @@ from risbeam.harness import (
 )
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+CONFIGS = README.parent / "configs"
 
 
 def readme_rows():
@@ -103,6 +104,22 @@ def test_integer_keys_checked_at_parse(text, match):
 
 def test_zero_layer_sweep_stays_legal():
     assert parse_config("sweep: layers in [0, 1]").sweep_values == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")),
+                         ids=lambda path: path.stem)
+def test_shipped_configs_parse_at_their_scale(path):
+    scale = "paper" if path.stem.startswith("paper_") else "desk"
+    harness.load_config(path, scale=scale)   # raises ConfigError on a bad line
+
+
+@pytest.mark.parametrize("name,sweep", [
+    ("paper_power_sweep", ("power_dbm", (20.0, 25.0, 30.0, 35.0, 40.0))),
+    ("paper_ris_height", ("ris_z", (2.0, 4.0, 6.0, 8.0, 10.0))),
+])
+def test_paper_sweep_configs_hold_the_reference_tables(name, sweep):
+    cfg = harness.load_config(CONFIGS / f"{name}.cfg", scale="paper")
+    assert cfg.sweep == sweep
 
 
 def test_run_exits_nonzero_when_a_cell_fails(tmp_path, capsys):

@@ -33,7 +33,8 @@ def test_wavelength_derived_from_carrier():
 
 
 def test_inconsistent_wavelength_rejected():
-    with pytest.raises(ValueError, match="wavelength"):
+    # the wavelength is derived from the carrier, not a constructor argument
+    with pytest.raises(TypeError, match="wavelength_m"):
         SystemGeometry(carrier_hz=30e9, spacing_m=0.005, n_bs=1, n_ue=1,
                        m_x=1, m_y=1, wavelength_m=0.011)
 

@@ -3,7 +3,10 @@
 Every digest below is the sha256 of one output file produced at desk
 scale (and, for codebook and channel dumps and for one `run` cell of
 every training variant, at paper scale too) with small seed counts, or
-of what `risbeam validate` prints at either scale.  A refactor that claims identical behavior must leave all of them
+of what `risbeam validate` prints at either scale.  The two sweep pins,
+`power_sweep` and `ris_position_sweep`, are `scripts/variant_sweep.py`
+on `configs/desk_power_sweep.cfg` and `configs/desk_ris_height.cfg`.
+A refactor that claims identical behavior must leave all of them
 unchanged; a deliberate output change updates the digest in the same
 commit and says why.  The digests were recorded with numpy 2.4 on x86-64
 (OpenBLAS); another BLAS may round the last printed digit differently.
@@ -22,13 +25,16 @@ ROOT = Path(__file__).resolve().parent.parent
 
 RUN_CONFIGS = ("desk_nn", "desk_power_sweep", "desk_ris_height")
 
-# script -> extra arguments; every script also gets --out
+# output name -> (script, arguments); every script also gets --out
 SCRIPTS = {
-    "convergence_curves": ["--seeds", "1"],
-    "overhead_vs_step": [],
-    "power_sweep": ["--seeds", "1"],
-    "ris_position_sweep": ["--seeds", "1"],
-    "rate_vs_layers": ["--seeds", "1", "--max-layers", "2"],
+    "convergence_curves": ("convergence_curves", ["--seeds", "1"]),
+    "overhead_vs_step": ("overhead_vs_step", []),
+    "power_sweep": ("variant_sweep", [
+        str(ROOT / "configs" / "desk_power_sweep.cfg"), "--seeds", "1"]),
+    "ris_position_sweep": ("variant_sweep", [
+        str(ROOT / "configs" / "desk_ris_height.cfg"), "--seeds", "1"]),
+    "rate_vs_layers": ("rate_vs_layers",
+                       ["--seeds", "1", "--max-layers", "2"]),
 }
 
 DIGESTS = {
@@ -179,11 +185,11 @@ def test_channel_dump_gain_modes(gain_mode, tmp_path):
     assert sha256(out) == DIGESTS[f"channel/ff-desk-{gain_mode}.json"]
 
 
-@pytest.mark.parametrize("script", sorted(SCRIPTS))
-def test_script_outputs(script, tmp_path, monkeypatch):
-    out = tmp_path / f"{script}.csv"
-    monkeypatch.setattr(sys, "argv",
-                        [script, *SCRIPTS[script], "--out", str(out)])
+@pytest.mark.parametrize("name", sorted(SCRIPTS))
+def test_script_outputs(name, tmp_path, monkeypatch):
+    script, args = SCRIPTS[name]
+    out = tmp_path / f"{name}.csv"
+    monkeypatch.setattr(sys, "argv", [script, *args, "--out", str(out)])
     runpy.run_path(str(ROOT / "scripts" / f"{script}.py"),
                    run_name="__main__")
-    assert sha256(out) == DIGESTS[f"scripts/{script}.csv"]
+    assert sha256(out) == DIGESTS[f"scripts/{name}.csv"]
