@@ -106,6 +106,13 @@ class Codebook:
                                 + [f"{p:.12g}" for p in phases])
 
 
+def _check_range(x_min, x_max, y_min, y_max, fixed_z) -> None:
+    if not all(map(math.isfinite, (x_min, x_max, y_min, y_max, fixed_z))):
+        raise ValueError("sampling range and height must be finite")
+    if not (x_min < x_max and y_min < y_max):
+        raise ValueError("degenerate sampling range")
+
+
 @dataclass(frozen=True)
 class SamplingGrid:
     """Rectangular XY sampling range at a fixed height.
@@ -123,34 +130,57 @@ class SamplingGrid:
     fixed_z: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min,
-                                        self.y_max, self.fixed_z))):
-            raise ValueError("sampling range and height must be finite")
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError("degenerate sampling range")
+        _check_range(self.x_min, self.x_max, self.y_min, self.y_max,
+                     self.fixed_z)
         if self.s_x < 1 or self.s_y < 1:
             raise ValueError("s_x and s_y must be positive")
 
+    @property
+    def bounds(self) -> tuple:
+        return self.x_min, self.x_max, self.y_min, self.y_max
+
     def sample_points(self) -> list[tuple[float, float]]:
-        xs = [self.x_min + (s - 0.5) * (self.x_max - self.x_min) / self.s_x
-              for s in range(1, self.s_x + 1)]
-        ys = [self.y_min + (s - 0.5) * (self.y_max - self.y_min) / self.s_y
-              for s in range(1, self.s_y + 1)]
-        return [(x, y) for x in xs for y in ys]
+        pts = sample_grid(self.bounds, self.s_x, self.s_y, self.fixed_z)
+        return [(x, y) for x, y, _ in pts.tolist()]
+
+
+def sample_grid(bounds, s_x: int, s_y: int, fixed_z: float) -> np.ndarray:
+    """Sample points of ranges `bounds` (..., 4), each row (x_min, x_max,
+    y_min, y_max), as an (..., s_x*s_y, 3) array: lo + (s - 1/2) *
+    (hi - lo) / S per direction, y sample fastest.  `fixed_z` is a height,
+    or heights that broadcast against the (..., s_x, s_y) sample axes."""
+    b = np.array(bounds, dtype=float)
+    x0, x1, y0, y1 = (b[..., i, None] for i in range(4))
+    pts = np.empty(b.shape[:-1] + (s_x, s_y, 3))
+    # arange(0.5, S) is s - 1/2 for s = 1..S exactly
+    pts[..., 0] = (x0 + np.arange(0.5, s_x) * (x1 - x0) / s_x)[..., :, None]
+    pts[..., 1] = (y0 + np.arange(0.5, s_y) * (y1 - y0) / s_y)[..., None, :]
+    pts[..., 2] = fixed_z
+    return pts.reshape(b.shape[:-1] + (s_x * s_y, 3))
+
+
+def quadrant_bounds(x_min: float, x_max: float, y_min: float, y_max: float,
+                    fixed_z: float) -> tuple:
+    """The (x_min, x_max, y_min, y_max) of the range's quadrants, in the
+    order SW, SE, NE, NW, checked as `SamplingGrid` checks a range.
+
+    Every quadrant bound is a bound of SW or of NE, and only the
+    midpoints can fail to be finite, so checking SW and then NE raises
+    what the first failing quadrant grid would raise.
+    """
+    x_mid = x_min + 0.5 * (x_max - x_min)
+    y_mid = y_min + 0.5 * (y_max - y_min)
+    sw, ne = (x_min, x_mid, y_min, y_mid), (x_mid, x_max, y_mid, y_max)
+    _check_range(*sw, fixed_z)
+    _check_range(*ne, fixed_z)
+    return sw, (x_mid, x_max, y_min, y_mid), ne, (x_min, x_mid, y_mid, y_max)
 
 
 def subdivide_range(grid: SamplingGrid) -> tuple[SamplingGrid, ...]:
     """Quadrisect the range; quadrant order: SW, SE, NE, NW."""
-    x_half = 0.5 * (grid.x_max - grid.x_min)
-    y_half = 0.5 * (grid.y_max - grid.y_min)
-    x_mid = grid.x_min + x_half
-    y_mid = grid.y_min + y_half
-    return (
-        replace(grid, x_max=x_mid, y_max=y_mid),
-        replace(grid, x_min=x_mid, y_max=y_mid),
-        replace(grid, x_min=x_mid, y_min=y_mid),
-        replace(grid, x_max=x_mid, y_min=y_mid),
-    )
+    return tuple(replace(grid, x_min=x0, x_max=x1, y_min=y0, y_max=y1)
+                 for x0, x1, y0, y1 in quadrant_bounds(*grid.bounds,
+                                                       grid.fixed_z))
 
 
 def angular_grid_values(n: int) -> np.ndarray:
@@ -192,10 +222,14 @@ def distance_words(xyz: np.ndarray, geometry: SystemGeometry) -> np.ndarray:
     """Conjugated spherical-wave steering words, shape (..., M), for the
     points `xyz` of shape (..., 3): exp(+2j*pi*r/lambda) per RIS element."""
     pos = geometry.element_positions(NODE_RIS)
-    r = np.linalg.norm(xyz[..., None, :] - pos, axis=-1)
+    # the squares summed in the order of np.linalg.norm(..., axis=-1)
+    dx, dy, dz = (xyz[..., i, None] - pos[:, i] for i in range(3))
+    r = np.sqrt(dx * dx + dy * dy + dz * dz)
     if np.any(r <= 0.0):
         raise ValueError("sample point coincides with a RIS element")
-    words = np.exp(2j * np.pi * r / geometry.wavelength_m)
+    # numpy divides a complex array by a real scalar as a product with its
+    # reciprocal, so this real phase is that of 2j*pi*r/lambda bit for bit
+    words = np.exp(1j * ((2.0 * np.pi * r) * (1.0 / geometry.wavelength_m)))
     if not np.all(np.abs(np.abs(words) - 1.0) <= _UNIT_TOL):   # NaN fails
         raise ValueError("sample points must be finite")
     return words
@@ -230,11 +264,9 @@ def build_distance_component(grid: SamplingGrid, side: str,
     of one side, tagged with the side and the point."""
     if side not in (SIDE_BS, SIDE_UE):
         raise ValueError(f"side must be {SIDE_BS!r} or {SIDE_UE!r}")
-    pts = grid.sample_points()
-    words = distance_words(np.array([[x, y, grid.fixed_z] for x, y in pts]),
-                           geometry)
-    tags = tuple(PointTag(side=side, x=x, y=y) for x, y in pts)
-    return Codebook(words=words, provenance=tags)
+    xyz = sample_grid(grid.bounds, grid.s_x, grid.s_y, grid.fixed_z)
+    tags = tuple(PointTag(side=side, x=x, y=y) for x, y, _ in xyz.tolist())
+    return Codebook(words=distance_words(xyz, geometry), provenance=tags)
 
 
 def build_hybrid_codebook(side_tag: str, grid: SamplingGrid,

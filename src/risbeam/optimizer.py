@@ -197,15 +197,16 @@ def solve_precoder(h: np.ndarray, u: np.ndarray, f: np.ndarray,
         row_pow = np.where(null, 0.0, row_pow)
 
     live = row_pow > 0.0
+    terms = np.zeros_like(row_pow)           # masked entries stay zero
 
     def norm_sq(mu: float) -> float:
-        with np.errstate(divide="ignore"):   # inf at mu = 0: unbounded
-            terms = np.divide(row_pow, (lam + mu) ** 2,
-                              out=np.zeros_like(row_pow), where=live)
-        return float(np.sum(terms))
+        np.divide(row_pow, (lam + mu) ** 2, out=terms, where=live)
+        return float(terms.sum())
 
     mu = 0.0
-    if not norm_sq(0.0) <= p_max:            # also catches inf
+    with np.errstate(divide="ignore"):       # inf at mu = 0: unbounded
+        unbounded = not norm_sq(0.0) <= p_max    # also catches inf
+    if unbounded:
         lo, hi = 0.0, float(np.sqrt(np.sum(row_pow) / p_max))
         for _ in range(_MAX_BISECT):
             mu = 0.5 * (lo + hi)

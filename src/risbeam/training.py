@@ -35,8 +35,10 @@ from .codebook import (
     build_distance_component,
     build_ff_codebook,
     distance_words,
+    quadrant_bounds,
+    sample_grid,
     star,
-    subdivide_range,
+    subdivide_range,  # resolvable here for the span tracer of bench/
 )
 from .geometry import SystemGeometry
 from .optimizer import rates_for_phase_batch
@@ -118,33 +120,47 @@ def _descend(realization: ChannelRealization, w: np.ndarray,
              prefix: Codebook | None = None) -> TrainingReport:
     """Layered quadrant refinement shared by the refining schemes.
 
-    `ranges` lists (grid, side) pairs in choice order.  Each layer
-    quadrisects every range and turns the sample points of its four
-    quadrants into one (4, S, M) array of `distance_words`.  It forms the
-    candidates of all quadrant combinations (first range slowest) as one
-    broadcast product of plain arrays: the fixed `prefix` row times the
-    sample of the last range, ..., times the first, in the row and
-    multiplication order of `reduce(star, ...)`.  It scores them in one
-    batch and descends into the winning combination.  Only the best
-    layer's winning quadrants and row are kept; after the last layer the
-    winner is named once, by `star` over the `build_distance_component`
-    lists of those quadrants (so hierarchical codewords carry the
-    user-side sample as their first operand).  Evaluations, layer records
-    and the best codeword accumulate into `report`, which is returned.
+    `ranges` lists (grid, side) pairs in choice order.  A range descends
+    as its plain-float bounds; its grid fixes the sample counts and the
+    height.  Each layer splits every range with `quadrant_bounds` (which
+    raises what `subdivide_range` would), places the quadrants' samples
+    with `sample_grid`, and turns the (4, S, 3) points of all ranges into
+    words with one `distance_words` call (one call per range when their
+    sample axes s_x, s_y differ).  It forms the candidates of all quadrant
+    combinations (first range slowest) as one broadcast product of plain
+    arrays: the fixed `prefix` row times the sample of the last range,
+    ..., times the first, in the row and multiplication order of
+    `reduce(star, ...)`.  It scores them in one batch and descends into
+    the winning combination.  Only the best layer's winning bounds and
+    row are kept; after the last layer the winner is named once, by
+    `star` over the `build_distance_component` lists of grids with those
+    bounds (so hierarchical codewords carry the user-side sample as their
+    first operand).  Evaluations, layer records and the best codeword
+    accumulate into `report`, which is returned.
     """
     if layers < 0:
         raise ValueError("max_layers must be >= 0")
-    grids = [grid for grid, _ in ranges]
+    bounds = [grid.bounds for grid, _ in ranges]
+    axes = {(grid.s_x, grid.s_y) for grid, _ in ranges}
+    shared = axes.pop() if len(axes) == 1 else None
+    # (range, 1, 1, 1) heights against (range, quadrant, s_x, s_y) points
+    heights = np.array([grid.fixed_z for grid, _ in ranges])[:, None, None,
+                                                             None]
     winner = None
     for layer in range(1, layers + 1):
-        subs = [subdivide_range(grid) for grid in grids]
+        quads = [quadrant_bounds(*b, grid.fixed_z)
+                 for b, (grid, _) in zip(bounds, ranges)]
+        if shared:
+            stacks = distance_words(sample_grid(quads, *shared, heights),
+                                    geometry)
+        else:
+            stacks = [distance_words(sample_grid(q, grid.s_x, grid.s_y,
+                                                 grid.fixed_z), geometry)
+                      for q, (grid, _) in zip(quads, ranges)]
         # (combination, row, M): each range adds the slowest quadrant
         # axis and the fastest sample axis
         cands = None if prefix is None else prefix.words[None]
-        for quads in reversed(subs):
-            stack = distance_words(np.array(
-                [[(x, y, q.fixed_z) for x, y in q.sample_points()]
-                 for q in quads]), geometry)
+        for stack in stacks[::-1]:
             cands = stack if cands is None else (
                 cands[None, :, :, None] * stack[:, None, None]).reshape(
                     4 * len(cands), -1, stack.shape[-1])
@@ -153,20 +169,23 @@ def _descend(realization: ChannelRealization, w: np.ndarray,
         report.evaluations += rates.size
         k = int(np.argmax(rates))
         *picks, s = (int(i) for i in np.unravel_index(
-            k, (4,) * len(subs) + cands.shape[1:2]))
+            k, (4,) * len(ranges) + cands.shape[1:2]))
         layer_best = float(rates[k])
         report.layer_trace.append(LayerRecord(
             layer=layer, choice=tuple(q + 1 for q in picks),
             best_rate=layer_best, evaluations_total=report.evaluations))
-        grids = [quads[q] for quads, q in zip(subs, picks)]
+        bounds = [quad[q] for quad, q in zip(quads, picks)]
         if layer_best > report.best_rate:
             report.best_rate = layer_best
-            winner = grids, s
+            winner = bounds, s
     if winner is not None:
-        best_grids, row = winner
+        best_bounds, row = winner
         head = [] if prefix is None else [prefix]
-        parts = [build_distance_component(grid, side, geometry)
-                 for grid, (_, side) in zip(best_grids, ranges)]
+        parts = [build_distance_component(
+                     replace(grid, x_min=x0, x_max=x1, y_min=y0, y_max=y1),
+                     side, geometry)
+                 for (x0, x1, y0, y1), (grid, side) in zip(best_bounds,
+                                                           ranges)]
         report.best_codeword = reduce(star, head + parts[::-1])[row]
     return report
 

@@ -142,6 +142,25 @@ class TestDistanceWords:
         assert distance_words(xyz[2, 1], g).shape == (g.m,)
         assert distance_words(xyz[2, 1], g).tobytes() == words[2, 1].tobytes()
 
+    @pytest.mark.parametrize("layout", ["desk", "table2"])
+    def test_words_match_the_norm_expression_bytewise(self, layout, request):
+        g = request.getfixturevalue(layout)
+        pos = g.element_positions(NODE_RIS)
+        centre = pos.mean(axis=0)
+        size = g.aperture(NODE_RIS)
+        rng = np.random.default_rng(2024)
+        near = centre + rng.uniform(-3.0, 3.0, (300, 3)) * size
+        on_plane = near[:100] * [1.0, 1.0, 0.0] + [0.0, 0.0, centre[2]]
+        at_zero = near[100:200] * [1.0, 1.0, 0.0]
+        far = centre + rng.standard_normal((100, 3)) * 1e5 * size
+        xyz = np.concatenate([near, on_plane, at_zero, far]).reshape(
+            6, 100, 3)
+        oracle = np.exp(2j * np.pi * np.linalg.norm(
+            xyz[..., None, :] - pos, axis=-1) / g.wavelength_m)
+        words = distance_words(xyz, g)
+        assert words.shape == (6, 100, g.m)
+        assert words.tobytes() == oracle.tobytes()
+
     def test_nan_point_rejected(self):
         xyz = np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])
         with pytest.raises(ValueError, match="finite"):

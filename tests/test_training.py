@@ -442,6 +442,42 @@ class TestArrayNativeDescent:
         assert len(batches) == 2     # the sweep, then layer 1
         assert batches[1].tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("bs, ue", [
+        ((2, 2, 0.0), (2, 2, 0.03)),     # one stacked words call per layer
+        ((2, 3, 0.0), (3, 2, 0.03)),     # equal S, different sample axes
+        ((1, 2, 0.01), (3, 2, 0.0)),     # different S
+    ], ids=["stacked", "transposed", "unequal"])
+    def test_unequal_sides_layer_phis_match_nn_codebooks(self, monkeypatch,
+                                                         bs, ue):
+        g = desk_geometry(ue=(0.26, 0.01, 0.0))
+        real = nn_realization(g)
+        gb, gu = desk_grids(g)
+        gb = replace(gb, s_x=bs[0], s_y=bs[1], fixed_z=bs[2])
+        gu = replace(gu, s_x=ue[0], s_y=ue[1], fixed_z=ue[2])
+        batches = self.capture_phis(monkeypatch)
+        rep = hierarchical_nn(real, matched_precoder(real, g), NOISE, gb, gu,
+                              3, g)
+        assert len(batches) == 3
+        for rec, phis in zip(rep.layer_trace, batches):
+            subs_bs, subs_ue = subdivide_range(gb), subdivide_range(gu)
+            expected = np.concatenate([build_nn_codebook(sb, su, g).words
+                                       for sb in subs_bs for su in subs_ue])
+            assert phis.tobytes() == expected.tobytes()
+            gb, gu = subs_bs[rec.choice[0] - 1], subs_ue[rec.choice[1] - 1]
+
+    def test_range_degenerate_at_layer_two_aborts_after_one_batch(
+            self, monkeypatch):
+        g = desk_geometry()
+        real = nn_realization(g)
+        gb, gu = desk_grids(g)
+        # two ulps wide: halves at layer 1, cannot be halved at layer 2
+        narrow = replace(gu, x_min=0.0, x_max=2 * float(np.nextafter(0, 1)))
+        batches = self.capture_phis(monkeypatch)
+        with pytest.raises(ValueError, match="degenerate sampling range"):
+            hierarchical_nn(real, matched_precoder(real, g), NOISE, gb,
+                            narrow, 3, g)
+        assert len(batches) == 1
+
     @pytest.mark.parametrize("scheme", ["NN", "NF", "FN"])
     def test_replayed_trace_names_the_kept_codeword(self, scheme):
         g = desk_geometry(ue=(0.26, 0.01, 0.0))
