@@ -146,9 +146,8 @@ class SamplingGrid:
 
 def sample_grid(bounds, s_x: int, s_y: int, fixed_z: float) -> np.ndarray:
     """Sample points of ranges `bounds` (..., 4), each row (x_min, x_max,
-    y_min, y_max), as an (..., s_x*s_y, 3) array: lo + (s - 1/2) *
-    (hi - lo) / S per direction, y sample fastest.  `fixed_z` is a height,
-    or heights that broadcast against the (..., s_x, s_y) sample axes."""
+    y_min, y_max), as an (..., s_x*s_y, 3) array at height `fixed_z`:
+    lo + (s - 1/2) * (hi - lo) / S per direction, y sample fastest."""
     b = np.array(bounds, dtype=float)
     x0, x1, y0, y1 = (b[..., i, None] for i in range(4))
     pts = np.empty(b.shape[:-1] + (s_x, s_y, 3))

@@ -124,39 +124,32 @@ def _descend(realization: ChannelRealization, w: np.ndarray,
     as its plain-float bounds; its grid fixes the sample counts and the
     height.  Each layer splits every range with `quadrant_bounds` (which
     raises what `subdivide_range` would), places the quadrants' samples
-    with `sample_grid`, and turns the (4, S, 3) points of all ranges into
-    words with one `distance_words` call (one call per range when their
-    sample axes s_x, s_y differ).  It forms the candidates of all quadrant
-    combinations (first range slowest) as one broadcast product of plain
-    arrays: the fixed `prefix` row times the sample of the last range,
-    ..., times the first, in the row and multiplication order of
-    `reduce(star, ...)`.  It scores them in one batch and descends into
-    the winning combination.  Only the best layer's winning bounds and
-    row are kept; after the last layer the winner is named once, by
-    `star` over the `build_distance_component` lists of grids with those
-    bounds (so hierarchical codewords carry the user-side sample as their
-    first operand).  Evaluations, layer records and the best codeword
-    accumulate into `report`, which is returned.
+    with `sample_grid`, and turns the (4, S, 3) points of all ranges,
+    joined along the sample axis, into words with one `distance_words`
+    call.  It forms the candidates of all quadrant combinations (first
+    range slowest) as one broadcast product of plain arrays: the fixed
+    `prefix` row times the sample of the last range, ..., times the first,
+    in the row and multiplication order of `reduce(star, ...)`.  It scores
+    them in one batch and descends into the winning combination.  Only the
+    best layer's winning bounds and row are kept; after the last layer the
+    winner is named once, by `star` over the `build_distance_component`
+    lists of grids with those bounds (so hierarchical codewords carry the
+    user-side sample as their first operand).  Evaluations, layer records
+    and the best codeword accumulate into `report`, which is returned.
     """
     if layers < 0:
         raise ValueError("max_layers must be >= 0")
     bounds = [grid.bounds for grid, _ in ranges]
-    axes = {(grid.s_x, grid.s_y) for grid, _ in ranges}
-    shared = axes.pop() if len(axes) == 1 else None
-    # (range, 1, 1, 1) heights against (range, quadrant, s_x, s_y) points
-    heights = np.array([grid.fixed_z for grid, _ in ranges])[:, None, None,
-                                                             None]
+    # each range's (4, S, M) words, split off the sample axis
+    splits = np.cumsum([grid.s_x * grid.s_y for grid, _ in ranges])[:-1]
     winner = None
     for layer in range(1, layers + 1):
         quads = [quadrant_bounds(*b, grid.fixed_z)
                  for b, (grid, _) in zip(bounds, ranges)]
-        if shared:
-            stacks = distance_words(sample_grid(quads, *shared, heights),
-                                    geometry)
-        else:
-            stacks = [distance_words(sample_grid(q, grid.s_x, grid.s_y,
-                                                 grid.fixed_z), geometry)
-                      for q, (grid, _) in zip(quads, ranges)]
+        points = np.concatenate(
+            [sample_grid(q, grid.s_x, grid.s_y, grid.fixed_z)
+             for q, (grid, _) in zip(quads, ranges)], axis=1)
+        stacks = np.split(distance_words(points, geometry), splits, axis=1)
         # (combination, row, M): each range adds the slowest quadrant
         # axis and the fastest sample axis
         cands = None if prefix is None else prefix.words[None]

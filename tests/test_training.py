@@ -443,10 +443,10 @@ class TestArrayNativeDescent:
         assert batches[1].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("bs, ue", [
-        ((2, 2, 0.0), (2, 2, 0.03)),     # one stacked words call per layer
-        ((2, 3, 0.0), (3, 2, 0.03)),     # equal S, different sample axes
-        ((1, 2, 0.01), (3, 2, 0.0)),     # different S
-    ], ids=["stacked", "transposed", "unequal"])
+        ((2, 2, 0.0), (2, 2, 0.03)),
+        ((2, 3, 0.0), (3, 2, 0.03)),
+        ((1, 2, 0.01), (3, 2, 0.0)),
+    ], ids=["heights", "transposed", "unequal-counts"])
     def test_unequal_sides_layer_phis_match_nn_codebooks(self, monkeypatch,
                                                          bs, ue):
         g = desk_geometry(ue=(0.26, 0.01, 0.0))
