@@ -15,7 +15,10 @@ The file also holds, per trace setting and metric:
 - `quartiles`: the first and third quartile on both sides (the
   exclusive method of `statistics.quantiles`);
 - `wins`: the number of pairs in which the change was better, in the
-  direction BENCHMARK.json gives as `better` (ties count for neither).
+  direction BENCHMARK.json gives as `better` (ties count for neither);
+- `regressions`: every end-to-end metric, per workload, whose change
+  median is worse than the parent's by more than its BENCHMARK.json
+  `bound`, relative to the parent's median.
 
 A gain may be claimed when the change wins at least 9 of 10 pairs and
 the medians differ by more than the parent's quartile distance.
@@ -71,6 +74,24 @@ def summary(pairs: list, better: dict) -> dict:
     }
 
 
+def regressions(medians: dict, declared: dict) -> list:
+    """End-to-end metrics of `summary`'s medians that break their bound."""
+    limits = {m["name"]: (m["better"], m["bound"])
+              for m in declared["end_to_end"]}
+    found = []
+    for name, old in medians["parent"].items():
+        metric = name.split(".", 1)[1]
+        if metric not in limits:
+            continue
+        better, bound = limits[metric]
+        new = medians["change"][name]
+        sign = {"higher": 1, "lower": -1}[better]
+        if sign * (new - old) < -bound * abs(old):
+            found.append({"metric": name, "parent": old, "change": new,
+                          "bound": bound})
+    return found
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("parent", type=Path)
@@ -91,7 +112,10 @@ def main():
             pair = {side: run(getattr(args, side), trace) for side in order}
             pairs.append(pair)
             print(f"trace {trace} pair {i + 1}/{PAIRS} done", flush=True)
-        record[f"trace{trace}"] = {**summary(pairs, better), "pairs": pairs}
+        stats = summary(pairs, better)
+        record[f"trace{trace}"] = {
+            **stats, "regressions": regressions(stats["median"], declared),
+            "pairs": pairs}
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

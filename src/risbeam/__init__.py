@@ -38,6 +38,7 @@ from .optimizer import (
     weight_update,
 )
 from .training import (
+    TrainingCache,
     TrainingReport,
     angular_sweep,
     exhaustive_search,

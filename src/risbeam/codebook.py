@@ -228,10 +228,12 @@ def distance_words(xyz: np.ndarray, geometry: SystemGeometry) -> np.ndarray:
         raise ValueError("sample point coincides with a RIS element")
     # numpy divides a complex array by a real scalar as a product with its
     # reciprocal, so this real phase is that of 2j*pi*r/lambda bit for bit
-    words = np.exp(1j * ((2.0 * np.pi * r) * (1.0 / geometry.wavelength_m)))
-    if not np.all(np.abs(np.abs(words) - 1.0) <= _UNIT_TOL):   # NaN fails
+    phase = (2.0 * np.pi * r) * (1.0 / geometry.wavelength_m)
+    # exp(1j*x) of a finite real x is unit modulus; a NaN or infinite
+    # coordinate, or an r that overflows, leaves a non-finite phase
+    if not np.isfinite(phase).all():
         raise ValueError("sample points must be finite")
-    return words
+    return np.exp(1j * phase)
 
 
 def star(a: Codebook, b: Codebook) -> Codebook:

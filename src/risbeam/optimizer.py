@@ -288,6 +288,11 @@ def ao_loop(realization: ChannelRealization, geometry: SystemGeometry, *,
     cycles or when the relative rate change drops below tol.  The trained
     codeword is only adopted when it does not reduce the current rate;
     rejected retrainings are counted in training_regressions.
+
+    Only the precoder changes between the cycles' training calls, so they
+    share one `training.TrainingCache`: the angular codebook is built
+    once per call of this function, and a refinement layer whose ranges
+    an earlier cycle already split reuses that cycle's distance words.
     """
     from . import training  # deferred: training builds on the rate helpers
 
@@ -300,21 +305,26 @@ def ao_loop(realization: ChannelRealization, geometry: SystemGeometry, *,
     if q < 1:
         raise ValueError("stream count must be at least 1")
 
+    cache = training.TrainingCache(geometry)
+
     def train(w):
         if scheme == "angular":
-            return training.angular_sweep(realization, w, noise_var, geometry)
+            return training.angular_sweep(realization, w, noise_var, geometry,
+                                          cache=cache)
         if scheme == "hierarchical":
             if grid_bs is None or grid_ue is None or layers is None:
                 raise ValueError("hierarchical training needs both grids and a layer count")
             return training.hierarchical_nn(realization, w, noise_var,
-                                            grid_bs, grid_ue, layers, geometry)
+                                            grid_bs, grid_ue, layers, geometry,
+                                            cache=cache)
         if scheme == "two_stage":
             side = tag if tag in NEAR_SIDE else "FN"   # forced on FF or NN
             grid = grid_bs if NEAR_SIDE[side] == SIDE_BS else grid_ue
             if grid is None or layers is None:
                 raise ValueError("two-stage training needs the near-side grid and a layer count")
             return training.two_stage_hybrid(realization, w, noise_var,
-                                             grid, layers, side, geometry)
+                                             grid, layers, side, geometry,
+                                             cache=cache)
         raise ValueError(f"unknown training scheme {scheme!r}")
 
     phi = np.ones(realization.m, dtype=complex)

@@ -14,6 +14,9 @@ pair and M RIS elements):
 Ties are broken toward the lowest codeword index, so reports are
 deterministic functions of (channel, precoder, grids, layer count).
 The refining schemes take s_x and s_y from the grids they are given.
+What does not depend on the precoder (the angular codebook, and each
+refinement layer's quadrants and distance words) can be shared by the
+training calls of one cell through a `TrainingCache`.
 """
 
 from __future__ import annotations
@@ -53,6 +56,43 @@ class LayerRecord:
     choice: tuple
     best_rate: float
     evaluations_total: int
+
+
+class TrainingCache:
+    """Precoder-independent training work, shared by the training calls
+    of one cell.
+
+    `angular` is the angular codebook, built on first use.  `layers` maps
+    a refinement layer's input ranges, as ((x_min, x_max, y_min, y_max),
+    s_x, s_y, fixed_z) per range in choice order, to that layer's
+    quadrant bounds and per-range (4, S, M) word stacks.  The cache is
+    bound to the geometry it was made for, and its arrays are read-only.
+    """
+
+    def __init__(self, geometry: SystemGeometry):
+        self.geometry = geometry
+        self.angular: Codebook | None = None
+        self.layers: dict = {}
+
+    def bound_to(self, geometry: SystemGeometry) -> TrainingCache:
+        """This cache, if it was made for `geometry`; raises otherwise."""
+        if geometry is not self.geometry:
+            raise ValueError("training cache is bound to another geometry")
+        return self
+
+    def angular_book(self, build) -> Codebook:
+        """The angular codebook, made by `build(geometry)` on first use."""
+        if self.angular is None:
+            book = build(self.geometry)
+            book.words.flags.writeable = False
+            self.angular = book
+        return self.angular
+
+
+def _cache_for(cache: TrainingCache | None,
+               geometry: SystemGeometry) -> TrainingCache:
+    return TrainingCache(geometry) if cache is None else cache.bound_to(
+        geometry)
 
 
 @dataclass
@@ -109,15 +149,18 @@ def _sweep(realization: ChannelRealization, w: np.ndarray, noise_var: float,
 
 
 def angular_sweep(realization: ChannelRealization, w: np.ndarray,
-                  noise_var: float, geometry: SystemGeometry) -> TrainingReport:
+                  noise_var: float, geometry: SystemGeometry,
+                  cache: TrainingCache | None = None) -> TrainingReport:
     """Score every angular codeword; m_x*m_y evaluations."""
-    return _sweep(realization, w, noise_var, build_ff_codebook(geometry))
+    book = _cache_for(cache, geometry).angular_book(build_ff_codebook)
+    return _sweep(realization, w, noise_var, book)
 
 
 def _descend(realization: ChannelRealization, w: np.ndarray,
              noise_var: float, geometry: SystemGeometry, ranges: list,
              layers: int, report: TrainingReport,
-             prefix: Codebook | None = None) -> TrainingReport:
+             prefix: Codebook | None = None,
+             cache: TrainingCache | None = None) -> TrainingReport:
     """Layered quadrant refinement shared by the refining schemes.
 
     `ranges` lists (grid, side) pairs in choice order.  A range descends
@@ -136,20 +179,35 @@ def _descend(realization: ChannelRealization, w: np.ndarray,
     lists of grids with those bounds (so hierarchical codewords carry the
     user-side sample as their first operand).  Evaluations, layer records
     and the best codeword accumulate into `report`, which is returned.
+
+    A layer's quadrant bounds and word stacks depend only on its input
+    ranges, so they are kept in `cache.layers` under those ranges (a
+    fresh cache when none is given).  A later call of the same cell
+    that reaches the same ranges, usually under another precoder, takes
+    them from there and goes straight to the candidate product; a layer
+    not seen before is computed, and raises, as above.
     """
     if layers < 0:
         raise ValueError("max_layers must be >= 0")
+    cache = _cache_for(cache, geometry)
     bounds = [grid.bounds for grid, _ in ranges]
     # each range's (4, S, M) words, split off the sample axis
     splits = np.cumsum([grid.s_x * grid.s_y for grid, _ in ranges])[:-1]
     winner = None
     for layer in range(1, layers + 1):
-        quads = [quadrant_bounds(*b, grid.fixed_z)
-                 for b, (grid, _) in zip(bounds, ranges)]
-        points = np.concatenate(
-            [sample_grid(q, grid.s_x, grid.s_y, grid.fixed_z)
-             for q, (grid, _) in zip(quads, ranges)], axis=1)
-        stacks = np.split(distance_words(points, geometry), splits, axis=1)
+        key = tuple((b, grid.s_x, grid.s_y, grid.fixed_z)
+                    for b, (grid, _) in zip(bounds, ranges))
+        work = cache.layers.get(key)
+        if work is None:
+            quads = [quadrant_bounds(*b, grid.fixed_z)
+                     for b, (grid, _) in zip(bounds, ranges)]
+            points = np.concatenate(
+                [sample_grid(q, grid.s_x, grid.s_y, grid.fixed_z)
+                 for q, (grid, _) in zip(quads, ranges)], axis=1)
+            words = distance_words(points, geometry)
+            words.flags.writeable = False   # the split views inherit it
+            work = cache.layers[key] = quads, np.split(words, splits, axis=1)
+        quads, stacks = work
         # (combination, row, M): each range adds the slowest quadrant
         # axis and the fastest sample axis
         cands = None if prefix is None else prefix.words[None]
@@ -186,7 +244,8 @@ def _descend(realization: ChannelRealization, w: np.ndarray,
 def hierarchical_nn(realization: ChannelRealization, w: np.ndarray,
                     noise_var: float, grid_bs: SamplingGrid,
                     grid_ue: SamplingGrid, layers: int,
-                    geometry: SystemGeometry) -> TrainingReport:
+                    geometry: SystemGeometry,
+                    cache: TrainingCache | None = None) -> TrainingReport:
     """Layered search over both sample ranges.
 
     Each layer quadrisects the current BS and user ranges, scores all 16
@@ -199,13 +258,14 @@ def hierarchical_nn(realization: ChannelRealization, w: np.ndarray,
     empty = TrainingReport(best_codeword=None, best_rate=-np.inf,
                            evaluations=0, layer_trace=[])
     return _descend(realization, w, noise_var, geometry,
-                    [(grid_bs, SIDE_BS), (grid_ue, SIDE_UE)], layers, empty)
+                    [(grid_bs, SIDE_BS), (grid_ue, SIDE_UE)], layers, empty,
+                    cache=cache)
 
 
 def two_stage_hybrid(realization: ChannelRealization, w: np.ndarray,
                      noise_var: float, grid: SamplingGrid, layers: int,
-                     side: str,
-                     geometry: SystemGeometry) -> TrainingReport:
+                     side: str, geometry: SystemGeometry,
+                     cache: TrainingCache | None = None) -> TrainingReport:
     """Angular sweep first, then layered distance refinement on one side.
 
     side "NF" refines the BS-side range, "FN" the user-side range; the
@@ -216,9 +276,11 @@ def two_stage_hybrid(realization: ChannelRealization, w: np.ndarray,
     """
     if side not in NEAR_SIDE:
         raise ValueError(f"side must be 'NF' or 'FN', got {side!r}")
+    cache = _cache_for(cache, geometry)
     report = _sweep(realization, w, noise_var,
-                    build_angular_component(geometry))
+                    cache.angular_book(build_angular_component))
     win = report.best_codeword
     fixed = Codebook(words=win.coeffs[None, :], provenance=(win.provenance,))
     return _descend(realization, w, noise_var, geometry,
-                    [(grid, NEAR_SIDE[side])], layers, report, prefix=fixed)
+                    [(grid, NEAR_SIDE[side])], layers, report, prefix=fixed,
+                    cache=cache)

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
-summary = runpy.run_path(str(SCRIPT))["summary"]
+script = runpy.run_path(str(SCRIPT))
+summary, regressions = script["summary"], script["regressions"]
 
 BETTER = {"evals_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
 
@@ -50,3 +51,26 @@ def test_mismatched_metric_names_raise():
              pair({"w.setup_s": 1.0}, {"w.peak_rss_mb": 80})]
     with pytest.raises(ValueError, match="different metrics"):
         summary(pairs, BETTER)
+
+
+def test_regressions_are_end_to_end_medians_past_their_relative_bound():
+    declared = {"end_to_end": [
+        {"name": "cells_per_s", "better": "higher", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+        {"name": "setup_s", "better": "lower", "bound": 0.25}]}
+    old = {"a.cells_per_s": 100.0, "b.cells_per_s": 100.0,
+           "a.peak_rss_mb": 40.0, "b.peak_rss_mb": 40.0,
+           "a.setup_s": 1.0, "a.rate_kernel.calls": 10.0}
+    new = {"a.cells_per_s": 70.0,    # 30 % slower: past 0.25
+           "b.cells_per_s": 80.0,    # 20 % slower: within
+           "a.peak_rss_mb": 45.0,    # 12.5 % heavier: past 0.1
+           "b.peak_rss_mb": 36.0,    # lighter
+           "a.setup_s": 1.2,         # 20 % slower: within
+           "a.rate_kernel.calls": 99.0}   # per-layer: no bound
+    medians = summary([pair(old, new)] * 3, BETTER | {
+        "cells_per_s": "higher", "rate_kernel.calls": "lower"})["median"]
+    assert regressions(medians, declared) == [
+        {"metric": "a.cells_per_s", "parent": 100.0, "change": 70.0,
+         "bound": 0.25},
+        {"metric": "a.peak_rss_mb", "parent": 40.0, "change": 45.0,
+         "bound": 0.1}]

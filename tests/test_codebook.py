@@ -172,6 +172,55 @@ class TestDistanceWords:
         with pytest.raises(ValueError, match="coincides"):
             distance_words(xyz, g)
 
+    @staticmethod
+    def modulus_checked_words(xyz, g):
+        """distance_words with its former check: the modulus of every word."""
+        pos = g.element_positions(NODE_RIS)
+        dx, dy, dz = (xyz[..., i, None] - pos[:, i] for i in range(3))
+        r = np.sqrt(dx * dx + dy * dy + dz * dz)
+        if np.any(r <= 0.0):
+            raise ValueError("sample point coincides with a RIS element")
+        words = np.exp(1j * ((2.0 * np.pi * r) * (1.0 / g.wavelength_m)))
+        if not np.all(np.abs(np.abs(words) - 1.0) <= 1e-12):
+            raise ValueError("sample points must be finite")
+        return words
+
+    @staticmethod
+    def outcome(fn, xyz, g):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                return fn(xyz, g).tobytes()
+            except ValueError as err:
+                return str(err)
+
+    BAD = [(c, v) for c in range(3) for v in (np.nan, np.inf, -np.inf)]
+    # squares that overflow, alone or only in their sum, and huge finite r
+    HUGE = [(c, v) for c in range(3) for v in (1e200, -1e300, 1e150, -1e154)]
+
+    @pytest.mark.parametrize("coord, value", BAD + HUGE)
+    def test_phase_check_accepts_and_rejects_as_the_modulus_check(
+            self, coord, value):
+        g = geom()
+        xyz = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.1], [1.0, 2.0, 3.0]])
+        xyz[1, coord] = value
+        new = self.outcome(distance_words, xyz, g)
+        assert new == self.outcome(self.modulus_checked_words, xyz, g)
+        if not np.isfinite(value) or abs(value) > 1e154:
+            assert new == "sample points must be finite"
+        else:
+            assert isinstance(new, bytes)
+
+    def test_phase_check_on_a_sum_of_squares_that_overflows(self):
+        g = geom()
+        for v in (7e153, 1e154):   # 3*v*v finite, then it overflows
+            xyz = np.full((2, 3), v)
+            new = self.outcome(distance_words, xyz, g)
+            assert new == self.outcome(self.modulus_checked_words, xyz, g)
+        assert isinstance(self.outcome(distance_words, np.full(3, 7e153), g),
+                          bytes)
+        assert self.outcome(distance_words, np.full(3, 1e154), g) == (
+            "sample points must be finite")
+
 
 class TestStar:
     def book(self, rows):

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from risbeam.geometry import (
@@ -158,6 +158,15 @@ def test_tie_classifies_near():
     assert g.classify_link(LINK_RIS_UE) == NEAR_FIELD
 
 
+@pytest.mark.parametrize("n_bs, m_x, m_y", [
+    (5, 12, 1), (8, 9, 1), (8, 8, 2), (12, 12, 4)])
+def test_ris_on_its_own_rayleigh_boundary_classifies_near(n_bs, m_x, m_y):
+    b = make(n_bs=n_bs, m_x=m_x, m_y=m_y).rayleigh_boundary(LINK_BS_RIS)
+    g = make(n_bs=n_bs, m_x=m_x, m_y=m_y, ris=(b, 0, 0))
+    assert g.link_distance(LINK_BS_RIS) == g.rayleigh_boundary(LINK_BS_RIS)
+    assert g.classify_link(LINK_BS_RIS) == NEAR_FIELD
+
+
 def test_table2_links_are_near_field(table2):
     assert table2.classify_link(LINK_BS_RIS) == NEAR_FIELD
     assert table2.classify_link(LINK_RIS_UE) == NEAR_FIELD
@@ -178,6 +187,10 @@ def test_classification_grid_matches_independent_rule(n_bs, m_x, m_y, dist_scale
     d_r = np.linalg.norm(ris[-1] - ris[0])
     boundary = 2.0 * (d_b + d_r) ** 2 / g0.wavelength_m
     dist = dist_scale * max(boundary, 1.0)
+    # this boundary and `rayleigh_boundary` are two correct roundings of
+    # one value and may differ in the last bits; the tie itself is pinned
+    # by test_ris_on_its_own_rayleigh_boundary_classifies_near
+    assume(abs(dist - boundary) > 1e-12 * boundary)
     g = make(n_bs=n_bs, m_x=m_x, m_y=m_y, ris=(dist, 0, 0))
     expected = NEAR_FIELD if dist <= boundary else FAR_FIELD
     assert g.classify_link(LINK_BS_RIS) == expected

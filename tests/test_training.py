@@ -3,7 +3,7 @@ import pytest
 from dataclasses import replace
 from functools import reduce
 
-from risbeam import training
+from risbeam import harness, training
 from risbeam.channel import (
     ChannelRealization,
     FarFieldSpec,
@@ -25,6 +25,7 @@ from risbeam.codebook import (
 from risbeam.geometry import LINK_BS_RIS, LINK_RIS_UE, SystemGeometry
 from risbeam.optimizer import rates_for_phase_batch
 from risbeam.training import (
+    TrainingCache,
     TrainingReport,
     _descend,
     angular_sweep,
@@ -515,3 +516,167 @@ class TestArrayNativeDescent:
         assert replayed[s] == pytest.approx(rep.best_rate, rel=1e-12)
         assert rep.best_codeword.coeffs.tobytes() == book[s].coeffs.tobytes()
         assert rep.best_codeword.provenance == book[s].provenance
+
+
+def report_bytes(rep):
+    return (rep.best_codeword.coeffs.tobytes(), rep.best_codeword.provenance,
+            repr(rep.best_rate), rep.evaluations, repr(rep.layer_trace))
+
+
+class TestTrainingCache:
+    """One cache per cell: the angular codebook and each layer's words."""
+
+    SCHEMES = ("angular_sweep", "hierarchical_nn", "two_stage_hybrid")
+
+    @staticmethod
+    def count_work(monkeypatch):
+        """Counts of `distance_words` calls and angular codebook builds
+        made through the names `training` looks up."""
+        counts = {"words": 0, "angular": 0}
+
+        def counted(name, key):
+            original = getattr(training, name)
+
+            def spy(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(training, name, spy)
+
+        counted("distance_words", "words")
+        counted("build_ff_codebook", "angular")
+        counted("build_angular_component", "angular")
+        return counts
+
+    @pytest.mark.parametrize("scale", ["desk", "paper"])
+    @pytest.mark.parametrize("label, model, scheme", harness.VARIANTS,
+                             ids=[v[0] for v in harness.VARIANTS])
+    def test_cell_replay_matches_fresh_caches(self, monkeypatch, scale, label,
+                                              model, scheme):
+        cfg = replace(harness.parse_config("", scale=scale), model=model,
+                      training=scheme)
+        calls = []
+
+        def recorder(name):
+            original = getattr(training, name)
+
+            def spy(*args, **kwargs):
+                rep = original(*args, **kwargs)
+                calls.append((original, args, kwargs, report_bytes(rep)))
+                return rep
+            monkeypatch.setattr(training, name, spy)
+
+        for name in self.SCHEMES:
+            recorder(name)
+        counts = self.count_work(monkeypatch)
+        harness.solve_cell(cfg, seed=1)
+        shared = dict(counts)
+        assert len(calls) >= 2
+        assert len({id(kwargs["cache"]) for *_, kwargs, _ in calls}) == 1
+        for original, args, kwargs, got in calls:
+            fresh = original(*args)
+            assert got == report_bytes(fresh)
+        fresh_work = {k: counts[k] - shared[k] for k in counts}
+        # the cell reused work: each training call starts at the same
+        # ranges, and only the first built the angular codebook
+        assert shared["angular"] == (scheme == "angular" or model != "NN")
+        assert fresh_work["angular"] == shared["angular"] * len(calls)
+        if model != "FF" and scheme != "angular":
+            assert shared["words"] < fresh_work["words"]
+
+    @pytest.mark.parametrize("scheme", ["NN", "NF", "FN", "angular"])
+    def test_second_call_on_the_same_path_makes_no_words(self, monkeypatch,
+                                                         scheme):
+        g = desk_geometry(ue=(0.26, 0.01, 0.0))
+        real = nn_realization(g)
+        w = matched_precoder(real, g)
+        gb, gu = desk_grids(g)
+        cache = TrainingCache(g)
+
+        def train():
+            if scheme == "NN":
+                return hierarchical_nn(real, w, NOISE, gb, gu, 4, g,
+                                       cache=cache)
+            if scheme == "angular":
+                return angular_sweep(real, w, NOISE, g, cache=cache)
+            return two_stage_hybrid(real, w, NOISE, gb if scheme == "NF"
+                                    else gu, 4, scheme, g, cache=cache)
+
+        counts = self.count_work(monkeypatch)
+        first = report_bytes(train())
+        assert counts == {"words": 0 if scheme == "angular" else 4,
+                          "angular": 0 if scheme == "NN" else 1}
+        counts.update(words=0, angular=0)
+        assert report_bytes(train()) == first
+        assert counts == {"words": 0, "angular": 0}
+
+    @pytest.mark.parametrize("change", [
+        {"fixed_z": 0.03}, {"s_x": 3}, {"s_y": 1}, {"x_max": 0.25}])
+    def test_layers_are_keyed_on_bounds_counts_and_height(self, change):
+        g = desk_geometry(ue=(0.26, 0.01, 0.0))
+        real = nn_realization(g)
+        w = matched_precoder(real, g)
+        gb, gu = desk_grids(g)
+        moved = replace(gu, **change)
+        cache = TrainingCache(g)
+        for side, grid in (("FN", gu), ("FN", moved), ("NF", moved)):
+            shared = two_stage_hybrid(real, w, NOISE, grid, 3, side, g,
+                                      cache=cache)
+            fresh = two_stage_hybrid(real, w, NOISE, grid, 3, side, g)
+            assert report_bytes(shared) == report_bytes(fresh)
+        hierarchical_nn(real, w, NOISE, gb, gu, 3, g, cache=cache)
+        shared = hierarchical_nn(real, w, NOISE, gb, moved, 3, g, cache=cache)
+        fresh = hierarchical_nn(real, w, NOISE, gb, moved, 3, g)
+        assert report_bytes(shared) == report_bytes(fresh)
+
+    def test_cache_is_bound_to_its_geometry(self):
+        g = desk_geometry()
+        other = desk_geometry()    # equal values, another object
+        real = nn_realization(g)
+        w = matched_precoder(real, g)
+        gb, gu = desk_grids(g)
+        cache = TrainingCache(g)
+        for train in (
+                lambda geo: angular_sweep(real, w, NOISE, geo, cache=cache),
+                lambda geo: hierarchical_nn(real, w, NOISE, gb, gu, 1, geo,
+                                            cache=cache),
+                lambda geo: two_stage_hybrid(real, w, NOISE, gb, 1, "NF",
+                                             geo, cache=cache)):
+            with pytest.raises(ValueError, match="another geometry"):
+                train(other)
+            train(g)
+
+    def test_cached_arrays_are_read_only(self):
+        g = desk_geometry()
+        real = nn_realization(g)
+        w = matched_precoder(real, g)
+        gb, gu = desk_grids(g)
+        cache = TrainingCache(g)
+        hierarchical_nn(real, w, NOISE, gb, gu, 2, g, cache=cache)
+        two_stage_hybrid(real, w, NOISE, gu, 2, "FN", g, cache=cache)
+        stacks = [a for _, per_range in cache.layers.values()
+                  for a in per_range]
+        assert len(cache.layers) == 4 and len(stacks) == 6
+        for a in stacks + [cache.angular.words]:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_warm_cache_still_raises_at_the_degenerate_layer(self,
+                                                             monkeypatch):
+        g = desk_geometry()
+        real = nn_realization(g)
+        w = matched_precoder(real, g)
+        gb, gu = desk_grids(g)
+        # two ulps wide: halves at layer 1, cannot be halved at layer 2
+        narrow = replace(gu, x_min=0.0, x_max=2 * float(np.nextafter(0, 1)))
+        cache = TrainingCache(g)
+        hierarchical_nn(real, w, NOISE, gb, narrow, 1, g, cache=cache)
+        with pytest.raises(ValueError) as cold:
+            hierarchical_nn(real, w, NOISE, gb, narrow, 3, g)
+        counts = self.count_work(monkeypatch)
+        batches = TestArrayNativeDescent.capture_phis(monkeypatch)
+        with pytest.raises(ValueError, match="degenerate sampling range") as warm:
+            hierarchical_nn(real, w, NOISE, gb, narrow, 3, g, cache=cache)
+        assert str(warm.value) == str(cold.value)
+        # layer 1 came from the cache and was scored; layer 2 raised
+        assert len(batches) == 1 and counts["words"] == 0
