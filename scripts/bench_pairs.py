@@ -18,7 +18,12 @@ The file also holds, per trace setting and metric:
   direction BENCHMARK.json gives as `better` (ties count for neither);
 - `regressions`: every end-to-end metric, per workload, whose change
   median is worse than the parent's by more than its BENCHMARK.json
-  `bound`, relative to the parent's median.
+  `bound`, relative to the parent's median;
+- `unresolved`: every end-to-end metric, per workload, whose parent
+  quartile distance, relative to the parent's median, exceeds its
+  `bound`, unless every change run reads better than every parent run.
+  Within such a spread a median inside the bound does not show that
+  the metric held, so it is reported as unresolved, not as unchanged.
 
 A gain may be claimed when the change wins at least 9 of 10 pairs and
 the medians differ by more than the parent's quartile distance.
@@ -92,6 +97,29 @@ def regressions(medians: dict, declared: dict) -> list:
     return found
 
 
+def unresolved(stats: dict, pairs: list, declared: dict) -> list:
+    """End-to-end metrics whose parent runs spread wider than their bound."""
+    limits = {m["name"]: (m["better"], m["bound"])
+              for m in declared["end_to_end"]}
+    found = []
+    for name, (q1, q3) in stats["quartiles"]["parent"].items():
+        metric = name.split(".", 1)[1]
+        if metric not in limits:
+            continue
+        better, bound = limits[metric]
+        old = stats["median"]["parent"][name]
+        if q3 - q1 <= bound * abs(old):
+            continue
+        sign = {"higher": 1, "lower": -1}[better]
+        runs = {side: [sign * pair[side]["metrics"][name]["value"]
+                       for pair in pairs] for side in ("parent", "change")}
+        if min(runs["change"]) > max(runs["parent"]):
+            continue
+        found.append({"metric": name, "parent": old, "quartiles": [q1, q3],
+                      "bound": bound})
+    return found
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("parent", type=Path)
@@ -115,7 +143,7 @@ def main():
         stats = summary(pairs, better)
         record[f"trace{trace}"] = {
             **stats, "regressions": regressions(stats["median"], declared),
-            "pairs": pairs}
+            "unresolved": unresolved(stats, pairs, declared), "pairs": pairs}
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

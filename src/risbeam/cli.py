@@ -175,7 +175,14 @@ def main(argv=None) -> int:
     add_common(p_cb)
     p_cb.set_defaults(func=_cmd_codebook)
 
-    p_ch = sub.add_parser("channel", help="channel utilities")
+    p_ch = sub.add_parser(
+        "channel", help="channel utilities",
+        description="dump: write the channel of the first seed (or --seed) "
+        "as JSON.  It is the nominal-position channel: drawn from the "
+        "seed's stream without the user-position jitter draw that `run` "
+        "makes first, so it is not the channel that `run --seed` "
+        "optimizes.  With ue_jitter_frac: 0 the two still differ in every "
+        "drawn far-field link (FF, NF and FN).")
     p_ch.add_argument("action", choices=("dump",))
     p_ch.add_argument("--model", choices=channel.MODEL_TAGS, default=None)
     p_ch.add_argument("--config", default=None)

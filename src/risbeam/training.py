@@ -16,7 +16,9 @@ deterministic functions of (channel, precoder, grids, layer count).
 The refining schemes take s_x and s_y from the grids they are given.
 What does not depend on the precoder (the angular codebook, and each
 refinement layer's quadrants and distance words) can be shared by the
-training calls of one cell through a `TrainingCache`.
+training calls of one cell through a `TrainingCache`.  The angular
+codebook depends on the array alone, so one copy of it is shared by
+every cell of the process (see `TrainingCache.angular_book`).
 """
 
 from __future__ import annotations
@@ -58,11 +60,25 @@ class LayerRecord:
     evaluations_total: int
 
 
+# The process's one angular codebook as (key, book); see
+# `TrainingCache.angular_book`.  It is read and replaced as one tuple, so
+# a thread never pairs a key with another key's book; two threads that
+# miss together only build the same words twice.
+_ANGULAR = None
+
+
+def _angular_key(geometry: SystemGeometry) -> tuple:
+    """What `build_ff_codebook` reads of the geometry."""
+    return (geometry.m_x, geometry.m_y, geometry.spacing_m,
+            geometry.wavelength_m)
+
+
 class TrainingCache:
     """Precoder-independent training work, shared by the training calls
     of one cell.
 
-    `angular` is the angular codebook, built on first use.  `layers` maps
+    `angular` is the angular codebook, taken on first use from the
+    process-wide slot (see `angular_book`).  `layers` maps
     a refinement layer's input ranges, as ((x_min, x_max, y_min, y_max),
     s_x, s_y, fixed_z) per range in choice order, to that layer's
     quadrant bounds and per-range (4, S, M) word stacks.  The cache is
@@ -81,11 +97,24 @@ class TrainingCache:
         return self
 
     def angular_book(self, build) -> Codebook:
-        """The angular codebook, made by `build(geometry)` on first use."""
+        """The angular codebook of this cache's geometry.
+
+        On first use it is taken from the process-wide slot when the
+        slot's key (m_x, m_y, spacing_m, wavelength_m) matches; otherwise
+        `build(geometry)` makes it, its words are made read-only, and it
+        replaces the slot's one book, so the slot never grows.  A sweep
+        changes the key only between its values, so each value builds
+        the book at most once.
+        """
+        global _ANGULAR
         if self.angular is None:
-            book = build(self.geometry)
-            book.words.flags.writeable = False
-            self.angular = book
+            key = _angular_key(self.geometry)
+            entry = _ANGULAR
+            if entry is None or entry[0] != key:
+                book = build(self.geometry)
+                book.words.flags.writeable = False
+                entry = _ANGULAR = key, book
+            self.angular = entry[1]
         return self.angular
 
 

@@ -7,7 +7,8 @@ import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 script = runpy.run_path(str(SCRIPT))
-summary, regressions = script["summary"], script["regressions"]
+summary, regressions, unresolved = (script["summary"], script["regressions"],
+                                    script["unresolved"])
 
 BETTER = {"evals_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
 
@@ -74,3 +75,31 @@ def test_regressions_are_end_to_end_medians_past_their_relative_bound():
          "bound": 0.25},
         {"metric": "a.peak_rss_mb", "parent": 40.0, "change": 45.0,
          "bound": 0.1}]
+
+
+def test_unresolved_are_end_to_end_metrics_whose_parent_spreads_past_bound():
+    declared = {"end_to_end": [
+        {"name": "setup_s", "better": "lower", "bound": 0.25},
+        {"name": "evals_per_s", "better": "higher", "bound": 0.25}]}
+    # (parent, change) per pair for each metric
+    runs = {
+        # parent quartiles 0.3 and 0.5 about a 0.4 median: 0.5 > 0.25
+        "wide.setup_s": [(0.3, 0.3), (0.4, 0.4), (0.5, 0.5)] * 2,
+        # as wide, but every change run is faster than every parent run
+        "faster.setup_s": [(0.3, 0.2), (0.4, 0.2), (0.5, 0.2)] * 2,
+        # parent quartiles 0.95 and 1.05 about 1.0: 0.1 < 0.25
+        "narrow.setup_s": [(0.95, 2.0), (1.0, 2.0), (1.05, 2.0)] * 2,
+        # wide; the change wins every pair, but not every run: 140 > 101
+        "wide.evals_per_s": [(60, 100), (100, 101), (140, 150)] * 2,
+        "wide.rate_kernel.calls": [(1, 1), (5, 5), (9, 9)] * 2,  # no bound
+    }
+    pairs = [pair({name: v[i][0] for name, v in runs.items()},
+                  {name: v[i][1] for name, v in runs.items()})
+             for i in range(6)]
+    stats = summary(pairs, BETTER | {"rate_kernel.calls": "lower"})
+    found = unresolved(stats, pairs, declared)
+    assert [f["metric"] for f in found] == ["wide.evals_per_s",
+                                            "wide.setup_s"]
+    assert found[1] == {"metric": "wide.setup_s", "parent": 0.4,
+                        "quartiles": stats["quartiles"]["parent"]
+                        ["wide.setup_s"], "bound": 0.25}

@@ -302,19 +302,20 @@ class TestCli:
         rows = parse_result_csv(out)
         assert [r.seed for r in rows] == [5]
 
-    @settings(max_examples=5, deadline=None)
-    @given(model=st.sampled_from(["FF", "NF", "FN", "NN"]),
-           seeds=st.lists(st.integers(0, 99), min_size=1, max_size=3,
+    @pytest.mark.parametrize("label, model, scheme", harness.VARIANTS,
+                             ids=[v[0] for v in harness.VARIANTS])
+    @settings(max_examples=2, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 99), min_size=1, max_size=3,
                           unique=True))
-    def test_run_bytes_independent_of_workers(self, tmp_path_factory, model,
-                                              seeds):
+    def test_run_bytes_independent_of_workers(self, tmp_path_factory, label,
+                                              model, scheme, seeds):
         tmp = tmp_path_factory.mktemp("workers")
         outputs = []
         for workers in (1, 2):
             cfg = self.write_config(
                 tmp, TINY.replace("model: FF", f"model: {model}")
                 .replace("seeds: [0, 1]", f"seeds: {seeds}")
-                + f"workers: {workers}\n")
+                + f"training: {scheme}\nworkers: {workers}\n")
             out = tmp / f"w{workers}.csv"
             assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
             outputs.append((out.read_bytes(),

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -523,6 +526,13 @@ def report_bytes(rep):
             repr(rep.best_rate), rep.evaluations, repr(rep.layer_trace))
 
 
+@pytest.fixture
+def empty_angular_slot(monkeypatch):
+    """Start from an empty process-wide angular codebook slot."""
+    monkeypatch.setattr(training, "_ANGULAR", None)
+
+
+@pytest.mark.usefixtures("empty_angular_slot")
 class TestTrainingCache:
     """One cache per cell: the angular codebook and each layer's words."""
 
@@ -577,9 +587,10 @@ class TestTrainingCache:
             assert got == report_bytes(fresh)
         fresh_work = {k: counts[k] - shared[k] for k in counts}
         # the cell reused work: each training call starts at the same
-        # ranges, and only the first built the angular codebook
+        # ranges; the process built the angular codebook at most once, in
+        # the cell's first call, and the fresh caches took that book
         assert shared["angular"] == (scheme == "angular" or model != "NN")
-        assert fresh_work["angular"] == shared["angular"] * len(calls)
+        assert fresh_work["angular"] == 0
         if model != "FF" and scheme != "angular":
             assert shared["words"] < fresh_work["words"]
 
@@ -592,7 +603,7 @@ class TestTrainingCache:
         gb, gu = desk_grids(g)
         cache = TrainingCache(g)
 
-        def train():
+        def train(cache):
             if scheme == "NN":
                 return hierarchical_nn(real, w, NOISE, gb, gu, 4, g,
                                        cache=cache)
@@ -602,12 +613,17 @@ class TestTrainingCache:
                                     else gu, 4, scheme, g, cache=cache)
 
         counts = self.count_work(monkeypatch)
-        first = report_bytes(train())
-        assert counts == {"words": 0 if scheme == "angular" else 4,
+        first = report_bytes(train(cache))
+        words = 0 if scheme == "angular" else 4
+        assert counts == {"words": words,
                           "angular": 0 if scheme == "NN" else 1}
         counts.update(words=0, angular=0)
-        assert report_bytes(train()) == first
+        assert report_bytes(train(cache)) == first
         assert counts == {"words": 0, "angular": 0}
+        # a fresh cache makes its layers' words again, but takes the
+        # process's angular codebook
+        assert report_bytes(train(TrainingCache(g))) == first
+        assert counts == {"words": words, "angular": 0}
 
     @pytest.mark.parametrize("change", [
         {"fixed_z": 0.03}, {"s_x": 3}, {"s_y": 1}, {"x_max": 0.25}])
@@ -680,3 +696,117 @@ class TestTrainingCache:
         assert str(warm.value) == str(cold.value)
         # layer 1 came from the cache and was scored; layer 2 raised
         assert len(batches) == 1 and counts["words"] == 0
+
+
+@pytest.mark.usefixtures("empty_angular_slot")
+class TestAngularSlot:
+    """One angular codebook per process, keyed on what its build reads."""
+
+    DESK = dict(carrier_hz=30e9, n_bs=8, n_ue=4, m_x=16, m_y=2,
+                bs_mid=(0, 0, 0), ue_mid=(0.24, 0, 0), ris_mid=(0.1, 0, 0.08),
+                spacing_wavelengths=0.5)
+
+    @staticmethod
+    def book_for(g, build=None):
+        return TrainingCache(g).angular_book(build or training.build_ff_codebook)
+
+    @pytest.mark.parametrize("scale", ["desk", "paper"])
+    def test_shared_book_equals_a_fresh_build(self, scale):
+        g = harness.geometry_from(harness.parse_config("", scale=scale))
+        fresh = build_ff_codebook(g)
+        for build in (training.build_ff_codebook,
+                      training.build_angular_component):
+            book = self.book_for(g, build)
+            assert book.words.shape == fresh.words.shape
+            assert book.words.tobytes() == fresh.words.tobytes()
+            assert book.provenance == fresh.provenance
+
+    @pytest.mark.parametrize("moved", [
+        {"bs_mid": (0.05, 0.02, 0)}, {"ris_mid": (0.12, 0.01, 0.1)},
+        {"ue_mid": (0.26, 0.01, 0)}])
+    def test_positions_share_the_book_without_a_build(self, monkeypatch,
+                                                      moved):
+        book = self.book_for(SystemGeometry.build(**self.DESK))
+        counts = TestTrainingCache.count_work(monkeypatch)
+        g = SystemGeometry.build(**self.DESK | moved)
+        assert self.book_for(g) is book
+        assert self.book_for(g, training.build_angular_component) is book
+        real = nn_realization(g)
+        w = matched_precoder(real, g)
+        angular_sweep(real, w, NOISE, g)
+        two_stage_hybrid(real, w, NOISE, desk_grids(g)[1], 1, "FN", g)
+        assert counts["angular"] == 0
+
+    @pytest.mark.parametrize("change", [
+        {"m_x": 8}, {"m_y": 1}, {"spacing_wavelengths": 0.25},
+        {"carrier_hz": 28e9}])
+    def test_each_key_field_rebuilds_and_replaces_the_entry(self, monkeypatch,
+                                                            change):
+        g0 = SystemGeometry.build(**self.DESK)
+        g1 = SystemGeometry.build(**self.DESK | change)
+        counts = TestTrainingCache.count_work(monkeypatch)
+        first = self.book_for(g0)
+        other = self.book_for(g1)
+        assert counts["angular"] == 2
+        assert other.words.tobytes() == build_ff_codebook(g1).words.tobytes()
+        # the slot holds one book: g1's replaced g0's
+        assert training._ANGULAR == (training._angular_key(g1), other)
+        again = self.book_for(g0)
+        assert counts["angular"] == 3 and again is not first
+        assert again.words.tobytes() == first.words.tobytes()
+        assert again.provenance == first.provenance
+
+    def test_shared_words_are_read_only(self):
+        g = desk_geometry()
+        self.book_for(g)
+        book = self.book_for(g, training.build_angular_component)
+        assert not book.words.flags.writeable
+        for target in (book.words, book[0].coeffs):
+            with pytest.raises(ValueError):
+                target[0] = 1.0
+
+    def test_m_x_sweep_matches_each_value_run_alone(self, monkeypatch,
+                                                    tmp_path):
+        def emitted(values):
+            cfg = harness.parse_config("model: FF\nseeds: [0, 1]\n"
+                                       f"max_iters: 2\nsweep: m_x in {values}")
+            out = tmp_path / "res.csv"
+            harness.emit_results(harness.run_experiment(cfg), out)
+            return (out.read_bytes().splitlines(),
+                    out.with_suffix(".summary.csv").read_bytes().splitlines())
+
+        counts = TestTrainingCache.count_work(monkeypatch)
+        rows, summary = emitted([8, 16, 8])
+        # one build per sweep value: the cells of a value share the book
+        assert counts["angular"] == 3
+        for i, value in enumerate((8, 16, 8)):
+            monkeypatch.setattr(training, "_ANGULAR", None)
+            alone_rows, alone_summary = emitted([value])
+            assert rows[1 + 2 * i:3 + 2 * i] == alone_rows[1:]
+            assert summary[1 + i] == alone_summary[1]
+
+    def test_threads_on_alternating_keys_get_their_own_book(self):
+        geos = [SystemGeometry.build(**self.DESK),
+                SystemGeometry.build(**self.DESK | {"m_x": 8})]
+        want = [build_ff_codebook(g).words.tobytes() for g in geos]
+        wrong = []
+
+        def train(start):
+            for k in range(start, start + 40):
+                book = self.book_for(geos[k % 2])
+                if book.words.tobytes() != want[k % 2]:
+                    wrong.append(k)
+
+        threads = [threading.Thread(target=train, args=(i,))
+                   for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
