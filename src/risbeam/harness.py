@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import training
 from .channel import GAIN_MODES, MODEL_TAGS, synthesize_channel
 from .codebook import SamplingGrid
 from .geometry import SPEED_OF_LIGHT, SystemGeometry
@@ -419,7 +420,14 @@ def _cell_job(args):
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """All (seed x sweep value) cells, merged in deterministic order."""
+    """All (seed x sweep value) cells, merged in deterministic order.
+
+    The cells share one angular codebook per array (see
+    `training.TrainingCache.angular_book`).  The experiment starts with
+    none, so its work, and a trace of it, is the same whatever ran
+    earlier in the process.
+    """
+    training.drop_angular_book()
     jobs = [(cfg, seed, value)
             for value in cfg.sweep_values for seed in cfg.seeds]
     if cfg.workers > 1:

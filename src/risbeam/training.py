@@ -18,7 +18,8 @@ What does not depend on the precoder (the angular codebook, and each
 refinement layer's quadrants and distance words) can be shared by the
 training calls of one cell through a `TrainingCache`.  The angular
 codebook depends on the array alone, so one copy of it is shared by
-every cell of the process (see `TrainingCache.angular_book`).
+every cell that uses the same array (see `TrainingCache.angular_book`);
+`harness.run_experiment` starts each experiment without it.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class LayerRecord:
     evaluations_total: int
 
 
-# The process's one angular codebook as (key, book); see
+# The one shared angular codebook as (key, book); see
 # `TrainingCache.angular_book`.  It is read and replaced as one tuple, so
 # a thread never pairs a key with another key's book; two threads that
 # miss together only build the same words twice.
@@ -73,21 +74,27 @@ def _angular_key(geometry: SystemGeometry) -> tuple:
             geometry.wavelength_m)
 
 
+def drop_angular_book() -> None:
+    """Empty the shared angular codebook slot, so the next training call
+    builds the book again."""
+    global _ANGULAR
+    _ANGULAR = None
+
+
 class TrainingCache:
     """Precoder-independent training work, shared by the training calls
     of one cell.
 
-    `angular` is the angular codebook, taken on first use from the
-    process-wide slot (see `angular_book`).  `layers` maps
-    a refinement layer's input ranges, as ((x_min, x_max, y_min, y_max),
-    s_x, s_y, fixed_z) per range in choice order, to that layer's
-    quadrant bounds and per-range (4, S, M) word stacks.  The cache is
-    bound to the geometry it was made for, and its arrays are read-only.
+    `layers` maps a refinement layer's input ranges, as
+    ((x_min, x_max, y_min, y_max), s_x, s_y, fixed_z) per range in choice
+    order, to that layer's quadrant bounds and per-range (4, S, M) word
+    stacks.  The cache is bound to the geometry it was made for, and its
+    arrays are read-only.  The angular codebook is not kept per cell:
+    `angular_book` reads it from the shared slot.
     """
 
     def __init__(self, geometry: SystemGeometry):
         self.geometry = geometry
-        self.angular: Codebook | None = None
         self.layers: dict = {}
 
     def bound_to(self, geometry: SystemGeometry) -> TrainingCache:
@@ -99,23 +106,21 @@ class TrainingCache:
     def angular_book(self, build) -> Codebook:
         """The angular codebook of this cache's geometry.
 
-        On first use it is taken from the process-wide slot when the
-        slot's key (m_x, m_y, spacing_m, wavelength_m) matches; otherwise
-        `build(geometry)` makes it, its words are made read-only, and it
-        replaces the slot's one book, so the slot never grows.  A sweep
-        changes the key only between its values, so each value builds
-        the book at most once.
+        It is taken from the shared slot when the slot's key (m_x, m_y,
+        spacing_m, wavelength_m) matches; otherwise `build(geometry)`
+        makes it, its words are made read-only, and it replaces the
+        slot's one book, so the slot never grows.  A sweep changes the
+        key only between its values, so each value of an experiment
+        builds the book at most once per process.
         """
         global _ANGULAR
-        if self.angular is None:
-            key = _angular_key(self.geometry)
-            entry = _ANGULAR
-            if entry is None or entry[0] != key:
-                book = build(self.geometry)
-                book.words.flags.writeable = False
-                entry = _ANGULAR = key, book
-            self.angular = entry[1]
-        return self.angular
+        key = _angular_key(self.geometry)
+        entry = _ANGULAR
+        if entry is None or entry[0] != key:
+            book = build(self.geometry)
+            book.words.flags.writeable = False
+            entry = _ANGULAR = key, book
+        return entry[1]
 
 
 def _cache_for(cache: TrainingCache | None,

@@ -528,13 +528,14 @@ def report_bytes(rep):
 
 @pytest.fixture
 def empty_angular_slot(monkeypatch):
-    """Start from an empty process-wide angular codebook slot."""
+    """Start from an empty shared angular codebook slot."""
     monkeypatch.setattr(training, "_ANGULAR", None)
 
 
 @pytest.mark.usefixtures("empty_angular_slot")
 class TestTrainingCache:
-    """One cache per cell: the angular codebook and each layer's words."""
+    """One cache per cell for each layer's words; the angular codebook
+    comes from the shared slot."""
 
     SCHEMES = ("angular_sweep", "hierarchical_nn", "two_stage_hybrid")
 
@@ -587,8 +588,8 @@ class TestTrainingCache:
             assert got == report_bytes(fresh)
         fresh_work = {k: counts[k] - shared[k] for k in counts}
         # the cell reused work: each training call starts at the same
-        # ranges; the process built the angular codebook at most once, in
-        # the cell's first call, and the fresh caches took that book
+        # ranges; the angular codebook was built at most once, in the
+        # cell's first call, and the fresh caches took that book
         assert shared["angular"] == (scheme == "angular" or model != "NN")
         assert fresh_work["angular"] == 0
         if model != "FF" and scheme != "angular":
@@ -621,7 +622,7 @@ class TestTrainingCache:
         assert report_bytes(train(cache)) == first
         assert counts == {"words": 0, "angular": 0}
         # a fresh cache makes its layers' words again, but takes the
-        # process's angular codebook
+        # shared angular codebook
         assert report_bytes(train(TrainingCache(g))) == first
         assert counts == {"words": words, "angular": 0}
 
@@ -672,7 +673,8 @@ class TestTrainingCache:
         stacks = [a for _, per_range in cache.layers.values()
                   for a in per_range]
         assert len(cache.layers) == 4 and len(stacks) == 6
-        for a in stacks + [cache.angular.words]:
+        angular = cache.angular_book(training.build_angular_component)
+        for a in stacks + [angular.words]:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 1.0
@@ -700,7 +702,8 @@ class TestTrainingCache:
 
 @pytest.mark.usefixtures("empty_angular_slot")
 class TestAngularSlot:
-    """One angular codebook per process, keyed on what its build reads."""
+    """One shared angular codebook, keyed on what its build reads, that
+    each experiment starts without."""
 
     DESK = dict(carrier_hz=30e9, n_bs=8, n_ue=4, m_x=16, m_y=2,
                 bs_mid=(0, 0, 0), ue_mid=(0.24, 0, 0), ris_mid=(0.1, 0, 0.08),
@@ -780,10 +783,13 @@ class TestAngularSlot:
         # one build per sweep value: the cells of a value share the book
         assert counts["angular"] == 3
         for i, value in enumerate((8, 16, 8)):
-            monkeypatch.setattr(training, "_ANGULAR", None)
+            counts["angular"] = 0
             alone_rows, alone_summary = emitted([value])
             assert rows[1 + 2 * i:3 + 2 * i] == alone_rows[1:]
             assert summary[1 + i] == alone_summary[1]
+            # each experiment starts without the book, even when the one
+            # before it left the same key in the slot (m_x 8 here)
+            assert counts["angular"] == 1
 
     def test_threads_on_alternating_keys_get_their_own_book(self):
         geos = [SystemGeometry.build(**self.DESK),
