@@ -290,9 +290,9 @@ def ao_loop(realization: ChannelRealization, geometry: SystemGeometry, *,
     rejected retrainings are counted in training_regressions.
 
     Only the precoder changes between the cycles' training calls, so they
-    share one `training.TrainingCache`: the angular codebook is built
-    once per call of this function, and a refinement layer whose ranges
+    share one `training.TrainingCache`: a refinement layer whose ranges
     an earlier cycle already split reuses that cycle's distance words.
+    The angular codebook comes from training's shared slot.
     """
     from . import training  # deferred: training builds on the rate helpers
 
