@@ -17,7 +17,7 @@ from risbeam import harness
 from risbeam.channel import cascade
 from risbeam.codebook import build_nn_codebook
 from risbeam.optimizer import _initial_precoder, default_stream_count
-from risbeam.training import TrainingCache, exhaustive_search, hierarchical_nn
+from risbeam.training import exhaustive_search, hierarchical_nn
 
 
 def main():
@@ -36,11 +36,11 @@ def main():
         geometry, real, gb, gu = harness.cell_setup(cfg, seed)
         w = _initial_precoder(cascade(real, np.ones(geometry.m)),
                               default_stream_count("NN", geometry), cfg.p_max_w)
-        # each depth re-walks the shallower depths' layers: share them
-        cache = TrainingCache(geometry)
+        # each depth re-walks the shallower depths' layers, which training
+        # keeps for this geometry
         for layers in range(1, args.max_layers + 1):
             rep = hierarchical_nn(real, w, cfg.noise_w, gb, gu, layers,
-                                  geometry, cache=cache)
+                                  geometry)
             rows.append((f"layered-L{layers}", seed, layers, rep.best_rate,
                          rep.evaluations))
         for pts in (8, 16):

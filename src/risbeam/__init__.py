@@ -38,7 +38,6 @@ from .optimizer import (
     weight_update,
 )
 from .training import (
-    TrainingCache,
     TrainingReport,
     angular_sweep,
     exhaustive_search,

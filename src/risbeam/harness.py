@@ -422,12 +422,11 @@ def _cell_job(args):
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """All (seed x sweep value) cells, merged in deterministic order.
 
-    The cells share one angular codebook per array (see
-    `training.TrainingCache.angular_book`).  The experiment starts with
-    none, so its work, and a trace of it, is the same whatever ran
-    earlier in the process.
+    The experiment starts without training's kept work (see
+    `training`), so its work, and a trace of it, is the same whatever
+    ran earlier in the process.
     """
-    training.drop_angular_book()
+    training.drop_memos()
     jobs = [(cfg, seed, value)
             for value in cfg.sweep_values for seed in cfg.seeds]
     if cfg.workers > 1:

@@ -289,10 +289,8 @@ def ao_loop(realization: ChannelRealization, geometry: SystemGeometry, *,
     codeword is only adopted when it does not reduce the current rate;
     rejected retrainings are counted in training_regressions.
 
-    Only the precoder changes between the cycles' training calls, so they
-    share one `training.TrainingCache`: a refinement layer whose ranges
-    an earlier cycle already split reuses that cycle's distance words.
-    The angular codebook comes from training's shared slot.
+    Training reuses its precoder-independent work across the cycles
+    (see `training`).
     """
     from . import training  # deferred: training builds on the rate helpers
 
@@ -305,26 +303,21 @@ def ao_loop(realization: ChannelRealization, geometry: SystemGeometry, *,
     if q < 1:
         raise ValueError("stream count must be at least 1")
 
-    cache = training.TrainingCache(geometry)
-
     def train(w):
         if scheme == "angular":
-            return training.angular_sweep(realization, w, noise_var, geometry,
-                                          cache=cache)
+            return training.angular_sweep(realization, w, noise_var, geometry)
         if scheme == "hierarchical":
             if grid_bs is None or grid_ue is None or layers is None:
                 raise ValueError("hierarchical training needs both grids and a layer count")
             return training.hierarchical_nn(realization, w, noise_var,
-                                            grid_bs, grid_ue, layers, geometry,
-                                            cache=cache)
+                                            grid_bs, grid_ue, layers, geometry)
         if scheme == "two_stage":
             side = tag if tag in NEAR_SIDE else "FN"   # forced on FF or NN
             grid = grid_bs if NEAR_SIDE[side] == SIDE_BS else grid_ue
             if grid is None or layers is None:
                 raise ValueError("two-stage training needs the near-side grid and a layer count")
             return training.two_stage_hybrid(realization, w, noise_var,
-                                             grid, layers, side, geometry,
-                                             cache=cache)
+                                             grid, layers, side, geometry)
         raise ValueError(f"unknown training scheme {scheme!r}")
 
     phi = np.ones(realization.m, dtype=complex)

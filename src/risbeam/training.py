@@ -14,12 +14,15 @@ pair and M RIS elements):
 Ties are broken toward the lowest codeword index, so reports are
 deterministic functions of (channel, precoder, grids, layer count).
 The refining schemes take s_x and s_y from the grids they are given.
-What does not depend on the precoder (the angular codebook, and each
-refinement layer's quadrants and distance words) can be shared by the
-training calls of one cell through a `TrainingCache`.  The angular
-codebook depends on the array alone, so one copy of it is shared by
-every cell that uses the same array (see `TrainingCache.angular_book`);
-`harness.run_experiment` starts each experiment without it.
+
+What does not depend on the precoder is computed once and kept in two
+one-entry slots of this module.  The angular codebook depends on the
+array alone, so every cell on the same array shares it (`angular_book`).
+A refinement layer's quadrants and distance words depend on its input
+ranges and the geometry, so they are kept per geometry object
+(`_layer_work`); each cell builds its own geometry, so they live for one
+cell and serve all of its training calls.  `drop_memos` empties both
+slots, which `harness.run_experiment` does before each experiment.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .codebook import (
     Codebook,
     Codeword,
     SamplingGrid,
-    build_angular_component,
+    build_angular_component,  # resolvable here for the span tracer of bench/
     build_distance_component,
     build_ff_codebook,
     distance_words,
@@ -61,72 +64,50 @@ class LayerRecord:
     evaluations_total: int
 
 
-# The one shared angular codebook as (key, book); see
-# `TrainingCache.angular_book`.  It is read and replaced as one tuple, so
-# a thread never pairs a key with another key's book; two threads that
-# miss together only build the same words twice.
+# The two slots of precoder-independent work:
+#   _ANGULAR = ((m_x, m_y, spacing_m, wavelength_m), angular codebook)
+#   _LAYERS = (geometry, {layer input ranges: (quadrants, word stacks)})
+# Each is read and replaced as one tuple, so a thread never pairs a key
+# with another key's value; two threads that miss together only compute
+# the same thing twice.  Their arrays are read-only.
 _ANGULAR = None
+_LAYERS = None
 
 
-def _angular_key(geometry: SystemGeometry) -> tuple:
-    """What `build_ff_codebook` reads of the geometry."""
-    return (geometry.m_x, geometry.m_y, geometry.spacing_m,
-            geometry.wavelength_m)
+def drop_memos() -> None:
+    """Empty both slots, so the next training calls compute afresh."""
+    global _ANGULAR, _LAYERS
+    _ANGULAR = _LAYERS = None
 
 
-def drop_angular_book() -> None:
-    """Empty the shared angular codebook slot, so the next training call
-    builds the book again."""
-    global _ANGULAR
-    _ANGULAR = None
+def angular_book(geometry: SystemGeometry) -> Codebook:
+    """The angular codebook of `geometry`'s array.
 
-
-class TrainingCache:
-    """Precoder-independent training work, shared by the training calls
-    of one cell.
-
-    `layers` maps a refinement layer's input ranges, as
-    ((x_min, x_max, y_min, y_max), s_x, s_y, fixed_z) per range in choice
-    order, to that layer's quadrant bounds and per-range (4, S, M) word
-    stacks.  The cache is bound to the geometry it was made for, and its
-    arrays are read-only.  The angular codebook is not kept per cell:
-    `angular_book` reads it from the shared slot.
+    It is taken from the slot when the slot's key (m_x, m_y, spacing_m,
+    wavelength_m), the values `build_ff_codebook` reads, matches;
+    otherwise it is built, made read-only and replaces the slot's one
+    book.  A sweep changes the key only between its values, so each
+    value of an experiment builds the book at most once per process.
     """
-
-    def __init__(self, geometry: SystemGeometry):
-        self.geometry = geometry
-        self.layers: dict = {}
-
-    def bound_to(self, geometry: SystemGeometry) -> TrainingCache:
-        """This cache, if it was made for `geometry`; raises otherwise."""
-        if geometry is not self.geometry:
-            raise ValueError("training cache is bound to another geometry")
-        return self
-
-    def angular_book(self, build) -> Codebook:
-        """The angular codebook of this cache's geometry.
-
-        It is taken from the shared slot when the slot's key (m_x, m_y,
-        spacing_m, wavelength_m) matches; otherwise `build(geometry)`
-        makes it, its words are made read-only, and it replaces the
-        slot's one book, so the slot never grows.  A sweep changes the
-        key only between its values, so each value of an experiment
-        builds the book at most once per process.
-        """
-        global _ANGULAR
-        key = _angular_key(self.geometry)
-        entry = _ANGULAR
-        if entry is None or entry[0] != key:
-            book = build(self.geometry)
-            book.words.flags.writeable = False
-            entry = _ANGULAR = key, book
-        return entry[1]
+    global _ANGULAR
+    key = (geometry.m_x, geometry.m_y, geometry.spacing_m,
+           geometry.wavelength_m)
+    entry = _ANGULAR
+    if entry is None or entry[0] != key:
+        book = build_ff_codebook(geometry)
+        book.words.flags.writeable = False
+        entry = _ANGULAR = key, book
+    return entry[1]
 
 
-def _cache_for(cache: TrainingCache | None,
-               geometry: SystemGeometry) -> TrainingCache:
-    return TrainingCache(geometry) if cache is None else cache.bound_to(
-        geometry)
+def _layer_work(geometry: SystemGeometry) -> dict:
+    """The layer dict of this geometry object (not of an equal one); a
+    new geometry replaces the slot's dict, so it never grows."""
+    global _LAYERS
+    entry = _LAYERS
+    if entry is None or entry[0] is not geometry:
+        entry = _LAYERS = geometry, {}
+    return entry[1]
 
 
 @dataclass
@@ -183,18 +164,15 @@ def _sweep(realization: ChannelRealization, w: np.ndarray, noise_var: float,
 
 
 def angular_sweep(realization: ChannelRealization, w: np.ndarray,
-                  noise_var: float, geometry: SystemGeometry,
-                  cache: TrainingCache | None = None) -> TrainingReport:
+                  noise_var: float, geometry: SystemGeometry) -> TrainingReport:
     """Score every angular codeword; m_x*m_y evaluations."""
-    book = _cache_for(cache, geometry).angular_book(build_ff_codebook)
-    return _sweep(realization, w, noise_var, book)
+    return _sweep(realization, w, noise_var, angular_book(geometry))
 
 
 def _descend(realization: ChannelRealization, w: np.ndarray,
              noise_var: float, geometry: SystemGeometry, ranges: list,
              layers: int, report: TrainingReport,
-             prefix: Codebook | None = None,
-             cache: TrainingCache | None = None) -> TrainingReport:
+             prefix: Codebook | None = None) -> TrainingReport:
     """Layered quadrant refinement shared by the refining schemes.
 
     `ranges` lists (grid, side) pairs in choice order.  A range descends
@@ -215,15 +193,15 @@ def _descend(realization: ChannelRealization, w: np.ndarray,
     and the best codeword accumulate into `report`, which is returned.
 
     A layer's quadrant bounds and word stacks depend only on its input
-    ranges, so they are kept in `cache.layers` under those ranges (a
-    fresh cache when none is given).  A later call of the same cell
-    that reaches the same ranges, usually under another precoder, takes
-    them from there and goes straight to the candidate product; a layer
-    not seen before is computed, and raises, as above.
+    ranges and the geometry, so they are kept in the geometry's layer
+    dict (`_layer_work`) under those ranges.  A later call on the same
+    geometry that reaches the same ranges, usually under another
+    precoder, takes them from there and goes straight to the candidate
+    product; a layer not seen before is computed, and raises, as above.
     """
     if layers < 0:
         raise ValueError("max_layers must be >= 0")
-    cache = _cache_for(cache, geometry)
+    memo = _layer_work(geometry)
     bounds = [grid.bounds for grid, _ in ranges]
     # each range's (4, S, M) words, split off the sample axis
     splits = np.cumsum([grid.s_x * grid.s_y for grid, _ in ranges])[:-1]
@@ -231,7 +209,7 @@ def _descend(realization: ChannelRealization, w: np.ndarray,
     for layer in range(1, layers + 1):
         key = tuple((b, grid.s_x, grid.s_y, grid.fixed_z)
                     for b, (grid, _) in zip(bounds, ranges))
-        work = cache.layers.get(key)
+        work = memo.get(key)
         if work is None:
             quads = [quadrant_bounds(*b, grid.fixed_z)
                      for b, (grid, _) in zip(bounds, ranges)]
@@ -240,7 +218,7 @@ def _descend(realization: ChannelRealization, w: np.ndarray,
                  for q, (grid, _) in zip(quads, ranges)], axis=1)
             words = distance_words(points, geometry)
             words.flags.writeable = False   # the split views inherit it
-            work = cache.layers[key] = quads, np.split(words, splits, axis=1)
+            work = memo[key] = quads, np.split(words, splits, axis=1)
         quads, stacks = work
         # (combination, row, M): each range adds the slowest quadrant
         # axis and the fastest sample axis
@@ -278,8 +256,7 @@ def _descend(realization: ChannelRealization, w: np.ndarray,
 def hierarchical_nn(realization: ChannelRealization, w: np.ndarray,
                     noise_var: float, grid_bs: SamplingGrid,
                     grid_ue: SamplingGrid, layers: int,
-                    geometry: SystemGeometry,
-                    cache: TrainingCache | None = None) -> TrainingReport:
+                    geometry: SystemGeometry) -> TrainingReport:
     """Layered search over both sample ranges.
 
     Each layer quadrisects the current BS and user ranges, scores all 16
@@ -292,14 +269,12 @@ def hierarchical_nn(realization: ChannelRealization, w: np.ndarray,
     empty = TrainingReport(best_codeword=None, best_rate=-np.inf,
                            evaluations=0, layer_trace=[])
     return _descend(realization, w, noise_var, geometry,
-                    [(grid_bs, SIDE_BS), (grid_ue, SIDE_UE)], layers, empty,
-                    cache=cache)
+                    [(grid_bs, SIDE_BS), (grid_ue, SIDE_UE)], layers, empty)
 
 
 def two_stage_hybrid(realization: ChannelRealization, w: np.ndarray,
                      noise_var: float, grid: SamplingGrid, layers: int,
-                     side: str, geometry: SystemGeometry,
-                     cache: TrainingCache | None = None) -> TrainingReport:
+                     side: str, geometry: SystemGeometry) -> TrainingReport:
     """Angular sweep first, then layered distance refinement on one side.
 
     side "NF" refines the BS-side range, "FN" the user-side range; the
@@ -310,11 +285,8 @@ def two_stage_hybrid(realization: ChannelRealization, w: np.ndarray,
     """
     if side not in NEAR_SIDE:
         raise ValueError(f"side must be 'NF' or 'FN', got {side!r}")
-    cache = _cache_for(cache, geometry)
-    report = _sweep(realization, w, noise_var,
-                    cache.angular_book(build_angular_component))
+    report = _sweep(realization, w, noise_var, angular_book(geometry))
     win = report.best_codeword
     fixed = Codebook(words=win.coeffs[None, :], provenance=(win.provenance,))
     return _descend(realization, w, noise_var, geometry,
-                    [(grid, NEAR_SIDE[side])], layers, report, prefix=fixed,
-                    cache=cache)
+                    [(grid, NEAR_SIDE[side])], layers, report, prefix=fixed)

@@ -102,6 +102,22 @@ def test_integer_keys_checked_at_parse(text, match):
         parse_config(text)
 
 
+@pytest.mark.parametrize("text", [
+    "seeds: 3\nout: a.csv\nmodel: FF\nseeds: [4, 5]\nout: b.csv",
+    # a shipped config that sets both, with the two lines appended
+    (CONFIGS / "desk_nn.cfg").read_text() + "seeds: [4, 5]\nout: b.csv\n",
+], ids=["inline", "shipped"])
+def test_repeated_key_takes_its_last_value(text):
+    cfg = parse_config(text)
+    assert cfg.seeds == (4, 5) and cfg.out == "b.csv"
+
+
+def test_repeated_sweep_rejected_with_its_line():
+    with pytest.raises(ConfigError,
+                       match="line 3: multiple sweep parameters"):
+        parse_config("sweep: m_x in [8]\nseeds: 2\nsweep: m_x in [16]")
+
+
 def test_zero_layer_sweep_stays_legal():
     assert parse_config("sweep: layers in [0, 1]").sweep_values == (0.0, 1.0)
 

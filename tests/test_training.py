@@ -28,7 +28,6 @@ from risbeam.codebook import (
 from risbeam.geometry import LINK_BS_RIS, LINK_RIS_UE, SystemGeometry
 from risbeam.optimizer import rates_for_phase_batch
 from risbeam.training import (
-    TrainingCache,
     TrainingReport,
     _descend,
     angular_sweep,
@@ -526,16 +525,36 @@ def report_bytes(rep):
             repr(rep.best_rate), rep.evaluations, repr(rep.layer_trace))
 
 
-@pytest.fixture
-def empty_angular_slot(monkeypatch):
-    """Start from an empty shared angular codebook slot."""
+def empty_both_slots(monkeypatch):
     monkeypatch.setattr(training, "_ANGULAR", None)
+    monkeypatch.setattr(training, "_LAYERS", None)
 
 
-@pytest.mark.usefixtures("empty_angular_slot")
-class TestTrainingCache:
-    """One cache per cell for each layer's words; the angular codebook
-    comes from the shared slot."""
+@pytest.fixture
+def empty_slots(monkeypatch):
+    """Start from empty angular and layer slots."""
+    empty_both_slots(monkeypatch)
+
+
+def run_threads(train, n=4):
+    """Run `train(i)` on n threads with a tiny switch interval."""
+    threads = [threading.Thread(target=train, args=(i,)) for i in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+
+@pytest.mark.usefixtures("empty_slots")
+class TestLayerSlot:
+    """Each layer's words are kept for the geometry object they were made
+    for; the angular codebook comes from its own slot."""
 
     SCHEMES = ("angular_sweep", "hierarchical_nn", "two_stage_hybrid")
 
@@ -561,8 +580,8 @@ class TestTrainingCache:
     @pytest.mark.parametrize("scale", ["desk", "paper"])
     @pytest.mark.parametrize("label, model, scheme", harness.VARIANTS,
                              ids=[v[0] for v in harness.VARIANTS])
-    def test_cell_replay_matches_fresh_caches(self, monkeypatch, scale, label,
-                                              model, scheme):
+    def test_cell_replay_matches_empty_slots(self, monkeypatch, scale, label,
+                                             model, scheme):
         cfg = replace(harness.parse_config("", scale=scale), model=model,
                       training=scheme)
         calls = []
@@ -582,16 +601,17 @@ class TestTrainingCache:
         harness.solve_cell(cfg, seed=1)
         shared = dict(counts)
         assert len(calls) >= 2
-        assert len({id(kwargs["cache"]) for *_, kwargs, _ in calls}) == 1
+        # every call trained on the cell's one geometry object
+        assert len({id(args[-1]) for _, args, *_ in calls}) == 1
         for original, args, kwargs, got in calls:
-            fresh = original(*args)
-            assert got == report_bytes(fresh)
+            empty_both_slots(monkeypatch)
+            assert got == report_bytes(original(*args, **kwargs))
         fresh_work = {k: counts[k] - shared[k] for k in counts}
         # the cell reused work: each training call starts at the same
         # ranges; the angular codebook was built at most once, in the
-        # cell's first call, and the fresh caches took that book
+        # cell's first call, while every replay from empty slots built it
         assert shared["angular"] == (scheme == "angular" or model != "NN")
-        assert fresh_work["angular"] == 0
+        assert fresh_work["angular"] == len(calls) * shared["angular"]
         if model != "FF" and scheme != "angular":
             assert shared["words"] < fresh_work["words"]
 
@@ -602,105 +622,160 @@ class TestTrainingCache:
         real = nn_realization(g)
         w = matched_precoder(real, g)
         gb, gu = desk_grids(g)
-        cache = TrainingCache(g)
 
-        def train(cache):
+        def train():
             if scheme == "NN":
-                return hierarchical_nn(real, w, NOISE, gb, gu, 4, g,
-                                       cache=cache)
+                return hierarchical_nn(real, w, NOISE, gb, gu, 4, g)
             if scheme == "angular":
-                return angular_sweep(real, w, NOISE, g, cache=cache)
+                return angular_sweep(real, w, NOISE, g)
             return two_stage_hybrid(real, w, NOISE, gb if scheme == "NF"
-                                    else gu, 4, scheme, g, cache=cache)
+                                    else gu, 4, scheme, g)
 
         counts = self.count_work(monkeypatch)
-        first = report_bytes(train(cache))
+        first = report_bytes(train())
         words = 0 if scheme == "angular" else 4
-        assert counts == {"words": words,
-                          "angular": 0 if scheme == "NN" else 1}
+        angular = 0 if scheme == "NN" else 1
+        assert counts == {"words": words, "angular": angular}
         counts.update(words=0, angular=0)
-        assert report_bytes(train(cache)) == first
+        assert report_bytes(train()) == first
         assert counts == {"words": 0, "angular": 0}
-        # a fresh cache makes its layers' words again, but takes the
-        # shared angular codebook
-        assert report_bytes(train(TrainingCache(g))) == first
+        # an empty layer slot makes the layers' words again, but the
+        # angular codebook still comes from its slot
+        monkeypatch.setattr(training, "_LAYERS", None)
+        assert report_bytes(train()) == first
         assert counts == {"words": words, "angular": 0}
+        counts.update(words=0, angular=0)
+        empty_both_slots(monkeypatch)
+        assert report_bytes(train()) == first
+        assert counts == {"words": words, "angular": angular}
 
     @pytest.mark.parametrize("change", [
         {"fixed_z": 0.03}, {"s_x": 3}, {"s_y": 1}, {"x_max": 0.25}])
-    def test_layers_are_keyed_on_bounds_counts_and_height(self, change):
+    def test_layers_are_keyed_on_bounds_counts_and_height(self, monkeypatch,
+                                                          change):
         g = desk_geometry(ue=(0.26, 0.01, 0.0))
         real = nn_realization(g)
         w = matched_precoder(real, g)
         gb, gu = desk_grids(g)
         moved = replace(gu, **change)
-        cache = TrainingCache(g)
-        for side, grid in (("FN", gu), ("FN", moved), ("NF", moved)):
-            shared = two_stage_hybrid(real, w, NOISE, grid, 3, side, g,
-                                      cache=cache)
-            fresh = two_stage_hybrid(real, w, NOISE, grid, 3, side, g)
-            assert report_bytes(shared) == report_bytes(fresh)
-        hierarchical_nn(real, w, NOISE, gb, gu, 3, g, cache=cache)
-        shared = hierarchical_nn(real, w, NOISE, gb, moved, 3, g, cache=cache)
-        fresh = hierarchical_nn(real, w, NOISE, gb, moved, 3, g)
-        assert report_bytes(shared) == report_bytes(fresh)
+        runs = [(two_stage_hybrid, (grid, 3, side))
+                for side, grid in (("FN", gu), ("FN", moved), ("NF", moved))]
+        runs += [(hierarchical_nn, (gb, gu, 3)),
+                 (hierarchical_nn, (gb, moved, 3))]
+        fresh = []
+        for scheme, args in runs:
+            empty_both_slots(monkeypatch)
+            fresh.append(report_bytes(scheme(real, w, NOISE, *args, g)))
+        empty_both_slots(monkeypatch)
+        for (scheme, args), want in zip(runs, fresh):
+            assert report_bytes(scheme(real, w, NOISE, *args, g)) == want
 
-    def test_cache_is_bound_to_its_geometry(self):
+    def test_equal_geometry_never_reads_the_first_ones_words(self,
+                                                              monkeypatch):
         g = desk_geometry()
         other = desk_geometry()    # equal values, another object
         real = nn_realization(g)
         w = matched_precoder(real, g)
         gb, gu = desk_grids(g)
-        cache = TrainingCache(g)
         for train in (
-                lambda geo: angular_sweep(real, w, NOISE, geo, cache=cache),
-                lambda geo: hierarchical_nn(real, w, NOISE, gb, gu, 1, geo,
-                                            cache=cache),
-                lambda geo: two_stage_hybrid(real, w, NOISE, gb, 1, "NF",
-                                             geo, cache=cache)):
-            with pytest.raises(ValueError, match="another geometry"):
-                train(other)
+                lambda geo: hierarchical_nn(real, w, NOISE, gb, gu, 2, geo),
+                lambda geo: two_stage_hybrid(real, w, NOISE, gb, 2, "NF",
+                                             geo)):
+            empty_both_slots(monkeypatch)
+            want = report_bytes(train(other))
+            empty_both_slots(monkeypatch)
             train(g)
+            # spoil g's kept words: a read of them would change the report
+            kept = training._LAYERS[1]
+            for key, (quads, stacks) in kept.items():
+                kept[key] = quads, [np.zeros_like(a) for a in stacks]
+            counts = self.count_work(monkeypatch)
+            assert report_bytes(train(other)) == want
+            assert counts["words"] == 2
+            assert training._LAYERS[0] is other
+
+    def test_slot_holds_its_geometry_and_is_replaced(self):
+        g = desk_geometry()
+        real = nn_realization(g)
+        w = matched_precoder(real, g)
+        gb, gu = desk_grids(g)
+        hierarchical_nn(real, w, NOISE, gb, gu, 2, g)
+        geometry, kept = training._LAYERS
+        assert geometry is g and len(kept) == 2
+        h = desk_geometry(ue=(0.26, 0.01, 0.0))
+        hierarchical_nn(real, w, NOISE, gb, gu, 1, h)
+        geometry, kept = training._LAYERS
+        # one geometry's layers at a time: the slot never grows
+        assert geometry is h and len(kept) == 1
 
     def test_cached_arrays_are_read_only(self):
         g = desk_geometry()
         real = nn_realization(g)
         w = matched_precoder(real, g)
         gb, gu = desk_grids(g)
-        cache = TrainingCache(g)
-        hierarchical_nn(real, w, NOISE, gb, gu, 2, g, cache=cache)
-        two_stage_hybrid(real, w, NOISE, gu, 2, "FN", g, cache=cache)
-        stacks = [a for _, per_range in cache.layers.values()
-                  for a in per_range]
-        assert len(cache.layers) == 4 and len(stacks) == 6
-        angular = cache.angular_book(training.build_angular_component)
+        hierarchical_nn(real, w, NOISE, gb, gu, 2, g)
+        two_stage_hybrid(real, w, NOISE, gu, 2, "FN", g)
+        kept = training._LAYERS[1]
+        stacks = [a for _, per_range in kept.values() for a in per_range]
+        assert len(kept) == 4 and len(stacks) == 6
+        angular = training.angular_book(g)
         for a in stacks + [angular.words]:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 1.0
 
-    def test_warm_cache_still_raises_at_the_degenerate_layer(self,
-                                                             monkeypatch):
+    def test_warm_slot_still_raises_at_the_degenerate_layer(self,
+                                                            monkeypatch):
         g = desk_geometry()
         real = nn_realization(g)
         w = matched_precoder(real, g)
         gb, gu = desk_grids(g)
         # two ulps wide: halves at layer 1, cannot be halved at layer 2
         narrow = replace(gu, x_min=0.0, x_max=2 * float(np.nextafter(0, 1)))
-        cache = TrainingCache(g)
-        hierarchical_nn(real, w, NOISE, gb, narrow, 1, g, cache=cache)
         with pytest.raises(ValueError) as cold:
             hierarchical_nn(real, w, NOISE, gb, narrow, 3, g)
+        empty_both_slots(monkeypatch)
+        hierarchical_nn(real, w, NOISE, gb, narrow, 1, g)
         counts = self.count_work(monkeypatch)
         batches = TestArrayNativeDescent.capture_phis(monkeypatch)
         with pytest.raises(ValueError, match="degenerate sampling range") as warm:
-            hierarchical_nn(real, w, NOISE, gb, narrow, 3, g, cache=cache)
+            hierarchical_nn(real, w, NOISE, gb, narrow, 3, g)
         assert str(warm.value) == str(cold.value)
-        # layer 1 came from the cache and was scored; layer 2 raised
+        # layer 1 came from the slot and was scored; layer 2 raised
         assert len(batches) == 1 and counts["words"] == 0
 
+    def test_threads_on_alternating_geometries_match_the_serial_run(
+            self, monkeypatch):
+        # the RIS moves, so the two geometries' distance words differ
+        geos = [desk_geometry(),
+                SystemGeometry.build(30e9, n_bs=8, n_ue=4, m_x=16, m_y=2,
+                                     bs_mid=(0, 0, 0), ue_mid=(0.24, 0, 0),
+                                     ris_mid=(0.12, 0.01, 0.1))]
+        cells = []
+        for g in geos:
+            real = nn_realization(g)
+            cells.append((real, matched_precoder(real, g), *desk_grids(g), g))
 
-@pytest.mark.usefixtures("empty_angular_slot")
+        def train(k):
+            real, w, gb, gu, g = cells[k % 2]
+            return report_bytes(hierarchical_nn(real, w, NOISE, gb, gu, 3, g))
+
+        want = []
+        for k in (0, 1):
+            empty_both_slots(monkeypatch)
+            want.append(train(k))
+        wrong = []
+
+        def worker(start):
+            for k in range(start, start + 20):
+                if train(k) != want[k % 2]:
+                    wrong.append(k)
+
+        run_threads(worker)
+        assert wrong == []
+
+
+@pytest.mark.usefixtures("empty_slots")
 class TestAngularSlot:
     """One shared angular codebook, keyed on what its build reads, that
     each experiment starts without."""
@@ -709,31 +784,25 @@ class TestAngularSlot:
                 bs_mid=(0, 0, 0), ue_mid=(0.24, 0, 0), ris_mid=(0.1, 0, 0.08),
                 spacing_wavelengths=0.5)
 
-    @staticmethod
-    def book_for(g, build=None):
-        return TrainingCache(g).angular_book(build or training.build_ff_codebook)
-
     @pytest.mark.parametrize("scale", ["desk", "paper"])
     def test_shared_book_equals_a_fresh_build(self, scale):
         g = harness.geometry_from(harness.parse_config("", scale=scale))
         fresh = build_ff_codebook(g)
-        for build in (training.build_ff_codebook,
-                      training.build_angular_component):
-            book = self.book_for(g, build)
-            assert book.words.shape == fresh.words.shape
-            assert book.words.tobytes() == fresh.words.tobytes()
-            assert book.provenance == fresh.provenance
+        book = training.angular_book(g)
+        assert training.angular_book(g) is book
+        assert book.words.shape == fresh.words.shape
+        assert book.words.tobytes() == fresh.words.tobytes()
+        assert book.provenance == fresh.provenance
 
     @pytest.mark.parametrize("moved", [
         {"bs_mid": (0.05, 0.02, 0)}, {"ris_mid": (0.12, 0.01, 0.1)},
         {"ue_mid": (0.26, 0.01, 0)}])
     def test_positions_share_the_book_without_a_build(self, monkeypatch,
                                                       moved):
-        book = self.book_for(SystemGeometry.build(**self.DESK))
-        counts = TestTrainingCache.count_work(monkeypatch)
+        book = training.angular_book(SystemGeometry.build(**self.DESK))
+        counts = TestLayerSlot.count_work(monkeypatch)
         g = SystemGeometry.build(**self.DESK | moved)
-        assert self.book_for(g) is book
-        assert self.book_for(g, training.build_angular_component) is book
+        assert training.angular_book(g) is book
         real = nn_realization(g)
         w = matched_precoder(real, g)
         angular_sweep(real, w, NOISE, g)
@@ -747,22 +816,23 @@ class TestAngularSlot:
                                                             change):
         g0 = SystemGeometry.build(**self.DESK)
         g1 = SystemGeometry.build(**self.DESK | change)
-        counts = TestTrainingCache.count_work(monkeypatch)
-        first = self.book_for(g0)
-        other = self.book_for(g1)
+        counts = TestLayerSlot.count_work(monkeypatch)
+        first = training.angular_book(g0)
+        other = training.angular_book(g1)
         assert counts["angular"] == 2
         assert other.words.tobytes() == build_ff_codebook(g1).words.tobytes()
         # the slot holds one book: g1's replaced g0's
-        assert training._ANGULAR == (training._angular_key(g1), other)
-        again = self.book_for(g0)
+        key = (g1.m_x, g1.m_y, g1.spacing_m, g1.wavelength_m)
+        assert training._ANGULAR == (key, other)
+        again = training.angular_book(g0)
         assert counts["angular"] == 3 and again is not first
         assert again.words.tobytes() == first.words.tobytes()
         assert again.provenance == first.provenance
 
     def test_shared_words_are_read_only(self):
         g = desk_geometry()
-        self.book_for(g)
-        book = self.book_for(g, training.build_angular_component)
+        training.angular_book(g)
+        book = training.angular_book(g)
         assert not book.words.flags.writeable
         for target in (book.words, book[0].coeffs):
             with pytest.raises(ValueError):
@@ -778,7 +848,7 @@ class TestAngularSlot:
             return (out.read_bytes().splitlines(),
                     out.with_suffix(".summary.csv").read_bytes().splitlines())
 
-        counts = TestTrainingCache.count_work(monkeypatch)
+        counts = TestLayerSlot.count_work(monkeypatch)
         rows, summary = emitted([8, 16, 8])
         # one build per sweep value: the cells of a value share the book
         assert counts["angular"] == 3
@@ -799,20 +869,9 @@ class TestAngularSlot:
 
         def train(start):
             for k in range(start, start + 40):
-                book = self.book_for(geos[k % 2])
+                book = training.angular_book(geos[k % 2])
                 if book.words.tobytes() != want[k % 2]:
                     wrong.append(k)
 
-        threads = [threading.Thread(target=train, args=(i,))
-                   for i in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        run_threads(train)
         assert wrong == []
