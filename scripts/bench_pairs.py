@@ -25,12 +25,18 @@ The file also holds, per trace setting and metric:
   Within such a spread a median inside the bound does not show that
   the metric held, so it is reported as unresolved, not as unchanged.
 
+`checkouts` names what was compared: each side's `git rev-parse HEAD`
+and whether its tree differs from that commit (`git status
+--porcelain`, untracked files included), read before the first run;
+both are null for a directory that is not a git checkout.
+
 A gain may be claimed when the change wins at least 9 of 10 pairs and
 the medians differ by more than the parent's quartile distance.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -50,6 +56,22 @@ def run(checkout: Path, trace: int) -> dict:
         raise RuntimeError(f"{checkout} --trace {trace}: correct="
                            f"{result['correct']}, failed={result['failed']}")
     return result
+
+
+def checkout_state(checkout: Path) -> dict:
+    """The commit `checkout` holds and whether its tree is dirty."""
+    def git(*args):
+        # the ceiling keeps git from reporting a repository above checkout
+        env = {**os.environ,
+               "GIT_CEILING_DIRECTORIES": str(checkout.resolve().parent)}
+        out = subprocess.run(["git", "-C", str(checkout), *args], env=env,
+                             capture_output=True, text=True)
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    head = git("rev-parse", "HEAD")
+    if head is None:
+        return {"head": None, "dirty": None}
+    return {"head": head, "dirty": git("status", "--porcelain") != ""}
 
 
 def summary(pairs: list, better: dict) -> dict:
@@ -132,7 +154,9 @@ def main():
 
     record = {"command": f"bench/run.py --workload all --seconds {SECONDS} "
                          f"--trace <0|1>",
-              "order": "parent first in odd pairs, change first in even"}
+              "order": "parent first in odd pairs, change first in even",
+              "checkouts": {side: checkout_state(getattr(args, side))
+                            for side in ("parent", "change")}}
     for trace in (0, 1):
         pairs = []
         for i in range(PAIRS):

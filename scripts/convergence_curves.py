@@ -3,7 +3,7 @@
 
 Writes one CSV row per (variant, seed, iteration) so the convergence of
 the alternating optimizer can be plotted per model.  Desk scale by
-default; pass --scale paper for the full-size layout (minutes).
+default; pass --scale paper for the full-size layout (seconds).
 """
 
 import argparse

@@ -31,6 +31,37 @@ def centered_offsets(n: int, spacing: float) -> np.ndarray:
     return (np.arange(n) - (n - 1) / 2.0) * spacing
 
 
+def check_layout(carrier_hz, n_bs, n_ue, m_x, m_y, bs_mid, ue_mid, ris_mid,
+                 spacing_wavelengths=0.5) -> None:
+    """Raise ValueError if a link of this layout cannot carry a channel.
+
+    Takes the arguments of `SystemGeometry.build` and places the elements
+    as `SystemGeometry.element_positions` does, but reads only each
+    array's coordinates along its own axes: it costs O(n_bs + n_ue + m_x +
+    m_y), so `harness.parse_config` can run it on every layout of a config
+    before any geometry is built.  A link whose two midpoints coincide has
+    zero length: no direction and no free-space gain, so its far-field
+    model fails.  A BS or user element on a RIS element leaves the
+    near-field entry of that pair undefined.
+    """
+    spacing = spacing_wavelengths * (SPEED_OF_LIGHT / carrier_hz)
+    ris = np.asarray(ris_mid, dtype=float)
+    # coordinates that overflow to inf or nan match nothing, so need no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        ris_x = ris[0] + centered_offsets(m_x, spacing)
+        ris_y = ris[1] + centered_offsets(m_y, spacing)
+        for link, node, n, mid in ((LINK_BS_RIS, NODE_BS, n_bs, bs_mid),
+                                   (LINK_RIS_UE, NODE_UE, n_ue, ue_mid)):
+            mid = np.asarray(mid, dtype=float)
+            if np.linalg.norm(mid - ris) == 0.0:
+                raise ValueError(f"zero-length {link} link: the {node} and RIS "
+                                 f"midpoints coincide at {mid.tolist()}")
+            ula_x = mid[0] + centered_offsets(n, spacing)
+            if mid[2] == ris[2] and np.any(ris_y == mid[1]) \
+                    and np.intersect1d(ula_x, ris_x).size:
+                raise ValueError(f"coincident {node} and RIS elements")
+
+
 @dataclass(frozen=True)
 class SystemGeometry:
     """Immutable spatial layout of one BS / RIS / user deployment.

@@ -29,12 +29,15 @@ import numpy as np
 from . import training
 from .channel import GAIN_MODES, MODEL_TAGS, synthesize_channel
 from .codebook import SamplingGrid
-from .geometry import SPEED_OF_LIGHT, SystemGeometry
+from .geometry import SPEED_OF_LIGHT, SystemGeometry, check_layout
 from .optimizer import AOState, ao_loop
 
 TRAINING_SCHEMES = ("auto", "angular", "hierarchical", "two_stage")
 
 _RIS_AXES = ("ris_x", "ris_y", "ris_z")
+# the keys that place the array elements
+_LAYOUT_KEYS = ("carrier_hz", "spacing_wavelengths", "n_bs", "n_ue", "m_x",
+                "m_y", "bs_pos_m", "ue_pos_m", "ris_pos_m")
 
 SWEEPABLE = ("power_dbm", "noise_dbm", *_RIS_AXES,
              "m_x", "m_y", "n_bs", "n_ue", "layers", "s_x", "s_y",
@@ -291,7 +294,7 @@ def parse_config(text: str, scale: str = "desk") -> ExperimentConfig:
     """Parse a key/value config document on top of the scale's defaults."""
     values = {key: CONFIG_SCHEMA[key].check(default)
               for key, default in scale_defaults(scale).items()}
-    given = set()
+    given = {}                                   # key: line it was last set on
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -305,14 +308,37 @@ def parse_config(text: str, scale: str = "desk") -> ExperimentConfig:
         if key == "sweep" and key in given:
             raise ConfigError(
                 f"line {lineno}: multiple sweep parameters; only one allowed")
-        given.add(key)
+        given[key] = lineno
         try:
             parsed = _parse_list(val) if val.startswith("[") \
                 else _parse_scalar(val)
             values[key] = CONFIG_SCHEMA[key].check(parsed)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {key} {exc}") from None
-    return ExperimentConfig(**values)
+    cfg = ExperimentConfig(**values)
+    _check_layouts(cfg, given)
+    return cfg
+
+
+def _check_layouts(cfg: ExperimentConfig, given: dict) -> None:
+    """Reject a nominal layout that fails every cell (see
+    `geometry.check_layout`): the base config's, named by the last line
+    that set a layout key, and each sweep value's, named by the sweep
+    line."""
+    lines = [given[k] for k in _LAYOUT_KEYS if k in given]
+    cells = [(cfg, (f"line {max(lines)}: " if lines else "")
+              + "layout rejected")]
+    if cfg.sweep_param in _LAYOUT_KEYS + _RIS_AXES:
+        cells += [(apply_sweep(cfg, value), f"line {given['sweep']}: sweep "
+                   f"value {value:g} for {cfg.sweep_param}")
+                  for value in cfg.sweep_values]
+    for cell, where in cells:
+        try:
+            check_layout(cell.carrier_hz, cell.n_bs, cell.n_ue, cell.m_x,
+                         cell.m_y, cell.bs_pos_m, cell.ue_pos_m,
+                         cell.ris_pos_m, cell.spacing_wavelengths)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
 
 
 def load_config(path, scale: str = "desk") -> ExperimentConfig:

@@ -24,7 +24,9 @@ _BUDGET_REL_SLACK = 1e-9
 # solve_precoder's bisection stops once the budget is met to this relative gap
 _BUDGET_REL_TOL = 1e-12
 _MAX_BISECT = 500
-# rates_for_phase_batch's work arrays, one set per thread
+# bisection steps per batched power evaluation (2^depth - 1 midpoints)
+_BISECT_DEPTH = 4
+# rates_for_phase_batch's kept operand and work arrays, one set per thread
 _WORK = threading.local()
 
 
@@ -89,23 +91,47 @@ def achievable_rate(h: np.ndarray, w: np.ndarray, noise_var: float) -> float:
     return float(np.sum(np.log2(1.0 + s * s / noise_var)))
 
 
-def _work_arrays(m: int, k: int, n_ue: int, q: int) -> tuple:
-    """This thread's (C, B, conj B, Gram) for the kernel shape, reused
-    while the shape repeats and replaced when it changes."""
-    key = (m, k, n_ue, q)
-    if getattr(_WORK, "key", None) != key:
+def _operand(realization: ChannelRealization, w: np.ndarray,
+             noise_var: float) -> np.ndarray:
+    """This thread's kernel operand C for (realization, w, noise_var).
+
+    C is kept with its key: the realization object itself (compared with
+    `is`), w's shape, dtype and bytes, and noise_var with its type.  A
+    call under the same key takes C as it is, so the scoring calls of one
+    training call, whatever their batch size, build it once; any other
+    key rebuilds it, into the same array while the shape holds.
+    """
+    key = (w.shape, w.dtype, w.tobytes(), type(noise_var), noise_var)
+    held = getattr(_WORK, "operand", None)
+    if held is not None and held[0] is realization and held[1] == key:
+        return held[2]
+    t = realization.g_bs_ris @ w / np.sqrt(noise_var)           # (M, q)
+    m, q = t.shape
+    n_ue = realization.g_ris_ue.shape[0]
+    if held is not None and held[2].shape == (m, n_ue, q):
+        c = held[2]
+    else:
         # C is laid out as numpy lays out g_ris_ue.T * t for C-ordered
         # channels and as the GEMM then reads it: an F-ordered (M, n_ue)
         # view for q = 1, C-ordered otherwise; the same BLAS path then
         # gives the same bits
         c = (np.empty((n_ue, m, q), dtype=complex).transpose(1, 0, 2)
              if q == 1 else np.empty((m, n_ue, q), dtype=complex))
-        _WORK.key = key
-        _WORK.arrays = (c,
-                        np.empty((k, n_ue, q), dtype=complex),
-                        np.empty((k, n_ue, q), dtype=complex),
-                        np.empty((k, q, q), dtype=complex))
-    return _WORK.arrays
+    np.multiply(realization.g_ris_ue.T[:, :, None], t[:, None, :], out=c)
+    _WORK.operand = realization, key, c
+    return c
+
+
+def _batch_arrays(k: int, n_ue: int, q: int) -> tuple:
+    """This thread's (B, conj B, Gram) for K candidates, reused while the
+    shape repeats and replaced when it changes."""
+    key = (k, n_ue, q)
+    held = getattr(_WORK, "batch", None)
+    if held is None or held[0] != key:
+        held = _WORK.batch = key, (np.empty((k, n_ue, q), dtype=complex),
+                                   np.empty((k, n_ue, q), dtype=complex),
+                                   np.empty((k, q, q), dtype=complex))
+    return held[1]
 
 
 def rates_for_phase_batch(realization: ChannelRealization, phis: np.ndarray,
@@ -115,18 +141,21 @@ def rates_for_phase_batch(realization: ChannelRealization, phis: np.ndarray,
     One GEMM phis @ C, C[m, (u, q)] = G_ris_ue[u, m] (G_bs_ris W)[m, q] / s
     with s = sqrt(noise_var), gives each candidate's B = HW / s; its rate is
     the q x q log-det log2 det(I_q + B^H B).  Non-finite rates raise.  A 1-D
-    `phis` is one candidate.  C, B, conj B and the Gram stack are written
-    into work arrays that are per-thread and reused while the shape
-    repeats, so paper-scale batches do not fault in fresh pages per call;
-    the returned rates are always a fresh array.
+    `phis` is one candidate.
+
+    C depends on the precoder but not on the candidates, so it is kept per
+    thread and built once for a run of calls under one (realization, w,
+    noise_var) (`_operand`); the realization's matrices must not change in
+    place while it is in use.  B, conj B and the Gram stack are written
+    into per-thread arrays reused while the batch shape repeats, so
+    paper-scale batches do not fault in fresh pages per call; the returned
+    rates are always a fresh array.
     """
     phis = np.asarray(phis)
-    t = realization.g_bs_ris @ w / np.sqrt(noise_var)           # (M, q)
-    m, q = t.shape
-    n_ue = realization.g_ris_ue.shape[0]
+    c = _operand(realization, w, noise_var)
+    m, n_ue, q = c.shape
     k = phis.shape[0] if phis.ndim == 2 else 1
-    c, b, bc, gram = _work_arrays(m, k, n_ue, q)
-    np.multiply(realization.g_ris_ue.T[:, :, None], t[:, None, :], out=c)
+    b, bc, gram = _batch_arrays(k, n_ue, q)
     np.matmul(phis, c.reshape(m, -1), out=b.reshape(phis.shape[:-1] + (-1,)))
     np.conjugate(b, out=bc)
     np.matmul(bc.swapaxes(1, 2), b, out=gram)
@@ -167,6 +196,60 @@ def weight_update(e: np.ndarray) -> np.ndarray:
     return 0.5 * (f + f.conj().T)
 
 
+def _norm_sq(row_pow: np.ndarray, lam: np.ndarray, live: np.ndarray,
+             mus: list, terms: np.ndarray) -> list:
+    """||W(mu)||^2 = sum of row_pow / (lam + mu)^2 over the live rows, for
+    each mu of `mus`, as one (len(mus), n) array operation into `terms`,
+    whose masked entries stay zero.  A row's sum is bit-identical to the
+    sum of the same terms as a 1-D array."""
+    sq = lam + np.array(mus)[:, None]
+    np.square(sq, out=sq)
+    np.divide(row_pow, sq, out=terms, where=live)
+    return terms.sum(axis=1).tolist()
+
+
+def _bisect_budget(row_pow: np.ndarray, lam: np.ndarray, live: np.ndarray,
+                   p_max: float, hi: float) -> float:
+    """The multiplier mu in (0, hi] at which ||W(mu)||^2 meets p_max.
+
+    Plain bisection: each step halves [lo, hi] at mu = 0.5 * (lo + hi),
+    keeps the half on which the budget is crossed, and stops once the
+    power at mu is feasible and within _BUDGET_REL_TOL of p_max; the
+    feasible end hi is returned.  The steps are taken _BISECT_DEPTH at a
+    time: a round forms, in Python floats, the 2^depth - 1 midpoints that
+    its steps can reach (heap order: node i halves toward 2i + 1 when the
+    power exceeds the budget, toward 2i + 2 otherwise), evaluates the power
+    at all of them in one `_norm_sq` call, and then takes its steps from
+    that table.  So the steps, the result and the _MAX_BISECT limit are
+    those of one-at-a-time bisection, bit for bit.
+    """
+    terms = np.zeros((2 ** _BISECT_DEPTH - 1, lam.size))
+    lo, steps = 0.0, 0
+    while True:
+        spans, mids = [(lo, hi)], []
+        for _ in range(_BISECT_DEPTH):
+            halves = []
+            for a, b in spans:
+                mid = 0.5 * (a + b)
+                mids.append(mid)
+                halves += [(mid, b), (a, mid)]
+            spans = halves
+        vals = _norm_sq(row_pow, lam, live, mids, terms)
+        node = 0
+        for _ in range(_BISECT_DEPTH):
+            if steps == _MAX_BISECT:
+                raise RuntimeError(
+                    f"power bisection did not converge in {_MAX_BISECT} steps")
+            steps += 1
+            mu, val = mids[node], vals[node]
+            if val > p_max:
+                lo, node = mu, 2 * node + 1
+            else:
+                hi, node = mu, 2 * node + 2
+                if p_max - val <= _BUDGET_REL_TOL * p_max:
+                    return hi                # feasible side of the bracket
+
+
 def solve_precoder(h: np.ndarray, u: np.ndarray, f: np.ndarray,
                    p_max: float) -> Precoder:
     """Minimize Tr(W^H A W) - 2 Tr(Re(F U^H H W)) s.t. ||W||_F^2 <= p_max.
@@ -174,7 +257,7 @@ def solve_precoder(h: np.ndarray, u: np.ndarray, f: np.ndarray,
     A = H^H U F U^H H.  Solved in closed form through the eigenbasis of A:
     W(mu) = (A + mu I)^-1 H^H U F with mu = 0 when the unconstrained
     solution fits the budget, otherwise mu > 0 found by bisection so the
-    budget holds with equality.
+    budget holds with equality (`_bisect_budget`).
     """
     if p_max <= 0:
         raise ValueError("p_max must be positive")
@@ -197,30 +280,13 @@ def solve_precoder(h: np.ndarray, u: np.ndarray, f: np.ndarray,
         row_pow = np.where(null, 0.0, row_pow)
 
     live = row_pow > 0.0
-    terms = np.zeros_like(row_pow)           # masked entries stay zero
-
-    def norm_sq(mu: float) -> float:
-        np.divide(row_pow, (lam + mu) ** 2, out=terms, where=live)
-        return float(terms.sum())
-
     mu = 0.0
     with np.errstate(divide="ignore"):       # inf at mu = 0: unbounded
-        unbounded = not norm_sq(0.0) <= p_max    # also catches inf
-    if unbounded:
-        lo, hi = 0.0, float(np.sqrt(np.sum(row_pow) / p_max))
-        for _ in range(_MAX_BISECT):
-            mu = 0.5 * (lo + hi)
-            val = norm_sq(mu)
-            if val > p_max:
-                lo = mu
-            else:
-                hi = mu
-                if p_max - val <= _BUDGET_REL_TOL * p_max:
-                    break
-        else:
-            raise RuntimeError(
-                f"power bisection did not converge in {_MAX_BISECT} steps")
-        mu = hi                              # feasible side of the bracket
+        unbounded = not _norm_sq(row_pow, lam, live, [0.0],
+                                 np.zeros((1, lam.size)))[0] <= p_max
+    if unbounded:                            # the test also catches inf
+        mu = _bisect_budget(row_pow, lam, live, p_max,
+                            float(np.sqrt(np.sum(row_pow) / p_max)))
 
     scaled = np.divide(bt, (lam + mu)[:, None], out=np.zeros_like(bt),
                        where=live[:, None])

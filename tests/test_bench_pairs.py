@@ -1,6 +1,8 @@
-"""`summary` in scripts/bench_pairs.py, which decides every claimed gain."""
+"""`summary` in scripts/bench_pairs.py, which decides every claimed gain,
+and the checkout record that says what a BENCH file compared."""
 
 import runpy
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 script = runpy.run_path(str(SCRIPT))
 summary, regressions, unresolved = (script["summary"], script["regressions"],
                                     script["unresolved"])
+checkout_state = script["checkout_state"]
 
 BETTER = {"evals_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
 
@@ -103,3 +106,38 @@ def test_unresolved_are_end_to_end_metrics_whose_parent_spreads_past_bound():
     assert found[1] == {"metric": "wide.setup_s", "parent": 0.4,
                         "quartiles": stats["quartiles"]["parent"]
                         ["wide.setup_s"], "bound": 0.25}
+
+
+def git(repo: Path, *args) -> str:
+    return subprocess.run(
+        ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+         *args], check=True, capture_output=True, text=True).stdout.strip()
+
+
+def test_checkout_state_names_the_commit_and_a_dirty_tree(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    git(repo, "init", "-q")
+    (repo / "a.py").write_text("x = 1\n")
+    git(repo, "add", "a.py")
+    git(repo, "commit", "-q", "-m", "one")
+    head = git(repo, "rev-parse", "HEAD")
+    assert checkout_state(repo) == {"head": head, "dirty": False}
+    (repo / "a.py").write_text("x = 2\n")                 # tracked edit
+    assert checkout_state(repo) == {"head": head, "dirty": True}
+    git(repo, "checkout", "-q", "a.py")
+    (repo / "b.py").write_text("")                        # untracked file
+    assert checkout_state(repo) == {"head": head, "dirty": True}
+
+
+def test_checkout_state_of_a_plain_directory_is_null(tmp_path):
+    # also inside a git checkout: the repository above is not reported
+    repo = tmp_path / "repo"
+    plain = repo / "export"
+    plain.mkdir(parents=True)
+    git(repo, "init", "-q")
+    git(repo, "commit", "-q", "--allow-empty", "-m", "one")
+    assert checkout_state(repo)["head"] is not None
+    assert checkout_state(plain) == {"head": None, "dirty": None}
+    assert checkout_state(tmp_path / "missing") == {"head": None,
+                                                    "dirty": None}

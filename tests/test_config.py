@@ -3,7 +3,7 @@ run exit status."""
 
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risbeam import cli, harness
+from risbeam.channel import near_channel
+from risbeam.geometry import LINK_BS_RIS, SPEED_OF_LIGHT, check_layout
 from risbeam.harness import (
     CONFIG_SCHEMA,
     SWEEPABLE,
@@ -122,6 +124,65 @@ def test_zero_layer_sweep_stays_legal():
     assert parse_config("sweep: layers in [0, 1]").sweep_values == (0.0, 1.0)
 
 
+def unchecked(text: str, **layout) -> ExperimentConfig:
+    """The config of `text` with `layout` set past the parse-time checks."""
+    return replace(parse_config(text), **layout)
+
+
+@pytest.mark.parametrize("model", ["FF", "FN"])
+def test_zero_length_link_that_fails_far_cells_rejected_at_parse(model):
+    # the RIS on the BS midpoint: the far BS-RIS link has no length
+    with pytest.raises(ConfigError, match=r"line 3: layout rejected: "
+                       r"zero-length BS_RIS link: the BS and RIS midpoints "
+                       r"coincide at \[0.0, 0.0, 0.0\]"):
+        parse_config(f"model: {model}\nseeds: 2\nris_pos_m: [0, 0, 0]")
+    # what each cell of the layout did before: its far-field gain divides
+    # by the link length
+    cfg = unchecked(f"model: {model}\nmax_iters: 2", ris_pos_m=(0.0, 0.0, 0.0))
+    with pytest.raises(ZeroDivisionError):
+        harness.run_cell(cfg, 0, 0.0)
+
+
+@pytest.mark.parametrize("model", ["NF", "NN"])
+def test_zero_length_link_that_near_cells_run_through_rejected_at_parse(model):
+    with pytest.raises(ConfigError, match="line 2: layout rejected: "
+                       "zero-length BS_RIS link"):
+        parse_config(f"model: {model}\nris_pos_m: [0, 0, 0]")
+    # before, the near-field model ran the layout and reported a rate
+    cfg = unchecked(f"model: {model}\nmax_iters: 2", ris_pos_m=(0.0, 0.0, 0.0))
+    assert math.isfinite(harness.run_cell(cfg, 0, 0.0).rate_bps_hz)
+
+
+def test_coincident_elements_rejected_at_parse():
+    # 3-element BS and 3 x 1 RIS, one spacing apart on the x-axis: two
+    # BS elements sit on RIS elements although the midpoints differ
+    d = 0.5 * (SPEED_OF_LIGHT / 30e9)
+    text = f"n_bs: 3\nm_x: 3\nm_y: 1\nris_pos_m: [{d!r}, 0, 0]"
+    with pytest.raises(ConfigError, match="line 4: layout rejected: "
+                       "coincident BS and RIS elements"):
+        parse_config(text)
+    geometry = harness.geometry_from(
+        unchecked("n_bs: 3\nm_x: 3\nm_y: 1", ris_pos_m=(d, 0.0, 0.0)))
+    with pytest.raises(ValueError, match="coincident"):   # the channel's guard
+        near_channel(LINK_BS_RIS, geometry)
+    # raised above the x-axis, the RIS passes
+    parse_config(text.replace(", 0, 0]", ", 0, 0.01]"))
+
+
+@pytest.mark.parametrize("ris,link", [("[0, 0, 0.08]", "BS_RIS"),
+                                      ("[0.24, 0, 0.08]", "RIS_UE")])
+def test_sweep_value_on_a_node_rejected_with_the_sweep_line(ris, link):
+    text = f"ris_pos_m: {ris}\nseeds: 2\nsweep: ris_z in [0.08, 0.0]\n"
+    with pytest.raises(ConfigError, match=f"line 3: sweep value 0 for ris_z: "
+                       f"zero-length {link} link"):
+        parse_config(text)
+    assert parse_config(text.replace("0.0]", "0.04]")).sweep_values == (
+        0.08, 0.04)
+    # the base layout is checked too, although the sweep moves the RIS
+    with pytest.raises(ConfigError, match="line 1: layout rejected"):
+        parse_config("ris_pos_m: [0, 0, 0]\nsweep: ris_z in [0.08]")
+
+
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")),
                          ids=lambda path: path.stem)
 def test_shipped_configs_parse_at_their_scale(path):
@@ -219,4 +280,19 @@ def configs(draw):
 @settings(max_examples=100, deadline=None)
 @given(cfg=configs(), scale=st.sampled_from(["desk", "paper"]))
 def test_config_round_trips_through_its_rendered_text(cfg, scale):
+    # a layout that `check_layout` rejects, in the base config or at a
+    # sweep value, is refused whole; every other config round-trips
+    try:
+        for value in cfg.sweep_values:
+            cell = harness.apply_sweep(cfg, value)
+            check_layout(cell.carrier_hz, cell.n_bs, cell.n_ue, cell.m_x,
+                         cell.m_y, cell.bs_pos_m, cell.ue_pos_m,
+                         cell.ris_pos_m, cell.spacing_wavelengths)
+        check_layout(cfg.carrier_hz, cfg.n_bs, cfg.n_ue, cfg.m_x, cfg.m_y,
+                     cfg.bs_pos_m, cfg.ue_pos_m, cfg.ris_pos_m,
+                     cfg.spacing_wavelengths)
+    except ValueError:
+        with pytest.raises(ConfigError, match="layout rejected|sweep value"):
+            parse_config(render(cfg), scale=scale)
+        return
     assert parse_config(render(cfg), scale=scale) == cfg

@@ -14,6 +14,7 @@ from risbeam.channel import (
 )
 from risbeam.codebook import SamplingGrid
 from risbeam.geometry import LINK_BS_RIS, LINK_RIS_UE, SystemGeometry
+from risbeam import optimizer
 from risbeam.harness import cell_setup, parse_config
 from risbeam.optimizer import (
     AOState,
@@ -225,6 +226,65 @@ class TestRateKernelWorkArrays:
             assert np.array_equal(got, reference_rates(real, phis[0], w, noise))
 
 
+class TestRateKernelOperand:
+    """C is kept per thread under (realization, w, noise_var); every call
+    must still give the rates of fresh arrays."""
+
+    @staticmethod
+    def paper_case(k_values=(120, 16)):
+        cfg = parse_config("model: NF", scale="paper")
+        geometry, real, _, _ = cell_setup(cfg, 3)
+        rng = np.random.default_rng(21)
+        w = rand_matrix(rng, (geometry.n_bs, 3))
+        w *= np.sqrt(cfg.p_max_w) / np.linalg.norm(w)
+        batches = [np.exp(-1j * rng.uniform(0, 2 * np.pi, (k, geometry.m)))
+                   for k in k_values]
+        return real, w, cfg.noise_w, batches
+
+    def test_w_mutated_in_place_between_calls(self):
+        real, w, noise, (phis, _) = self.paper_case()
+        first = rates_for_phase_batch(real, phis, w, noise)
+        w[2, 1] *= -1.0
+        w *= 1.5
+        got = rates_for_phase_batch(real, phis, w, noise)
+        assert np.array_equal(got, reference_rates(real, phis, w, noise))
+        assert not np.array_equal(got, first)
+
+    def test_other_realization_objects(self):
+        real, w, noise, (phis, _) = self.paper_case()
+        rates_for_phase_batch(real, phis, w, noise)
+        equal = ChannelRealization(g_bs_ris=real.g_bs_ris.copy(),
+                                   g_ris_ue=real.g_ris_ue.copy(),
+                                   model_tag=real.model_tag)
+        other = ChannelRealization(g_bs_ris=real.g_bs_ris[:, ::-1].copy(),
+                                   g_ris_ue=real.g_ris_ue,
+                                   model_tag=real.model_tag)
+        for r in (equal, other, real):
+            assert np.array_equal(rates_for_phase_batch(r, phis, w, noise),
+                                  reference_rates(r, phis, w, noise))
+
+    def test_noise_var_changes(self):
+        real, w, noise, (phis, _) = self.paper_case()
+        rates_for_phase_batch(real, phis, w, noise)
+        # np.float32(2**-45) == 2**-45, near the paper noise power, but
+        # its square root is a float32
+        for n in (2 * noise, noise, 2.0**-45, np.float32(2.0**-45), 2.0**-45):
+            assert np.array_equal(rates_for_phase_batch(real, phis, w, n),
+                                  reference_rates(real, phis, w, n))
+
+    def test_alternating_batch_sizes_share_one_operand(self):
+        # a two-stage call: a K = 120 sweep, then K = 16 layers
+        real, w, noise, batches = self.paper_case()
+        rates_for_phase_batch(real, batches[0], w, noise)
+        held = optimizer._WORK.operand
+        for phis in batches * 3:
+            got = rates_for_phase_batch(real, phis, w.copy(), noise)
+            assert np.array_equal(got, reference_rates(real, phis, w, noise))
+        assert optimizer._WORK.operand is held
+        rates_for_phase_batch(real, batches[1], 2 * w, noise)
+        assert optimizer._WORK.operand is not held
+
+
 class TestMseMatrix:
     def test_zero_combiner_gives_identity(self):
         rng = np.random.default_rng(5)
@@ -406,6 +466,124 @@ class TestSolvePrecoder:
         p = solve_precoder(h, u, a @ a.conj().T + 0.5 * np.eye(2), p_max)
         power = np.sum(np.abs(p.w) ** 2)
         assert p_max * (1 - 1e-9) <= power <= p_max * (1 + 1e-9)
+
+
+def sequential_precoder(h, u, f, p_max, max_steps):
+    """solve_precoder with one norm evaluation per bisection step, the
+    order the batched rounds must reproduce; returns (w, steps taken)."""
+    hu = h.conj().T @ u
+    b = hu @ f
+    a = hu @ f @ hu.conj().T
+    a = 0.5 * (a + a.conj().T)
+    lam, basis = np.linalg.eigh(a)
+    lam = np.maximum(lam, 0.0)
+    bt = basis.conj().T @ b
+    row_pow = np.sum(np.abs(bt) ** 2, axis=1)
+    null = lam <= lam.max() * lam.size * np.finfo(float).eps if lam.size else lam < 0
+    if np.sqrt(row_pow[null].sum()) <= 1e-10 * max(np.sqrt(row_pow.sum()), 1e-300):
+        lam = np.where(null, 0.0, lam)
+        bt[null] = 0.0
+        row_pow = np.where(null, 0.0, row_pow)
+    live = row_pow > 0.0
+    terms = np.zeros_like(row_pow)
+
+    def norm_sq(mu):
+        np.divide(row_pow, (lam + mu) ** 2, out=terms, where=live)
+        return float(terms.sum())
+
+    mu, steps = 0.0, 0
+    with np.errstate(divide="ignore"):
+        unbounded = not norm_sq(0.0) <= p_max
+    if unbounded:
+        lo, hi = 0.0, float(np.sqrt(np.sum(row_pow) / p_max))
+        for steps in range(1, max_steps + 1):
+            mu = 0.5 * (lo + hi)
+            val = norm_sq(mu)
+            if val > p_max:
+                lo = mu
+            else:
+                hi = mu
+                if p_max - val <= 1e-12 * p_max:
+                    break
+        else:
+            raise RuntimeError(
+                f"power bisection did not converge in {max_steps} steps")
+        mu = hi
+    scaled = np.divide(bt, (lam + mu)[:, None], out=np.zeros_like(bt),
+                       where=live[:, None])
+    return basis @ scaled, steps
+
+
+class TestBatchedBisection:
+    """solve_precoder takes its bisection steps from batched evaluations;
+    the result must be the one-step-at-a-time result, bit for bit."""
+
+    @staticmethod
+    def instance(rng, n_bs, n_ue, q, p_max, exponent, rank_one):
+        h = rand_matrix(rng, (n_ue, n_bs))
+        if rank_one:                     # A of rank one whatever q is
+            h = np.outer(h[:, 0], h[0].conj())
+        # with ||H|| = 10^exponent / sqrt(p_max) and ||U|| = 1 the
+        # unconstrained optimum needs at least 10^(-2 exponent) p_max
+        h *= 10.0 ** exponent / (np.sqrt(p_max) * np.linalg.norm(h))
+        u = rand_matrix(rng, (n_ue, q))
+        u /= np.linalg.norm(u)
+        a = rand_matrix(rng, (q, q))
+        return h, u, a @ a.conj().T + 0.1 * np.eye(q)
+
+    @settings(max_examples=80, deadline=None)
+    @given(scale=st.sampled_from(["desk", "paper"]),
+           seed=st.integers(0, 2**32 - 1), n_bs=st.integers(1, 16),
+           n_ue=st.integers(1, 8), rank_one=st.booleans(),
+           binds=st.booleans(), data=st.data())
+    def test_matches_the_sequential_oracle(self, scale, seed, n_bs, n_ue,
+                                           rank_one, binds, data):
+        p_max = parse_config("", scale=scale).p_max_w
+        q = data.draw(st.integers(1, min(n_bs, n_ue)), label="q")
+        exponent = data.draw(st.floats(-3.0, -1.0) if binds
+                             else st.floats(1.0, 3.0), label="exponent")
+        h, u, f = self.instance(np.random.default_rng(seed), n_bs, n_ue, q,
+                                p_max, exponent, rank_one)
+        want, steps = sequential_precoder(h, u, f, p_max, 500)
+        assert solve_precoder(h, u, f, p_max).w.tobytes() == want.tobytes()
+        if binds:
+            assert steps > 0
+
+    @pytest.mark.parametrize("tag", ["FF", "NF", "FN", "NN"])
+    @pytest.mark.parametrize("scale", ["desk", "paper"])
+    def test_matches_the_oracle_inside_the_loop(self, monkeypatch, tag, scale):
+        cfg = parse_config(f"model: {tag}\nlayers: 2", scale=scale)
+        geometry, real, gb, gu = cell_setup(cfg, 7)
+        calls = []
+
+        def spy(h, u, f, p_max):
+            got = solve_precoder(h, u, f, p_max)
+            calls.append((got.w, sequential_precoder(h, u, f, p_max, 500)))
+            return got
+
+        monkeypatch.setattr(optimizer, "solve_precoder", spy)
+        ao_loop(real, geometry, p_max=cfg.p_max_w, noise_var=cfg.noise_w,
+                grid_bs=gb, grid_ue=gu, layers=cfg.layers, max_iters=4)
+        assert calls
+        for w, (want, _) in calls:
+            assert w.tobytes() == want.tobytes()
+
+    def test_step_limit_raises_as_the_sequential_bisection_does(
+            self, monkeypatch):
+        p_max = parse_config("", scale="desk").p_max_w
+        h, u, f = self.instance(np.random.default_rng(5), 8, 4, 2, p_max,
+                                -2.0, False)
+        want, steps = sequential_precoder(h, u, f, p_max, 500)
+        assert steps > 2 * optimizer._BISECT_DEPTH
+        for limit in (0, 1, 7, steps - 1):
+            monkeypatch.setattr(optimizer, "_MAX_BISECT", limit)
+            with pytest.raises(RuntimeError) as oracle:
+                sequential_precoder(h, u, f, p_max, limit)
+            with pytest.raises(RuntimeError) as got:
+                solve_precoder(h, u, f, p_max)
+            assert str(got.value) == str(oracle.value)
+        monkeypatch.setattr(optimizer, "_MAX_BISECT", steps)   # just enough
+        assert solve_precoder(h, u, f, p_max).w.tobytes() == want.tobytes()
 
 
 class TestStreamCounts:
