@@ -50,13 +50,10 @@ def _cmd_codebook(args) -> int:
         book = codebook.build_ff_codebook(geo)
     elif kind == "NN":
         book = codebook.build_nn_codebook(grid_bs, grid_ue, geo)
-    elif kind in codebook.NEAR_SIDE:
+    else:   # NF or FN: argparse's choices admit nothing else
         side = codebook.NEAR_SIDE[kind]
         grid = grid_bs if side == codebook.SIDE_BS else grid_ue
         book = codebook.build_hybrid_codebook(kind, grid, geo)
-    else:
-        print(f"unknown codebook kind {args.kind!r}", file=sys.stderr)
-        return 2
     out = args.out or f"codebook_{args.kind.lower()}.csv"
     book.to_csv(out)
     print(f"wrote {len(book)} codewords to {out}")

@@ -139,10 +139,6 @@ class SamplingGrid:
     def bounds(self) -> tuple:
         return self.x_min, self.x_max, self.y_min, self.y_max
 
-    def sample_points(self) -> list[tuple[float, float]]:
-        pts = sample_grid(self.bounds, self.s_x, self.s_y, self.fixed_z)
-        return [(x, y) for x, y, _ in pts.tolist()]
-
 
 def sample_grid(bounds, s_x: int, s_y: int, fixed_z: float) -> np.ndarray:
     """Sample points of ranges `bounds` (..., 4), each row (x_min, x_max,

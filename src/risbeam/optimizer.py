@@ -9,11 +9,11 @@ full cycle.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import training
 from .channel import NEAR_LINKS, ChannelRealization, PhaseShiftVector, cascade
 from .codebook import NEAR_SIDE, SIDE_BS, SamplingGrid
 from .geometry import LINK_BS_RIS, LINK_RIS_UE, SystemGeometry
@@ -26,8 +26,6 @@ _BUDGET_REL_TOL = 1e-12
 _MAX_BISECT = 500
 # bisection steps per batched power evaluation (2^depth - 1 midpoints)
 _BISECT_DEPTH = 4
-# rates_for_phase_batch's kept operand and work arrays, one set per thread
-_WORK = threading.local()
 
 
 @dataclass(frozen=True)
@@ -89,81 +87,6 @@ def achievable_rate(h: np.ndarray, w: np.ndarray, noise_var: float) -> float:
         raise ValueError("non-finite rate operands")
     s = np.linalg.svd(b, compute_uv=False)
     return float(np.sum(np.log2(1.0 + s * s / noise_var)))
-
-
-def _operand(realization: ChannelRealization, w: np.ndarray,
-             noise_var: float) -> np.ndarray:
-    """This thread's kernel operand C for (realization, w, noise_var).
-
-    C is kept with its key: the realization object itself (compared with
-    `is`), w's shape, dtype and bytes, and noise_var with its type.  A
-    call under the same key takes C as it is, so the scoring calls of one
-    training call, whatever their batch size, build it once; any other
-    key rebuilds it, into the same array while the shape holds.
-    """
-    key = (w.shape, w.dtype, w.tobytes(), type(noise_var), noise_var)
-    held = getattr(_WORK, "operand", None)
-    if held is not None and held[0] is realization and held[1] == key:
-        return held[2]
-    t = realization.g_bs_ris @ w / np.sqrt(noise_var)           # (M, q)
-    m, q = t.shape
-    n_ue = realization.g_ris_ue.shape[0]
-    if held is not None and held[2].shape == (m, n_ue, q):
-        c = held[2]
-    else:
-        # C is laid out as numpy lays out g_ris_ue.T * t for C-ordered
-        # channels and as the GEMM then reads it: an F-ordered (M, n_ue)
-        # view for q = 1, C-ordered otherwise; the same BLAS path then
-        # gives the same bits
-        c = (np.empty((n_ue, m, q), dtype=complex).transpose(1, 0, 2)
-             if q == 1 else np.empty((m, n_ue, q), dtype=complex))
-    np.multiply(realization.g_ris_ue.T[:, :, None], t[:, None, :], out=c)
-    _WORK.operand = realization, key, c
-    return c
-
-
-def _batch_arrays(k: int, n_ue: int, q: int) -> tuple:
-    """This thread's (B, conj B, Gram) for K candidates, reused while the
-    shape repeats and replaced when it changes."""
-    key = (k, n_ue, q)
-    held = getattr(_WORK, "batch", None)
-    if held is None or held[0] != key:
-        held = _WORK.batch = key, (np.empty((k, n_ue, q), dtype=complex),
-                                   np.empty((k, n_ue, q), dtype=complex),
-                                   np.empty((k, q, q), dtype=complex))
-    return held[1]
-
-
-def rates_for_phase_batch(realization: ChannelRealization, phis: np.ndarray,
-                          w: np.ndarray, noise_var: float) -> np.ndarray:
-    """Achievable rate for each row of `phis` applied as RIS coefficients.
-
-    One GEMM phis @ C, C[m, (u, q)] = G_ris_ue[u, m] (G_bs_ris W)[m, q] / s
-    with s = sqrt(noise_var), gives each candidate's B = HW / s; its rate is
-    the q x q log-det log2 det(I_q + B^H B).  Non-finite rates raise.  A 1-D
-    `phis` is one candidate.
-
-    C depends on the precoder but not on the candidates, so it is kept per
-    thread and built once for a run of calls under one (realization, w,
-    noise_var) (`_operand`); the realization's matrices must not change in
-    place while it is in use.  B, conj B and the Gram stack are written
-    into per-thread arrays reused while the batch shape repeats, so
-    paper-scale batches do not fault in fresh pages per call; the returned
-    rates are always a fresh array.
-    """
-    phis = np.asarray(phis)
-    c = _operand(realization, w, noise_var)
-    m, n_ue, q = c.shape
-    k = phis.shape[0] if phis.ndim == 2 else 1
-    b, bc, gram = _batch_arrays(k, n_ue, q)
-    np.matmul(phis, c.reshape(m, -1), out=b.reshape(phis.shape[:-1] + (-1,)))
-    np.conjugate(b, out=bc)
-    np.matmul(bc.swapaxes(1, 2), b, out=gram)
-    np.add(np.eye(q), gram, out=gram)
-    rates = np.linalg.slogdet(gram)[1]
-    if not np.all(np.isfinite(rates)):
-        raise ValueError("non-finite rate operands")
-    return rates / np.log(2.0)
 
 
 def mse_matrix(h: np.ndarray, w: np.ndarray, u: np.ndarray,
@@ -358,8 +281,6 @@ def ao_loop(realization: ChannelRealization, geometry: SystemGeometry, *,
     Training reuses its precoder-independent work across the cycles
     (see `training`).
     """
-    from . import training  # deferred: training builds on the rate helpers
-
     tag = realization.model_tag
     if scheme == "auto":   # by the number of spherical-wave links
         scheme = ("angular", "two_stage", "hierarchical")[len(NEAR_LINKS[tag])]

@@ -15,18 +15,25 @@ Ties are broken toward the lowest codeword index, so reports are
 deterministic functions of (channel, precoder, grids, layer count).
 The refining schemes take s_x and s_y from the grids they are given.
 
-What does not depend on the precoder is computed once and kept in two
-one-entry slots of this module.  The angular codebook depends on the
+Training keeps the work that repeats across scoring calls in this
+module.  What does not depend on the precoder is computed once and kept
+in two one-entry process slots.  The angular codebook depends on the
 array alone, so every cell on the same array shares it (`angular_book`).
 A refinement layer's quadrants and distance words depend on its input
 ranges and the geometry, so they are kept per geometry object
 (`_layer_work`); each cell builds its own geometry, so they live for one
 cell and serve all of its training calls.  `drop_memos` empties both
 slots, which `harness.run_experiment` does before each experiment.
+What depends on the precoder but not on the candidates is kept per
+thread by the rate kernel `rates_for_phase_batch`: its operand C, built
+once for a run of calls under one (realization, w, noise_var), and the
+work arrays its batches are written into, reused while the batch shape
+repeats.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -50,7 +57,6 @@ from .codebook import (
     subdivide_range,  # resolvable here for the span tracer of bench/
 )
 from .geometry import SystemGeometry
-from .optimizer import rates_for_phase_batch
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,8 @@ class LayerRecord:
 # the same thing twice.  Their arrays are read-only.
 _ANGULAR = None
 _LAYERS = None
+# rates_for_phase_batch's kept operand and work arrays, one set per thread
+_WORK = threading.local()
 
 
 def drop_memos() -> None:
@@ -108,6 +116,81 @@ def _layer_work(geometry: SystemGeometry) -> dict:
     if entry is None or entry[0] is not geometry:
         entry = _LAYERS = geometry, {}
     return entry[1]
+
+
+def _operand(realization: ChannelRealization, w: np.ndarray,
+             noise_var: float) -> np.ndarray:
+    """This thread's kernel operand C for (realization, w, noise_var).
+
+    C is kept with its key: the realization object itself (compared with
+    `is`), w's shape, dtype and bytes, and noise_var with its type.  A
+    call under the same key takes C as it is, so the scoring calls of one
+    training call, whatever their batch size, build it once; any other
+    key rebuilds it, into the same array while the shape holds.
+    """
+    key = (w.shape, w.dtype, w.tobytes(), type(noise_var), noise_var)
+    held = getattr(_WORK, "operand", None)
+    if held is not None and held[0] is realization and held[1] == key:
+        return held[2]
+    t = realization.g_bs_ris @ w / np.sqrt(noise_var)           # (M, q)
+    m, q = t.shape
+    n_ue = realization.g_ris_ue.shape[0]
+    if held is not None and held[2].shape == (m, n_ue, q):
+        c = held[2]
+    else:
+        # C is laid out as numpy lays out g_ris_ue.T * t for C-ordered
+        # channels and as the GEMM then reads it: an F-ordered (M, n_ue)
+        # view for q = 1, C-ordered otherwise; the same BLAS path then
+        # gives the same bits
+        c = (np.empty((n_ue, m, q), dtype=complex).transpose(1, 0, 2)
+             if q == 1 else np.empty((m, n_ue, q), dtype=complex))
+    np.multiply(realization.g_ris_ue.T[:, :, None], t[:, None, :], out=c)
+    _WORK.operand = realization, key, c
+    return c
+
+
+def _batch_arrays(k: int, n_ue: int, q: int) -> tuple:
+    """This thread's (B, conj B, Gram) for K candidates, reused while the
+    shape repeats and replaced when it changes."""
+    key = (k, n_ue, q)
+    held = getattr(_WORK, "batch", None)
+    if held is None or held[0] != key:
+        held = _WORK.batch = key, (np.empty((k, n_ue, q), dtype=complex),
+                                   np.empty((k, n_ue, q), dtype=complex),
+                                   np.empty((k, q, q), dtype=complex))
+    return held[1]
+
+
+def rates_for_phase_batch(realization: ChannelRealization, phis: np.ndarray,
+                          w: np.ndarray, noise_var: float) -> np.ndarray:
+    """Achievable rate for each row of `phis` applied as RIS coefficients.
+
+    One GEMM phis @ C, C[m, (u, q)] = G_ris_ue[u, m] (G_bs_ris W)[m, q] / s
+    with s = sqrt(noise_var), gives each candidate's B = HW / s; its rate is
+    the q x q log-det log2 det(I_q + B^H B).  Non-finite rates raise.  A 1-D
+    `phis` is one candidate.
+
+    C depends on the precoder but not on the candidates, so it is kept per
+    thread and built once for a run of calls under one (realization, w,
+    noise_var) (`_operand`); the realization's matrices must not change in
+    place while it is in use.  B, conj B and the Gram stack are written
+    into per-thread arrays reused while the batch shape repeats, so
+    paper-scale batches do not fault in fresh pages per call; the returned
+    rates are always a fresh array.
+    """
+    phis = np.asarray(phis)
+    c = _operand(realization, w, noise_var)
+    m, n_ue, q = c.shape
+    k = phis.shape[0] if phis.ndim == 2 else 1
+    b, bc, gram = _batch_arrays(k, n_ue, q)
+    np.matmul(phis, c.reshape(m, -1), out=b.reshape(phis.shape[:-1] + (-1,)))
+    np.conjugate(b, out=bc)
+    np.matmul(bc.swapaxes(1, 2), b, out=gram)
+    np.add(np.eye(q), gram, out=gram)
+    rates = np.linalg.slogdet(gram)[1]
+    if not np.all(np.isfinite(rates)):
+        raise ValueError("non-finite rate operands")
+    return rates / np.log(2.0)
 
 
 @dataclass

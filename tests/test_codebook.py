@@ -26,6 +26,7 @@ from risbeam.codebook import (
     build_nn_codebook,
     distance_words,
     ff_steering,
+    sample_grid,
     star,
     subdivide_range,
 )
@@ -42,6 +43,21 @@ def geom(**kw):
 def unit_grid(s_x=2, s_y=2, z=0.0):
     return SamplingGrid(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0,
                         s_x=s_x, s_y=s_y, fixed_z=z)
+
+
+def cell_centres(grid):
+    """(x, y) samples of `grid` by the cell-centre formula
+    lo + (s - 1/2)(hi - lo)/S, y sample fastest, in plain floats."""
+    def axis(lo, hi, n):
+        return [lo + (s - 0.5) * (hi - lo) / n for s in range(1, n + 1)]
+    return [(x, y) for x in axis(grid.x_min, grid.x_max, grid.s_x)
+            for y in axis(grid.y_min, grid.y_max, grid.s_y)]
+
+
+def grid_points(grid):
+    """`sample_grid`'s (x, y) samples of `grid`, as a list of pairs."""
+    pts = sample_grid(grid.bounds, grid.s_x, grid.s_y, grid.fixed_z)
+    return [(x, y) for x, y, _ in pts.tolist()]
 
 
 class TestAngularSteering:
@@ -132,7 +148,7 @@ class TestDistanceWords:
     def test_stacked_quadrants_match_components_bitwise(self):
         g = geom()
         quads = subdivide_range(unit_grid(3, 2, z=0.5))
-        xyz = np.array([[(x, y, q.fixed_z) for x, y in q.sample_points()]
+        xyz = np.array([[(x, y, q.fixed_z) for x, y in cell_centres(q)]
                         for q in quads])
         words = distance_words(xyz, g)
         assert words.shape == (4, 6, g.m)
@@ -264,16 +280,19 @@ class TestStar:
 
 
 class TestSamplingGrid:
-    def test_sample_points_cell_centers(self):
-        pts = unit_grid(s_x=2, s_y=2).sample_points()
-        assert pts == [(0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75)]
+    def test_sample_grid_cell_centers(self):
+        grid = unit_grid(s_x=2, s_y=2)
+        expected = [(0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75)]
+        assert cell_centres(grid) == expected
+        assert grid_points(grid) == expected
 
-    def test_sample_points_formula(self):
+    def test_sample_grid_formula(self):
         grid = SamplingGrid(x_min=-2.0, x_max=4.0, y_min=1.0, y_max=2.0,
                             s_x=3, s_y=1, fixed_z=0.0)
-        xs = sorted({p[0] for p in grid.sample_points()})
+        assert grid_points(grid) == cell_centres(grid)
+        xs = sorted({p[0] for p in grid_points(grid)})
         np.testing.assert_allclose(xs, [-1.0, 1.0, 3.0])
-        assert all(p[1] == 1.5 for p in grid.sample_points())
+        assert all(p[1] == 1.5 for p in grid_points(grid))
 
     def test_degenerate_range_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -318,8 +337,8 @@ class TestCompositeCodebooks:
         g = geom(m_x=4, m_y=2)
         gb, gu = unit_grid(1, 1, z=0.0), unit_grid(1, 1, z=0.1)
         book = build_nn_codebook(gb, gu, g)
-        (xb, yb), = gb.sample_points()
-        (xu, yu), = gu.sample_points()
+        (xb, yb), = cell_centres(gb)
+        (xu, yu), = cell_centres(gu)
         expected = (distance_words(np.array([xu, yu, 0.1]), g)
                     * distance_words(np.array([xb, yb, 0.0]), g))
         assert len(book) == 1
@@ -343,7 +362,7 @@ class TestCompositeCodebooks:
         grid = unit_grid(1, 1, z=0.0)
         book = build_hybrid_codebook("NF", grid, g)
         angular = build_ff_codebook(g)
-        (x, y), = grid.sample_points()
+        (x, y), = cell_centres(grid)
         overlay = distance_words(np.array([x, y, 0.0]), g)
         assert len(book) == len(angular)
         np.testing.assert_allclose(book.words, angular.words * overlay[None, :],

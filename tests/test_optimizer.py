@@ -14,7 +14,7 @@ from risbeam.channel import (
 )
 from risbeam.codebook import SamplingGrid
 from risbeam.geometry import LINK_BS_RIS, LINK_RIS_UE, SystemGeometry
-from risbeam import optimizer
+from risbeam import optimizer, training
 from risbeam.harness import cell_setup, parse_config
 from risbeam.optimizer import (
     AOState,
@@ -26,10 +26,10 @@ from risbeam.optimizer import (
     mse_matrix,
     optimal_combiner,
     precoder_kkt,
-    rates_for_phase_batch,
     solve_precoder,
     weight_update,
 )
+from risbeam.training import rates_for_phase_batch
 
 NOISE = 0.5
 
@@ -276,13 +276,13 @@ class TestRateKernelOperand:
         # a two-stage call: a K = 120 sweep, then K = 16 layers
         real, w, noise, batches = self.paper_case()
         rates_for_phase_batch(real, batches[0], w, noise)
-        held = optimizer._WORK.operand
+        held = training._WORK.operand
         for phis in batches * 3:
             got = rates_for_phase_batch(real, phis, w.copy(), noise)
             assert np.array_equal(got, reference_rates(real, phis, w, noise))
-        assert optimizer._WORK.operand is held
+        assert training._WORK.operand is held
         rates_for_phase_batch(real, batches[1], 2 * w, noise)
-        assert optimizer._WORK.operand is not held
+        assert training._WORK.operand is not held
 
 
 class TestMseMatrix:
