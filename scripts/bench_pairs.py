@@ -24,14 +24,15 @@ The file also holds, per trace setting and metric:
   `bound`, unless every change run reads better than every parent run.
   Within such a spread a median inside the bound does not show that
   the metric held, so it is reported as unresolved, not as unchanged.
+- `claims`: for every metric, whether a gain may be claimed on it:
+  true when the change wins at least 9 of every 10 pairs and its median
+  is better than the parent's by more than the parent's quartile
+  distance.
 
 `checkouts` names what was compared: each side's `git rev-parse HEAD`
 and whether its tree differs from that commit (`git status
 --porcelain`, untracked files included), read before the first run;
 both are null for a directory that is not a git checkout.
-
-A gain may be claimed when the change wins at least 9 of 10 pairs and
-the medians differ by more than the parent's quartile distance.
 """
 
 import argparse
@@ -142,6 +143,17 @@ def unresolved(stats: dict, pairs: list, declared: dict) -> list:
     return found
 
 
+def claims(stats: dict, n_pairs: int, better: dict) -> dict:
+    """Per metric of `summary`'s stats: may a gain be claimed on it?"""
+    out = {}
+    for name, (q1, q3) in stats["quartiles"]["parent"].items():
+        sign = {"higher": 1, "lower": -1}[better[name.split(".", 1)[1]]]
+        gap = sign * (stats["median"]["change"][name]
+                      - stats["median"]["parent"][name])
+        out[name] = 10 * stats["wins"][name] >= 9 * n_pairs and gap > q3 - q1
+    return out
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("parent", type=Path)
@@ -167,7 +179,8 @@ def main():
         stats = summary(pairs, better)
         record[f"trace{trace}"] = {
             **stats, "regressions": regressions(stats["median"], declared),
-            "unresolved": unresolved(stats, pairs, declared), "pairs": pairs}
+            "unresolved": unresolved(stats, pairs, declared),
+            "claims": claims(stats, len(pairs), better), "pairs": pairs}
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

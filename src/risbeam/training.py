@@ -17,13 +17,15 @@ The refining schemes take s_x and s_y from the grids they are given.
 
 Training keeps the work that repeats across scoring calls in this
 module.  What does not depend on the precoder is computed once and kept
-in two one-entry process slots.  The angular codebook depends on the
-array alone, so every cell on the same array shares it (`angular_book`).
-A refinement layer's quadrants and distance words depend on its input
-ranges and the geometry, so they are kept per geometry object
-(`_layer_work`); each cell builds its own geometry, so they live for one
-cell and serve all of its training calls.  `drop_memos` empties both
-slots, which `harness.run_experiment` does before each experiment.
+in two process slots, keyed by value on what it reads.  The angular
+codebook depends on the array alone, so every cell on the same array
+shares it (`angular_book`).  A refinement layer's quadrants and distance
+words depend on its input ranges and on the RIS element positions and
+wavelength, not on the channel, the precoder or the user position, so
+every cell and sweep value of an experiment on one RIS array shares
+them (`_layer_work`).  That slot is a least-recently-used store bounded
+by the bytes of its words (`LAYER_SLOT_BYTES`).  `drop_memos` empties
+both slots, which `harness.run_experiment` does before each experiment.
 What depends on the precoder but not on the candidates is kept per
 thread by the rate kernel `rates_for_phase_batch`: its operand C, built
 once for a run of calls under one (realization, w, noise_var), and the
@@ -34,6 +36,7 @@ repeats.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -72,20 +75,31 @@ class LayerRecord:
 
 # The two slots of precoder-independent work:
 #   _ANGULAR = ((m_x, m_y, spacing_m, wavelength_m), angular codebook)
-#   _LAYERS = (geometry, {layer input ranges: (quadrants, word stacks)})
-# Each is read and replaced as one tuple, so a thread never pairs a key
-# with another key's value; two threads that miss together only compute
-# the same thing twice.  Their arrays are read-only.
+#   _LAYERS = {(RIS array key, layer key): (quadrants, word stacks)},
+#             least recently used first
+# _ANGULAR is read and replaced as one tuple, so a thread never pairs a
+# key with another key's value; _LAYERS is read, reordered and trimmed
+# under _LAYERS_LOCK.  Two threads that miss together only compute the
+# same thing twice.  The kept arrays are read-only.
 _ANGULAR = None
-_LAYERS = None
+_LAYERS = OrderedDict()
+_LAYERS_LOCK = threading.Lock()
+# The bytes of word stacks _LAYERS may keep.  2 MiB holds every layer of
+# a desk NN experiment (1.3 MB at 20 cells, 1.9 MB at 80) and more than
+# one paper NN cell's (1.2 MB); unbounded, the paper NN experiment's
+# cells, whose descents part early, would keep 14.4 MB and raise its
+# peak memory by 13 MB.
+LAYER_SLOT_BYTES = 2 * 2**20
 # rates_for_phase_batch's kept operand and work arrays, one set per thread
 _WORK = threading.local()
 
 
 def drop_memos() -> None:
     """Empty both slots, so the next training calls compute afresh."""
-    global _ANGULAR, _LAYERS
-    _ANGULAR = _LAYERS = None
+    global _ANGULAR
+    _ANGULAR = None
+    with _LAYERS_LOCK:
+        _LAYERS.clear()
 
 
 def angular_book(geometry: SystemGeometry) -> Codebook:
@@ -108,14 +122,41 @@ def angular_book(geometry: SystemGeometry) -> Codebook:
     return entry[1]
 
 
-def _layer_work(geometry: SystemGeometry) -> dict:
-    """The layer dict of this geometry object (not of an equal one); a
-    new geometry replaces the slot's dict, so it never grows."""
-    global _LAYERS
-    entry = _LAYERS
-    if entry is None or entry[0] is not geometry:
-        entry = _LAYERS = geometry, {}
-    return entry[1]
+def _ris_key(geometry: SystemGeometry) -> tuple:
+    """What `distance_words` reads of `geometry`, as plain values: the
+    fields that place the RIS elements, and the wavelength."""
+    return (tuple(geometry.ris_mid.tolist()), geometry.m_x, geometry.m_y,
+            geometry.spacing_m, geometry.wavelength_m)
+
+
+def _layer_work(key: tuple):
+    """The (quadrants, word stacks) kept under `key`, or None.
+
+    `key` is (`_ris_key(geometry)`, the layer's input ranges), the values
+    its words are made from, so every cell and sweep value on one RIS
+    array finds the layers any of them made.  A layer stays kept until
+    `drop_memos` empties the slot before the next experiment, or until
+    `_keep_layer_work` drops it as the least recently used; a hit makes
+    it the most recently used.
+    """
+    with _LAYERS_LOCK:
+        work = _LAYERS.get(key)
+        if work is not None:
+            _LAYERS.move_to_end(key)
+        return work
+
+
+def _keep_layer_work(key: tuple, work: tuple) -> tuple:
+    """Keep `work` under `key`, then drop the least recently used entries
+    until the kept word stacks take at most `LAYER_SLOT_BYTES` (so work
+    larger than that alone is not kept); returns `work`."""
+    with _LAYERS_LOCK:
+        _LAYERS[key] = work
+        kept = sum(a.nbytes for _, stacks in _LAYERS.values() for a in stacks)
+        while kept > LAYER_SLOT_BYTES:
+            _, (_, stacks) = _LAYERS.popitem(last=False)
+            kept -= sum(a.nbytes for a in stacks)
+    return work
 
 
 def _operand(realization: ChannelRealization, w: np.ndarray,
@@ -276,23 +317,24 @@ def _descend(realization: ChannelRealization, w: np.ndarray,
     and the best codeword accumulate into `report`, which is returned.
 
     A layer's quadrant bounds and word stacks depend only on its input
-    ranges and the geometry, so they are kept in the geometry's layer
-    dict (`_layer_work`) under those ranges.  A later call on the same
-    geometry that reaches the same ranges, usually under another
-    precoder, takes them from there and goes straight to the candidate
-    product; a layer not seen before is computed, and raises, as above.
+    ranges and on what `distance_words` reads of the geometry, the RIS
+    element positions and the wavelength, so they are kept in the layer
+    slot (`_layer_work`) under both.  A later call that reaches the same
+    ranges on the same RIS array, under another precoder or in another
+    cell, takes them from there and goes straight to the candidate
+    product; a layer not kept is computed, and raises, as above.
     """
     if layers < 0:
         raise ValueError("max_layers must be >= 0")
-    memo = _layer_work(geometry)
+    ris = _ris_key(geometry)
     bounds = [grid.bounds for grid, _ in ranges]
     # each range's (4, S, M) words, split off the sample axis
     splits = np.cumsum([grid.s_x * grid.s_y for grid, _ in ranges])[:-1]
     winner = None
     for layer in range(1, layers + 1):
-        key = tuple((b, grid.s_x, grid.s_y, grid.fixed_z)
-                    for b, (grid, _) in zip(bounds, ranges))
-        work = memo.get(key)
+        key = ris, tuple((b, grid.s_x, grid.s_y, grid.fixed_z)
+                         for b, (grid, _) in zip(bounds, ranges))
+        work = _layer_work(key)
         if work is None:
             quads = [quadrant_bounds(*b, grid.fixed_z)
                      for b, (grid, _) in zip(bounds, ranges)]
@@ -301,7 +343,8 @@ def _descend(realization: ChannelRealization, w: np.ndarray,
                  for q, (grid, _) in zip(quads, ranges)], axis=1)
             words = distance_words(points, geometry)
             words.flags.writeable = False   # the split views inherit it
-            work = memo[key] = quads, np.split(words, splits, axis=1)
+            work = _keep_layer_work(
+                key, (quads, np.split(words, splits, axis=1)))
         quads, stacks = work
         # (combination, row, M): each range adds the slowest quadrant
         # axis and the fastest sample axis

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from risbeam.geometry import SystemGeometry
@@ -18,7 +17,3 @@ def desk():
     return SystemGeometry.build(30e9, n_bs=8, n_ue=4, m_x=16, m_y=2,
                                 bs_mid=(0, 0, 0), ue_mid=(0.24, 0, 0),
                                 ris_mid=(0.1, 0, 0.08))
-
-
-def random_complex(rng, shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

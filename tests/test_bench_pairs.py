@@ -1,5 +1,6 @@
-"""`summary` in scripts/bench_pairs.py, which decides every claimed gain,
-and the checkout record that says what a BENCH file compared."""
+"""`summary` and `claims` in scripts/bench_pairs.py, which decide every
+claimed gain, and the checkout record that says what a BENCH file
+compared."""
 
 import runpy
 import subprocess
@@ -9,8 +10,9 @@ import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 script = runpy.run_path(str(SCRIPT))
-summary, regressions, unresolved = (script["summary"], script["regressions"],
-                                    script["unresolved"])
+summary, regressions, unresolved, claims = (
+    script["summary"], script["regressions"], script["unresolved"],
+    script["claims"])
 checkout_state = script["checkout_state"]
 
 BETTER = {"evals_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
@@ -106,6 +108,36 @@ def test_unresolved_are_end_to_end_metrics_whose_parent_spreads_past_bound():
     assert found[1] == {"metric": "wide.setup_s", "parent": 0.4,
                         "quartiles": stats["quartiles"]["parent"]
                         ["wide.setup_s"], "bound": 0.25}
+
+
+def test_claims_need_nine_of_ten_wins_and_a_gap_past_the_parent_spread():
+    parent = [float(v) for v in range(100, 110)]    # quartiles 101.75, 107.25
+    runs = {
+        # wins 10 of 10 by 10: past the 5.5 quartile distance
+        "clear.evals_per_s": [(p, p + 10) for p in parent],
+        # wins 9 of 10, the median 7 better: claimable
+        "nine.evals_per_s": [(p, p + 8) for p in parent[:9]]
+                            + [(parent[9], parent[9] - 1)],
+        # wins 8 of 10 by far: too few wins
+        "eight.evals_per_s": [(p, p + 50) for p in parent[:8]]
+                             + [(p, p) for p in parent[8:]],
+        # wins every pair, but the median only 3 better: within the spread
+        "narrow.evals_per_s": [(p, p + 3) for p in parent],
+        # lower is better: 10 less in every pair is a gain
+        "clear.setup_s": [(p, p - 10) for p in parent],
+        # 10 more in every pair is a loss, not a gain
+        "worse.setup_s": [(p, p + 10) for p in parent],
+    }
+    pairs = [pair({name: v[i][0] for name, v in runs.items()},
+                  {name: v[i][1] for name, v in runs.items()})
+             for i in range(10)]
+    stats = summary(pairs, BETTER)
+    assert stats["quartiles"]["parent"]["clear.evals_per_s"] == [101.75,
+                                                                  107.25]
+    assert claims(stats, len(pairs), BETTER) == {
+        "clear.evals_per_s": True, "clear.setup_s": True,
+        "eight.evals_per_s": False, "narrow.evals_per_s": False,
+        "nine.evals_per_s": True, "worse.setup_s": False}
 
 
 def git(repo: Path, *args) -> str:

@@ -1,5 +1,6 @@
 import sys
 import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -534,9 +535,24 @@ def report_bytes(rep):
             repr(rep.best_rate), rep.evaluations, repr(rep.layer_trace))
 
 
+def empty_layer_slot(monkeypatch):
+    monkeypatch.setattr(training, "_LAYERS", OrderedDict())
+
+
 def empty_both_slots(monkeypatch):
     monkeypatch.setattr(training, "_ANGULAR", None)
-    monkeypatch.setattr(training, "_LAYERS", None)
+    empty_layer_slot(monkeypatch)
+
+
+def kept_bytes():
+    return sum(a.nbytes for _, stacks in training._LAYERS.values()
+               for a in stacks)
+
+
+def spoil_kept_words():
+    """Zero every kept word stack: a read of them changes the report."""
+    for key, (quads, stacks) in list(training._LAYERS.items()):
+        training._LAYERS[key] = quads, [np.zeros_like(a) for a in stacks]
 
 
 @pytest.fixture
@@ -562,8 +578,9 @@ def run_threads(train, n=4):
 
 @pytest.mark.usefixtures("empty_slots")
 class TestLayerSlot:
-    """Each layer's words are kept for the geometry object they were made
-    for; the angular codebook comes from its own slot."""
+    """Each layer's words are kept for the RIS array they were made on,
+    whatever geometry object carries it; the angular codebook comes from
+    its own slot."""
 
     SCHEMES = ("angular_sweep", "hierarchical_nn", "two_stage_hybrid")
 
@@ -650,7 +667,7 @@ class TestLayerSlot:
         assert counts == {"words": 0, "angular": 0}
         # an empty layer slot makes the layers' words again, but the
         # angular codebook still comes from its slot
-        monkeypatch.setattr(training, "_LAYERS", None)
+        empty_layer_slot(monkeypatch)
         assert report_bytes(train()) == first
         assert counts == {"words": words, "angular": 0}
         counts.update(words=0, angular=0)
@@ -679,43 +696,52 @@ class TestLayerSlot:
         for (scheme, args), want in zip(runs, fresh):
             assert report_bytes(scheme(real, w, NOISE, *args, g)) == want
 
-    def test_equal_geometry_never_reads_the_first_ones_words(self,
-                                                              monkeypatch):
-        g = desk_geometry()
-        other = desk_geometry()    # equal values, another object
-        real = nn_realization(g)
-        w = matched_precoder(real, g)
-        gb, gu = desk_grids(g)
-        for train in (
-                lambda geo: hierarchical_nn(real, w, NOISE, gb, gu, 2, geo),
-                lambda geo: two_stage_hybrid(real, w, NOISE, gb, 2, "NF",
-                                             geo)):
-            empty_both_slots(monkeypatch)
-            want = report_bytes(train(other))
-            empty_both_slots(monkeypatch)
-            train(g)
-            # spoil g's kept words: a read of them would change the report
-            kept = training._LAYERS[1]
-            for key, (quads, stacks) in kept.items():
-                kept[key] = quads, [np.zeros_like(a) for a in stacks]
-            counts = self.count_work(monkeypatch)
-            assert report_bytes(train(other)) == want
-            assert counts["words"] == 2
-            assert training._LAYERS[0] is other
+    @staticmethod
+    def trainers(gb, gu):
+        """Hierarchical and NF two-stage training on fixed grids."""
+        return (lambda real, w, geo: hierarchical_nn(real, w, NOISE, gb, gu,
+                                                     2, geo),
+                lambda real, w, geo: two_stage_hybrid(real, w, NOISE, gb, 2,
+                                                      "NF", geo))
 
-    def test_slot_holds_its_geometry_and_is_replaced(self):
+    def test_other_user_position_reads_the_kept_words(self, monkeypatch):
         g = desk_geometry()
-        real = nn_realization(g)
-        w = matched_precoder(real, g)
-        gb, gu = desk_grids(g)
-        hierarchical_nn(real, w, NOISE, gb, gu, 2, g)
-        geometry, kept = training._LAYERS
-        assert geometry is g and len(kept) == 2
-        h = desk_geometry(ue=(0.26, 0.01, 0.0))
-        hierarchical_nn(real, w, NOISE, gb, gu, 1, h)
-        geometry, kept = training._LAYERS
-        # one geometry's layers at a time: the slot never grows
-        assert geometry is h and len(kept) == 1
+        moved = desk_geometry(ue=(0.26, 0.01, 0.0))    # same RIS array
+        real = nn_realization(moved)
+        w = matched_precoder(real, moved)
+        for train in self.trainers(*desk_grids(g)):
+            empty_both_slots(monkeypatch)
+            want = report_bytes(train(real, w, moved))
+            empty_both_slots(monkeypatch)
+            # the same channel descends the same path on g's object
+            train(real, w, g)
+            counts = self.count_work(monkeypatch)
+            assert report_bytes(train(real, w, moved)) == want
+            assert counts["words"] == 0
+
+    @pytest.mark.parametrize("change", [
+        {"ris_mid": (0.12, 0.01, 0.1)}, {"m_x": 8}, {"m_y": 1},
+        {"spacing_m": 0.25 * 0.01}, {"carrier_hz": 28e9}],
+        ids=["ris_mid", "m_x", "m_y", "spacing", "carrier"])
+    def test_each_ris_field_rebuilds_and_never_reads_the_first_words(
+            self, monkeypatch, change):
+        desk = dict(carrier_hz=30e9, spacing_m=0.5 * 0.01, n_bs=8, n_ue=4,
+                    m_x=16, m_y=2, bs_mid=(0, 0, 0), ue_mid=(0.24, 0, 0),
+                    ris_mid=(0.1, 0, 0.08))
+        g = SystemGeometry(**desk)
+        other = SystemGeometry(**desk | change)
+        real = nn_realization(other)
+        w = matched_precoder(real, other)
+        for train in self.trainers(*desk_grids(g)):
+            empty_both_slots(monkeypatch)
+            want = report_bytes(train(real, w, other))
+            empty_both_slots(monkeypatch)
+            first = nn_realization(g)
+            train(first, matched_precoder(first, g), g)
+            spoil_kept_words()
+            counts = self.count_work(monkeypatch)
+            assert report_bytes(train(real, w, other)) == want
+            assert counts["words"] == 2
 
     def test_cached_arrays_are_read_only(self):
         g = desk_geometry()
@@ -724,7 +750,7 @@ class TestLayerSlot:
         gb, gu = desk_grids(g)
         hierarchical_nn(real, w, NOISE, gb, gu, 2, g)
         two_stage_hybrid(real, w, NOISE, gu, 2, "FN", g)
-        kept = training._LAYERS[1]
+        kept = training._LAYERS
         stacks = [a for _, per_range in kept.values() for a in per_range]
         assert len(kept) == 4 and len(stacks) == 6
         angular = training.angular_book(g)
@@ -753,13 +779,19 @@ class TestLayerSlot:
         # layer 1 came from the slot and was scored; layer 2 raised
         assert len(batches) == 1 and counts["words"] == 0
 
+    # one desk layer of hierarchical training keeps 2*4*4*32 words of
+    # 16 bytes; the small bound keeps one and a half of them
+    @pytest.mark.parametrize("moved, bound", [
+        ({"ris_mid": (0.12, 0.01, 0.1)}, training.LAYER_SLOT_BYTES),
+        ({"ue_mid": (0.26, 0.01, 0.0)}, 3 * 2**13)],
+        ids=["ris_moved", "same_ris_evicting"])
     def test_threads_on_alternating_geometries_match_the_serial_run(
-            self, monkeypatch):
-        # the RIS moves, so the two geometries' distance words differ
-        geos = [desk_geometry(),
-                SystemGeometry.build(30e9, n_bs=8, n_ue=4, m_x=16, m_y=2,
-                                     bs_mid=(0, 0, 0), ue_mid=(0.24, 0, 0),
-                                     ris_mid=(0.12, 0.01, 0.1))]
+            self, monkeypatch, moved, bound):
+        desk = dict(carrier_hz=30e9, n_bs=8, n_ue=4, m_x=16, m_y=2,
+                    bs_mid=(0, 0, 0), ue_mid=(0.24, 0, 0),
+                    ris_mid=(0.1, 0, 0.08))
+        geos = [SystemGeometry.build(**desk),
+                SystemGeometry.build(**desk | moved)]
         cells = []
         for g in geos:
             real = nn_realization(g)
@@ -773,15 +805,107 @@ class TestLayerSlot:
         for k in (0, 1):
             empty_both_slots(monkeypatch)
             want.append(train(k))
-        wrong = []
+        monkeypatch.setattr(training, "LAYER_SLOT_BYTES", bound)
+        counts = self.count_work(monkeypatch)
+        wrong, raised = [], []
 
         def worker(start):
-            for k in range(start, start + 20):
-                if train(k) != want[k % 2]:
-                    wrong.append(k)
+            try:
+                for k in range(start, start + 20):
+                    if train(k) != want[k % 2]:
+                        wrong.append(k)
+            except Exception as exc:    # reported below, in the test thread
+                raised.append(exc)
 
         run_threads(worker)
-        assert wrong == []
+        assert wrong == [] and raised == []
+        assert kept_bytes() <= bound
+        if bound < training.LAYER_SLOT_BYTES:
+            # 80 calls of 3 layers over at most 6 distinct layers: the
+            # bound made them rebuild evicted ones
+            assert counts["words"] > 6
+
+
+@pytest.mark.usefixtures("empty_slots")
+class TestLayerSlotBound:
+    """The layer slot drops its least recently used layers to keep its
+    word stacks within LAYER_SLOT_BYTES; what it drops is rebuilt."""
+
+    LAYER = 2 * 4 * 4 * 32 * 16    # bytes of one desk hierarchical layer
+
+    @staticmethod
+    def cells(n):
+        """n desk cells on one RIS array, each with its own user position
+        and channel, so their descents part after the first layer."""
+        out = []
+        for i in range(n):
+            g = desk_geometry(ue=(0.24 + 0.004 * i, 0.002 * i, 0.0))
+            real = nn_realization(g)
+            out.append((real, matched_precoder(real, g), *desk_grids(g), g))
+        return out
+
+    @pytest.mark.parametrize("layers_kept", [0, 1, 3])
+    def test_kept_bytes_never_exceed_the_bound(self, monkeypatch,
+                                               layers_kept):
+        bound = layers_kept * self.LAYER + self.LAYER // 2
+        monkeypatch.setattr(training, "LAYER_SLOT_BYTES", bound)
+        seen, keep = [], training._keep_layer_work
+
+        def checked(key, work):
+            out = keep(key, work)
+            seen.append(kept_bytes())
+            return out
+        monkeypatch.setattr(training, "_keep_layer_work", checked)
+        for real, w, gb, gu, g in self.cells(4):
+            hierarchical_nn(real, w, NOISE, gb, gu, 4, g)
+            two_stage_hybrid(real, w, NOISE, gu, 3, "FN", g)
+        assert max(seen) <= bound
+        # the slot dropped layers: it keeps fewer than were built
+        assert len(training._LAYERS) < len(seen)
+
+    def test_evicted_layers_rebuild_bit_identically(self, monkeypatch):
+        cells = self.cells(2)
+        built = []
+        words = training.distance_words
+
+        def recorded(points, geometry):
+            out = words(points, geometry)
+            built.append(out.tobytes())
+            return out
+        monkeypatch.setattr(training, "distance_words", recorded)
+
+        def run(cell):
+            real, w, gb, gu, g = cell
+            return report_bytes(hierarchical_nn(real, w, NOISE, gb, gu, 3, g))
+
+        want = []
+        for cell in cells:
+            empty_both_slots(monkeypatch)
+            want.append(run(cell))
+        fresh = list(built)
+        empty_both_slots(monkeypatch)
+        # room for one layer: each layer evicts the one before it
+        monkeypatch.setattr(training, "LAYER_SLOT_BYTES", self.LAYER)
+        built.clear()
+        assert [run(cell) for cell in cells] == want
+        assert len(training._LAYERS) == 1
+        # every layer was rebuilt, word for word as from an empty slot
+        assert built == fresh and len(built) == 6
+
+    @pytest.mark.parametrize("bound", [0, 3 * LAYER])
+    def test_experiment_output_does_not_depend_on_the_bound(
+            self, monkeypatch, tmp_path, bound):
+        cfg = harness.parse_config("seeds: [0, 1, 2]\nmax_iters: 2\n"
+                                   "sweep: power_dbm in [10, 20]")
+
+        def emitted():
+            out = tmp_path / "res.csv"
+            harness.emit_results(harness.run_experiment(cfg), out)
+            return out.read_bytes(), out.with_suffix(".summary.csv").read_bytes()
+
+        want = emitted()
+        monkeypatch.setattr(training, "LAYER_SLOT_BYTES", bound)
+        assert emitted() == want
 
 
 @pytest.mark.usefixtures("empty_slots")
