@@ -29,6 +29,12 @@ The file also holds, per trace setting and metric:
   is better than the parent's by more than the parent's quartile
   distance.
 
+After the pairs, `bench/run.py --workload all --seed 3 --seconds 0.01
+--trace 1` runs once in each checkout: one traced round on seeds the
+pairs do not use.  Its per-layer metrics are kept under `counts`, so
+that the per-cell counts of both sides can be compared without taking
+them from medians over time-bounded runs.
+
 `checkouts` names what was compared: each side's `git rev-parse HEAD`
 and whether its tree differs from that commit (`git status
 --porcelain`, untracked files included), read before the first run;
@@ -45,11 +51,15 @@ from pathlib import Path
 
 PAIRS = 10
 SECONDS = 12
+# the one traced round whose per-layer counts the record keeps
+COUNTS_SEED, COUNTS_SECONDS = 3, 0.01
 
 
-def run(checkout: Path, trace: int) -> dict:
+def run(checkout: Path, trace: int, seed: int = 0,
+        seconds: float = SECONDS) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", "all",
-           "--seconds", str(SECONDS), "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True,
                          text=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
@@ -164,8 +174,10 @@ def main():
     better = {m["name"]: m["better"]
               for m in declared["end_to_end"] + declared["per_layer"]}
 
-    record = {"command": f"bench/run.py --workload all --seconds {SECONDS} "
-                         f"--trace <0|1>",
+    per_layer = {m["name"] for m in declared["per_layer"]}
+
+    record = {"command": f"bench/run.py --workload all --seed 0 "
+                         f"--seconds {SECONDS} --trace <0|1>",
               "order": "parent first in odd pairs, change first in even",
               "checkouts": {side: checkout_state(getattr(args, side))
                             for side in ("parent", "change")}}
@@ -181,6 +193,16 @@ def main():
             **stats, "regressions": regressions(stats["median"], declared),
             "unresolved": unresolved(stats, pairs, declared),
             "claims": claims(stats, len(pairs), better), "pairs": pairs}
+    record["counts"] = {"command": f"bench/run.py --workload all --seed "
+                                   f"{COUNTS_SEED} --seconds {COUNTS_SECONDS}"
+                                   f" --trace 1"}
+    for side in ("parent", "change"):
+        metrics = run(getattr(args, side), 1, COUNTS_SEED,
+                      COUNTS_SECONDS)["metrics"]
+        # metric names are <workload>.<benchmark metric>
+        record["counts"][side] = {
+            name: metric for name, metric in metrics.items()
+            if name.split(".", 1)[1] in per_layer}
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

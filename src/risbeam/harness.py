@@ -19,7 +19,6 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -88,6 +87,17 @@ def _positive(value) -> float:
     if x <= 0:
         raise ValueError("must be a positive number")
     return x
+
+
+def _dbm(value) -> float:
+    x = _number(value)
+    try:
+        if dbm_to_watts(x) > 0.0:    # overflow raises; it never gives inf
+            return x
+    except OverflowError:
+        pass
+    raise ValueError("must be a level whose power in watts is a finite "
+                     "positive float (about -3200 to 3100 dBm)")
 
 
 def _nonnegative(value) -> float:
@@ -193,8 +203,8 @@ class ExperimentConfig:
                                      10.0, 1000.0)
     ue_jitter_frac: float = _key(_nonnegative,
                                  "fraction of the range halfwidth", 0.05, 0.05)
-    power_dbm: float = _key(_number, "dBm", -50.0, 30.0)
-    noise_dbm: float = _key(_number, "dBm", -105.0, -105.0)
+    power_dbm: float = _key(_dbm, "dBm", -50.0, 30.0)
+    noise_dbm: float = _key(_dbm, "dBm", -105.0, -105.0)
     paths_bs: int = _key(_integer(1), "paths incl. LoS", 3, 3)
     paths_ue: int = _key(_integer(1), "paths incl. LoS", 3, 3)
     nlos_rel_power: float = _key(_positive, "relative to LoS power",
@@ -456,6 +466,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     jobs = [(cfg, seed, value)
             for value in cfg.sweep_values for seed in cfg.seeds]
     if cfg.workers > 1:
+        # imported here so that single-worker runs, the default, neither
+        # load nor keep the multi-process stack (multiprocessing, socket,
+        # selectors, logging)
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             outcomes = list(pool.map(_cell_job, jobs))
     else:

@@ -167,12 +167,15 @@ def _operand(realization: ChannelRealization, w: np.ndarray,
     `is`), w's shape, dtype and bytes, and noise_var with its type.  A
     call under the same key takes C as it is, so the scoring calls of one
     training call, whatever their batch size, build it once; any other
-    key rebuilds it, into the same array while the shape holds.
+    key rebuilds it, into the same array while the shape holds.  The
+    rebuild rejects a noise_var that is not positive.
     """
     key = (w.shape, w.dtype, w.tobytes(), type(noise_var), noise_var)
     held = getattr(_WORK, "operand", None)
     if held is not None and held[0] is realization and held[1] == key:
         return held[2]
+    if not noise_var > 0:                   # NaN included
+        raise ValueError("noise_var must be positive")
     t = realization.g_bs_ris @ w / np.sqrt(noise_var)           # (M, q)
     m, q = t.shape
     n_ue = realization.g_ris_ue.shape[0]

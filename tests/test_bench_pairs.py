@@ -1,9 +1,11 @@
 """`summary` and `claims` in scripts/bench_pairs.py, which decide every
-claimed gain, and the checkout record that says what a BENCH file
-compared."""
+claimed gain, the checkout record that says what a BENCH file compared,
+and the one-round counts it keeps."""
 
+import json
 import runpy
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -173,3 +175,39 @@ def test_checkout_state_of_a_plain_directory_is_null(tmp_path):
     assert checkout_state(plain) == {"head": None, "dirty": None}
     assert checkout_state(tmp_path / "missing") == {"head": None,
                                                     "dirty": None}
+
+
+def test_counts_of_one_traced_round_per_side_are_written(tmp_path,
+                                                          monkeypatch):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "end_to_end": [{"name": "cells_per_s", "better": "higher",
+                        "bound": 0.25}],
+        "per_layer": [{"name": "rate_kernel.calls", "better": "lower"}]}))
+    calls = []
+
+    def fake_run(checkout, trace, seed=0, seconds=script["SECONDS"]):
+        calls.append((checkout.name, trace, seed, seconds))
+        one_round = (seed, seconds) == (3, 0.01)
+        return {"correct": True, "failed": 0, "metrics": {
+            "w.cells_per_s": {"value": 5.0, "unit": "1/s"},
+            "w.rate_kernel.calls": {"value": 7.0 if one_round else 9.0,
+                                    "unit": "count/cell"}}}
+
+    main = script["main"]
+    monkeypatch.setitem(main.__globals__, "run", fake_run)
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pairs.py", str(tmp_path / "parent"), str(tmp_path / "change"),
+        "--out", str(out)])
+    main()
+    record = json.loads(out.read_text())
+    # 10 pairs per trace setting, then the one round on each side
+    assert len(calls) == 42
+    assert calls[-2:] == [("parent", 1, 3, 0.01), ("change", 1, 3, 0.01)]
+    one_round = {"w.rate_kernel.calls": {"value": 7.0, "unit": "count/cell"}}
+    assert record["counts"] == {
+        "command": "bench/run.py --workload all --seed 3 --seconds 0.01 "
+                   "--trace 1",
+        "parent": one_round, "change": one_round}

@@ -86,6 +86,12 @@ def test_gain_mode_matched_parses_and_runs():
     "ris_pos_m: [0.1, nan, 0.08]",
     "sweep: power_dbm in [-50, nan]",
     "sweep: ris_z in [inf]",
+    # finite in dBm, but 10 ** 397 W overflows and 10 ** -403 W is 0.0
+    "power_dbm: 4000",
+    "noise_dbm: -4000",
+    "power_dbm: -4000",
+    "sweep: power_dbm in [0, 5000]",
+    "sweep: noise_dbm in [-4000]",
 ])
 def test_non_finite_numbers_rejected_at_parse(text):
     with pytest.raises(ConfigError, match="line 1: .*finite"):
@@ -217,6 +223,7 @@ def value_strategy(check):
         return st.sampled_from(check.choices)
     simple = {
         harness._number: FINITE,
+        harness._dbm: st.floats(-3000.0, 3000.0),
         harness._positive: st.floats(min_value=0.0, exclude_min=True,
                                      allow_infinity=False),
         harness._nonnegative: st.floats(min_value=0.0, allow_infinity=False),

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,6 +173,34 @@ class TestRunExperiment:
             for a, b in zip(r1.rows, other.rows):
                 assert a.rate_bps_hz == b.rate_bps_hz
                 assert (a.seed, a.sweep_value) == (b.seed, b.sweep_value)
+
+    # run in a fresh interpreter: pytest itself may have loaded these
+    POOL_PROBE = """
+import json, sys
+from risbeam import harness
+harness.emit_results(harness.run_experiment(harness.parse_config(sys.argv[1])),
+                     sys.argv[2])
+print(json.dumps({m: m in sys.modules
+                  for m in ("concurrent.futures.process", "multiprocessing")}))
+"""
+
+    def test_process_pool_loaded_only_for_several_workers(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(__file__).resolve().parents[1] / "src"))
+        loaded, csvs = {}, {}
+        for workers in (1, 2):
+            text = TINY.replace("seeds: [0, 1]", "seeds: [0]") \
+                + f"workers: {workers}\n"
+            out = tmp_path / f"w{workers}.csv"
+            done = subprocess.run(
+                [sys.executable, "-c", self.POOL_PROBE, text, str(out)],
+                env=env, check=True, capture_output=True, text=True)
+            loaded[workers] = json.loads(done.stdout)
+            csvs[workers] = out.read_bytes()
+        assert loaded[1] == {"concurrent.futures.process": False,
+                             "multiprocessing": False}
+        assert loaded[2]["concurrent.futures.process"]
+        assert csvs[1] == csvs[2]
 
     def test_failed_cell_recorded_not_fatal(self):
         # hierarchical training with zero layers fails inside the cell

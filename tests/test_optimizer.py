@@ -140,6 +140,16 @@ class TestRateKernel:
                 pytest.raises(ValueError, match="non-finite"):
             rates_for_phase_batch(real, phis, w, 1e-13)
 
+    @pytest.mark.parametrize("noise_var", [0.0, -1e-12, np.nan])
+    def test_nonpositive_noise_rejected(self, noise_var):
+        g, real, _, _ = desk_setup()
+        rng = np.random.default_rng(9)
+        w = rand_matrix(rng, (g.n_bs, 2)) * 1e-5
+        phis = np.exp(-1j * rng.uniform(0, 2 * np.pi, (4, g.m)))
+        rates_for_phase_batch(real, phis, w, 1e-13)    # operand now held
+        with pytest.raises(ValueError, match="noise_var must be positive"):
+            rates_for_phase_batch(real, phis, w, noise_var)
+
 
 def reference_rates(real, phis, w, noise_var):
     """The kernel's steps in its order, each product a fresh array."""
