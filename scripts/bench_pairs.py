@@ -53,6 +53,8 @@ PAIRS = 10
 SECONDS = 12
 # the one traced round whose per-layer counts the record keeps
 COUNTS_SEED, COUNTS_SECONDS = 3, 0.01
+# +1 where a larger value of a metric is better, -1 where a smaller one is
+SIGN = {"higher": 1, "lower": -1}
 
 
 def run(checkout: Path, trace: int, seed: int = 0,
@@ -99,7 +101,7 @@ def summary(pairs: list, better: dict) -> dict:
             if old:
                 values["ratio"].setdefault(name, []).append(new / old)
             # metric names are <workload>.<benchmark metric>
-            sign = {"higher": 1, "lower": -1}[better[name.split(".", 1)[1]]]
+            sign = SIGN[better[name.split(".", 1)[1]]]
             wins[name] = wins.get(name, 0) + (sign * (new - old) > 0)
     return {
         "median": {side: {name: statistics.median(v)
@@ -112,18 +114,22 @@ def summary(pairs: list, better: dict) -> dict:
     }
 
 
+def end_to_end(names, declared: dict):
+    """(name, sign, bound) for each of `names` (<workload>.<benchmark
+    metric>) whose metric `declared` lists as end to end."""
+    limits = {m["name"]: (SIGN[m["better"]], m["bound"])
+              for m in declared["end_to_end"]}
+    for name in names:
+        metric = name.split(".", 1)[1]
+        if metric in limits:
+            yield (name, *limits[metric])
+
+
 def regressions(medians: dict, declared: dict) -> list:
     """End-to-end metrics of `summary`'s medians that break their bound."""
-    limits = {m["name"]: (m["better"], m["bound"])
-              for m in declared["end_to_end"]}
     found = []
-    for name, old in medians["parent"].items():
-        metric = name.split(".", 1)[1]
-        if metric not in limits:
-            continue
-        better, bound = limits[metric]
-        new = medians["change"][name]
-        sign = {"higher": 1, "lower": -1}[better]
+    for name, sign, bound in end_to_end(medians["parent"], declared):
+        old, new = medians["parent"][name], medians["change"][name]
         if sign * (new - old) < -bound * abs(old):
             found.append({"metric": name, "parent": old, "change": new,
                           "bound": bound})
@@ -132,18 +138,12 @@ def regressions(medians: dict, declared: dict) -> list:
 
 def unresolved(stats: dict, pairs: list, declared: dict) -> list:
     """End-to-end metrics whose parent runs spread wider than their bound."""
-    limits = {m["name"]: (m["better"], m["bound"])
-              for m in declared["end_to_end"]}
     found = []
-    for name, (q1, q3) in stats["quartiles"]["parent"].items():
-        metric = name.split(".", 1)[1]
-        if metric not in limits:
-            continue
-        better, bound = limits[metric]
-        old = stats["median"]["parent"][name]
+    quartiles = stats["quartiles"]["parent"]
+    for name, sign, bound in end_to_end(quartiles, declared):
+        (q1, q3), old = quartiles[name], stats["median"]["parent"][name]
         if q3 - q1 <= bound * abs(old):
             continue
-        sign = {"higher": 1, "lower": -1}[better]
         runs = {side: [sign * pair[side]["metrics"][name]["value"]
                        for pair in pairs] for side in ("parent", "change")}
         if min(runs["change"]) > max(runs["parent"]):
@@ -157,7 +157,7 @@ def claims(stats: dict, n_pairs: int, better: dict) -> dict:
     """Per metric of `summary`'s stats: may a gain be claimed on it?"""
     out = {}
     for name, (q1, q3) in stats["quartiles"]["parent"].items():
-        sign = {"higher": 1, "lower": -1}[better[name.split(".", 1)[1]]]
+        sign = SIGN[better[name.split(".", 1)[1]]]
         gap = sign * (stats["median"]["change"][name]
                       - stats["median"]["parent"][name])
         out[name] = 10 * stats["wins"][name] >= 9 * n_pairs and gap > q3 - q1

@@ -16,7 +16,7 @@ import numpy as np
 from risbeam import harness
 from risbeam.channel import cascade
 from risbeam.codebook import build_nn_codebook
-from risbeam.optimizer import _initial_precoder, default_stream_count
+from risbeam.optimizer import default_stream_count, initial_precoder
 from risbeam.training import exhaustive_search, hierarchical_nn
 
 
@@ -34,8 +34,9 @@ def main():
     rows = []
     for seed in range(args.seeds):
         geometry, real, gb, gu = harness.cell_setup(cfg, seed)
-        w = _initial_precoder(cascade(real, np.ones(geometry.m)),
-                              default_stream_count("NN", geometry), cfg.p_max_w)
+        q = default_stream_count("NN", geometry, cfg.paths_bs, cfg.paths_ue)
+        w = initial_precoder(cascade(real, np.ones(geometry.m)), q,
+                             cfg.p_max_w)
         # each depth re-walks the shallower depths' layers, which training
         # keeps for this geometry
         for layers in range(1, args.max_layers + 1):

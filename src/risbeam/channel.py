@@ -277,13 +277,13 @@ def los_path(link: str, geometry: SystemGeometry, gain: complex) -> PathSpec:
 
 
 def random_far_spec(link: str, geometry: SystemGeometry, rng: np.random.Generator,
-                    n_paths: int = 3, nlos_rel_power: float = 0.01,
-                    gain_mode: str = "friis") -> FarFieldSpec:
+                    n_paths: int, nlos_rel_power: float,
+                    gain_mode: str) -> FarFieldSpec:
     """LoS path at the geometric angles plus n_paths-1 random NLoS paths.
 
     gain_mode picks the large-scale amplitude of the LoS gain:
 
-    * "friis" (default): wavelength/(4*pi*link_distance), the free-space
+    * "friis": wavelength/(4*pi*link_distance), the free-space
       amplitude, applied under the sqrt(M*N/L) multipath normalization.
     * "matched": friis * sqrt(n_paths), cancelling the sqrt(1/L) split so
       the LoS term carries exactly the power of the spherical-wave model
@@ -317,10 +317,11 @@ def random_far_spec(link: str, geometry: SystemGeometry, rng: np.random.Generato
 
 
 def synthesize_channel(tag: str, geometry: SystemGeometry,
-                       rng: np.random.Generator, n_paths_bs: int = 3,
-                       n_paths_ue: int = 3, nlos_rel_power: float = 0.01,
-                       gain_mode: str = "friis") -> ChannelRealization:
-    """Draw one ChannelRealization for the given model tag."""
+                       rng: np.random.Generator, n_paths_bs: int,
+                       n_paths_ue: int, nlos_rel_power: float,
+                       gain_mode: str) -> ChannelRealization:
+    """Draw one ChannelRealization for the given model tag; callers pass
+    the config's paths_bs, paths_ue, nlos_rel_power and gain_mode."""
     if tag not in MODEL_TAGS:
         raise ValueError(f"unknown model tag {tag!r}")
     g_br, g_ru = [

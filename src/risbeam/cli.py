@@ -110,8 +110,9 @@ def _validation_checks(scale: str):
                    len(nn) == 16))
 
     rng = harness.rng_for(0)
-    real = channel.synthesize_channel("NN", geo, rng)
-    w0 = optimizer._initial_precoder(
+    real = channel.synthesize_channel("NN", geo, rng, cfg.paths_bs, cfg.paths_ue,
+                                      cfg.nlos_rel_power, cfg.gain_mode)
+    w0 = optimizer.initial_precoder(
         channel.cascade(real, np.ones(geo.m)), 1, cfg.p_max_w)
     rep = training.hierarchical_nn(real, w0, cfg.noise_w, grid_bs, grid_ue,
                                    2, geo)
@@ -133,9 +134,11 @@ def _validation_checks(scale: str):
     checks.append(("precoder satisfies its stationarity equation",
                    stationarity < 1e-7))
 
+    q = optimizer.default_stream_count("NN", geo, cfg.paths_bs, cfg.paths_ue)
     state = optimizer.ao_loop(real, geo, p_max=cfg.p_max_w, noise_var=cfg.noise_w,
                               grid_bs=grid_bs, grid_ue=grid_ue, layers=2,
-                              max_iters=5)
+                              max_iters=5, tol=cfg.tol, scheme=cfg.training,
+                              q=q)
     hist = np.array(state.rate_history)
     checks.append(("rate history is nondecreasing",
                    bool(np.all(np.diff(hist) >= -1e-6))))

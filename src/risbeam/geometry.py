@@ -32,7 +32,7 @@ def centered_offsets(n: int, spacing: float) -> np.ndarray:
 
 
 def check_layout(carrier_hz, n_bs, n_ue, m_x, m_y, bs_mid, ue_mid, ris_mid,
-                 spacing_wavelengths=0.5) -> None:
+                 spacing_wavelengths) -> None:
     """Raise ValueError if a link of this layout cannot carry a channel.
 
     Takes the arguments of `SystemGeometry.build` and places the elements
@@ -112,7 +112,7 @@ class SystemGeometry:
 
     @classmethod
     def build(cls, carrier_hz, n_bs, n_ue, m_x, m_y, bs_mid, ue_mid, ris_mid,
-              spacing_wavelengths=0.5) -> "SystemGeometry":
+              spacing_wavelengths) -> "SystemGeometry":
         """Construct with spacing given as a multiple of the wavelength."""
         lam = SPEED_OF_LIGHT / carrier_hz
         return cls(carrier_hz=carrier_hz, spacing_m=spacing_wavelengths * lam,

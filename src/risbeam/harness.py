@@ -29,7 +29,7 @@ from . import training
 from .channel import GAIN_MODES, MODEL_TAGS, synthesize_channel
 from .codebook import SamplingGrid
 from .geometry import SPEED_OF_LIGHT, SystemGeometry, check_layout
-from .optimizer import AOState, ao_loop
+from .optimizer import AOState, ao_loop, default_stream_count
 
 TRAINING_SCHEMES = ("auto", "angular", "hierarchical", "two_stage")
 
@@ -422,12 +422,12 @@ def cell_setup(cfg: ExperimentConfig, seed: int):
 def solve_cell(cfg: ExperimentConfig, seed: int) -> AOState:
     """Synthesize the seed's cell and run the alternating loop on it."""
     geometry, realization, grid_bs, grid_ue = cell_setup(cfg, seed)
+    q = cfg.q or default_stream_count(cfg.model, geometry, cfg.paths_bs,
+                                      cfg.paths_ue)
     return ao_loop(
         realization, geometry, p_max=cfg.p_max_w, noise_var=cfg.noise_w,
         grid_bs=grid_bs, grid_ue=grid_ue, layers=cfg.layers,
-        max_iters=cfg.max_iters, tol=cfg.tol, scheme=cfg.training,
-        q=cfg.q if cfg.q > 0 else None,
-        l_b=cfg.paths_bs, l_u=cfg.paths_ue)
+        max_iters=cfg.max_iters, tol=cfg.tol, scheme=cfg.training, q=q)
 
 
 def run_cell(cfg: ExperimentConfig, seed: int,

@@ -80,7 +80,7 @@ class AOState:
 
 def achievable_rate(h: np.ndarray, w: np.ndarray, noise_var: float) -> float:
     """log2 det(I + H W W^H H^H / noise_var), via singular values of HW."""
-    if noise_var <= 0:
+    if not noise_var > 0:                   # NaN included
         raise ValueError("noise_var must be positive")
     b = np.asarray(h, dtype=complex) @ np.asarray(w, dtype=complex)
     if not np.all(np.isfinite(b.view(float))):
@@ -100,7 +100,7 @@ def mse_matrix(h: np.ndarray, w: np.ndarray, u: np.ndarray,
 
 def optimal_combiner(h: np.ndarray, w: np.ndarray, noise_var: float) -> Combiner:
     """MMSE combiner (H W W^H H^H + noise_var I)^-1 H W."""
-    if noise_var <= 0:
+    if not noise_var > 0:                   # NaN included
         raise ValueError("noise_var must be positive")
     hw = h @ w
     cov = hw @ hw.conj().T + noise_var * np.eye(h.shape[0])
@@ -238,7 +238,7 @@ def precoder_kkt(h: np.ndarray, u: np.ndarray, f: np.ndarray, w: np.ndarray,
 
 
 def default_stream_count(tag: str, geometry: SystemGeometry,
-                         l_b: int = 3, l_u: int = 3) -> int:
+                         l_b: int, l_u: int) -> int:
     """Stream count bounded by antenna counts and the model's rank budget.
 
     Planar-wave links cap the rank at their path count; the all-spherical
@@ -251,7 +251,7 @@ def default_stream_count(tag: str, geometry: SystemGeometry,
     return min(geometry.n_bs, geometry.n_ue, *(far or [geometry.m]))
 
 
-def _initial_precoder(h0: np.ndarray, q: int, p_max: float) -> np.ndarray:
+def initial_precoder(h0: np.ndarray, q: int, p_max: float) -> np.ndarray:
     """Matched-filter columns of the zero-phase cascade, scaled to p_max."""
     w = h0.conj().T[:, :q].astype(complex).copy()
     norm = np.linalg.norm(w)
@@ -263,16 +263,16 @@ def _initial_precoder(h0: np.ndarray, q: int, p_max: float) -> np.ndarray:
 
 
 def ao_loop(realization: ChannelRealization, geometry: SystemGeometry, *,
-            p_max: float, noise_var: float,
-            grid_bs: SamplingGrid | None = None,
-            grid_ue: SamplingGrid | None = None,
-            layers: int | None = None, max_iters: int = 20, tol: float = 1e-4,
-            scheme: str = "auto", q: int | None = None,
-            l_b: int = 3, l_u: int = 3) -> AOState:
+            p_max: float, noise_var: float, grid_bs: SamplingGrid,
+            grid_ue: SamplingGrid, layers: int, max_iters: int, tol: float,
+            scheme: str, q: int) -> AOState:
     """Alternate RIS training, combiner, weight, and precoder updates.
 
-    scheme "auto" picks the training scheme for the realization's model
-    tag (FF: angular sweep, NN: hierarchical, NF/FN: two-stage); "angular"
+    The caller passes every value from the config (`harness.solve_cell`
+    turns q: 0 into `default_stream_count`); q is clamped to
+    min(n_bs, n_ue).  scheme "auto" picks the training scheme for the
+    realization's model tag (FF: angular sweep, NN: hierarchical over
+    both grids, NF/FN: two-stage over the near side's grid); "angular"
     forces the plain sweep on any model.  Terminates after max_iters
     cycles or when the relative rate change drops below tol.  The trained
     codeword is only adopted when it does not reduce the current rate;
@@ -284,8 +284,6 @@ def ao_loop(realization: ChannelRealization, geometry: SystemGeometry, *,
     tag = realization.model_tag
     if scheme == "auto":   # by the number of spherical-wave links
         scheme = ("angular", "two_stage", "hierarchical")[len(NEAR_LINKS[tag])]
-    if q is None:
-        q = default_stream_count(tag, geometry, l_b=l_b, l_u=l_u)
     q = min(q, geometry.n_bs, geometry.n_ue)   # streams beyond this are dead
     if q < 1:
         raise ValueError("stream count must be at least 1")
@@ -294,22 +292,18 @@ def ao_loop(realization: ChannelRealization, geometry: SystemGeometry, *,
         if scheme == "angular":
             return training.angular_sweep(realization, w, noise_var, geometry)
         if scheme == "hierarchical":
-            if grid_bs is None or grid_ue is None or layers is None:
-                raise ValueError("hierarchical training needs both grids and a layer count")
             return training.hierarchical_nn(realization, w, noise_var,
                                             grid_bs, grid_ue, layers, geometry)
         if scheme == "two_stage":
             side = tag if tag in NEAR_SIDE else "FN"   # forced on FF or NN
             grid = grid_bs if NEAR_SIDE[side] == SIDE_BS else grid_ue
-            if grid is None or layers is None:
-                raise ValueError("two-stage training needs the near-side grid and a layer count")
             return training.two_stage_hybrid(realization, w, noise_var,
                                              grid, layers, side, geometry)
         raise ValueError(f"unknown training scheme {scheme!r}")
 
     phi = np.ones(realization.m, dtype=complex)
     h = cascade(realization, phi)
-    w = _initial_precoder(h, q, p_max)
+    w = initial_precoder(h, q, p_max)
     u = optimal_combiner(h, w, noise_var).u
     f = np.eye(q, dtype=complex)
     rate = achievable_rate(h, w, noise_var)

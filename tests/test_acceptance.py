@@ -41,9 +41,9 @@ from risbeam.codebook import (
 )
 from risbeam.geometry import LINK_BS_RIS, LINK_RIS_UE, SystemGeometry
 from risbeam.optimizer import (
-    _initial_precoder,
     ao_loop,
     default_stream_count,
+    initial_precoder,
     mse_matrix,
     optimal_combiner,
     precoder_kkt,
@@ -60,6 +60,8 @@ from risbeam.training import (
     two_stage_hybrid,
     two_stage_overhead,
 )
+
+from conftest import config_args
 
 NOISE_W = 10 ** (-13.5)          # -105 dBm
 DESK_P_W = 10 ** ((-50 - 30) / 10)
@@ -93,7 +95,8 @@ def test_01_overhead_exactness():
     for m_x in (16, 60):                       # M = 32 and 120
         g = SystemGeometry.build(30e9, n_bs=1, n_ue=1, m_x=m_x, m_y=2,
                                  bs_mid=(0, 0, 0), ue_mid=(0.24, 0, 0),
-                                 ris_mid=(0.1, 0, 0.08))
+                                 ris_mid=(0.1, 0, 0.08),
+                                 **config_args(SystemGeometry.build))
         m = g.m
         real = nn_channel(g)
         w = np.full((1, 1), np.sqrt(DESK_P_W), dtype=complex)
@@ -170,7 +173,8 @@ def test_02_rank_claims(table2):
 
     small = SystemGeometry.build(30e9, n_bs=4, n_ue=2, m_x=8, m_y=2,
                                  bs_mid=(0, 0, 0), ue_mid=(0.24, 0, 0),
-                                 ris_mid=(0.1, 0, 0.08))
+                                 ris_mid=(0.1, 0, 0.08),
+                                 **config_args(SystemGeometry.build))
     s = np.linalg.svd(cascade(nn_channel(small), np.ones(small.m)),
                       compute_uv=False)
     nn_rank = int(np.sum(s > 1e-8 * s[0]))
@@ -193,8 +197,8 @@ def test_03_hierarchical_matches_flat_search():
         g = harness.geometry_from(cfg, ue_offset=tuple(off))
         real = nn_channel(g)
         gb, gu = harness.grids_from(cfg, g)
-        w = _initial_precoder(cascade(real, np.ones(g.m)),
-                              default_stream_count("NN", g), cfg.p_max_w)
+        q = default_stream_count("NN", g, cfg.paths_bs, cfg.paths_ue)
+        w = initial_precoder(cascade(real, np.ones(g.m)), q, cfg.p_max_w)
         rep = hierarchical_nn(real, w, cfg.noise_w, gb, gu, 2, g)
         book = build_nn_codebook(replace(gb, s_x=8, s_y=8),
                                  replace(gu, s_x=8, s_y=8), g)
@@ -219,12 +223,15 @@ def test_04_ao_monotone_and_convergent():
             off = rng.uniform(-cfg.ue_jitter_frac * half,
                               cfg.ue_jitter_frac * half, 2)
             g = harness.geometry_from(tag_cfg, ue_offset=tuple(off))
-            real = synthesize_channel(tag, g, rng, gain_mode=cfg.gain_mode)
+            real = synthesize_channel(tag, g, rng, cfg.paths_bs,
+                                      cfg.paths_ue, cfg.nlos_rel_power,
+                                      cfg.gain_mode)
             gb, gu = harness.grids_from(tag_cfg, g)
+            q = default_stream_count(tag, g, cfg.paths_bs, cfg.paths_ue)
             state = ao_loop(real, g, p_max=cfg.p_max_w, noise_var=cfg.noise_w,
-                            grid_bs=gb, grid_ue=gu,
-                            layers=cfg.layers,
-                            max_iters=20, tol=1e-4)
+                            grid_bs=gb, grid_ue=gu, layers=cfg.layers,
+                            max_iters=cfg.max_iters, tol=cfg.tol,
+                            scheme=cfg.training, q=q)
             total += 1
             monotone += bool(np.all(np.diff(state.rate_history) >= -1e-6))
             converged += (state.gamma < 1e-4 and state.iterations <= 20)
@@ -287,9 +294,7 @@ def test_06_precoder_kkt():
 
 
 def test_07_on_grid_alignment_gain():
-    g = SystemGeometry.build(30e9, n_bs=8, n_ue=4, m_x=16, m_y=2,
-                             bs_mid=(0, 0, 0), ue_mid=(0.24, 0, 0),
-                             ris_mid=(0.1, 0, 0.08))
+    g = harness.geometry_from(desk_cfg())
     beta_g = angular_grid_values(16)[11]
     delta_g = 0.5
     el = np.arccos(delta_g)
@@ -302,7 +307,7 @@ def test_07_on_grid_alignment_gain():
         g_bs_ris=far_channel(FarFieldSpec(LINK_BS_RIS, (p_br,)), g),
         g_ris_ue=far_channel(FarFieldSpec(LINK_RIS_UE, (p_ru,)), g),
         model_tag="FF")
-    w = _initial_precoder(cascade(real, np.ones(g.m)), 1, 1.0)
+    w = initial_precoder(cascade(real, np.ones(g.m)), 1, 1.0)
     rep = angular_sweep(real, w, NOISE_W, g)
     a_arr = upa_response(az, el, 16, 2, g) * np.sqrt(g.m)
     a_dep = upa_response(0.0, np.pi / 2, 16, 2, g) * np.sqrt(g.m)
@@ -319,6 +324,9 @@ def test_08_model_ordering(table2):
         return SamplingGrid(x_min=cx - half, x_max=cx + half,
                             y_min=-half, y_max=half, s_x=2, s_y=2, fixed_z=z)
     gb, gu = grid(0.0, 0.0), grid(24.0, 0.0)
+    geometry_args = config_args(SystemGeometry.build, "paper")
+    channel_args = config_args(synthesize_channel, "paper")
+    paths = config_args(default_stream_count, "paper")
     variants = (("NN hierarchical", "NN", "auto"),
                 ("NF two-stage", "NF", "auto"),
                 ("FN two-stage", "FN", "auto"),
@@ -333,11 +341,12 @@ def test_08_model_ordering(table2):
             g = SystemGeometry.build(30e9, n_bs=16, n_ue=8, m_x=60, m_y=2,
                                      bs_mid=(0, 0, 0),
                                      ue_mid=(24 + off[0], off[1], 0),
-                                     ris_mid=(10, 0, 8))
-            real = synthesize_channel(tag, g, rng, gain_mode="friis")
+                                     ris_mid=(10, 0, 8), **geometry_args)
+            real = synthesize_channel(tag, g, rng, **channel_args)
+            q = default_stream_count(tag, g, **paths)
             state = ao_loop(real, g, p_max=1.0, noise_var=NOISE_W,
-                            grid_bs=gb, grid_ue=gu, layers=layers,
-                            max_iters=20, tol=1e-4, scheme=scheme)
+                            grid_bs=gb, grid_ue=gu, layers=layers, q=q,
+                            **config_args(ao_loop, "paper", scheme=scheme))
             rates.append(state.rate)
         means[name] = float(np.mean(rates))
     chain = [("NN hierarchical", "NF two-stage"),

@@ -24,10 +24,13 @@ from risbeam.channel import (
 )
 from risbeam.geometry import LINK_BS_RIS, LINK_RIS_UE, SystemGeometry
 
+from conftest import config_args
+
 
 def geom(**kw):
     args = dict(carrier_hz=30e9, n_bs=8, n_ue=4, m_x=4, m_y=2,
-                bs_mid=(0, 0, 0), ue_mid=(24, 0, 0), ris_mid=(10, 0, 8))
+                bs_mid=(0, 0, 0), ue_mid=(24, 0, 0), ris_mid=(10, 0, 8),
+                **config_args(SystemGeometry.build))
     args.update(kw)
     return SystemGeometry.build(**args)
 
@@ -250,27 +253,34 @@ class TestSynthesis:
                 ("friis", desk.wavelength_m / (4 * np.pi * desk.link_distance(LINK_BS_RIS))),
                 ("matched", np.sqrt(3.0) * desk.wavelength_m / (4 * np.pi * desk.link_distance(LINK_BS_RIS))),
                 ("unit", 1.0)):
-            spec = channel.random_far_spec(LINK_BS_RIS, desk, rng, n_paths=3,
-                                           gain_mode=mode)
+            spec = channel.random_far_spec(
+                LINK_BS_RIS, desk, rng,
+                **config_args(channel.random_far_spec, n_paths=3,
+                              gain_mode=mode))
             assert abs(spec.paths[0].gain) == pytest.approx(expected, rel=1e-12)
             assert len(spec.paths) == 3
 
     def test_unknown_gain_mode_rejected(self, desk):
         with pytest.raises(ValueError):
-            channel.random_far_spec(LINK_BS_RIS, desk, np.random.default_rng(0),
-                                    gain_mode="qux")
+            channel.random_far_spec(
+                LINK_BS_RIS, desk, np.random.default_rng(0),
+                **config_args(channel.random_far_spec, gain_mode="qux"))
 
     def test_tags_select_models(self, desk):
         rng = np.random.default_rng(2)
-        nn = synthesize_channel("NN", desk, rng)
+        nn = synthesize_channel("NN", desk, rng,
+                                **config_args(synthesize_channel))
         np.testing.assert_array_equal(nn.g_bs_ris, near_channel(LINK_BS_RIS, desk))
-        nf = synthesize_channel("NF", desk, np.random.default_rng(2))
+        nf = synthesize_channel("NF", desk, np.random.default_rng(2),
+                                **config_args(synthesize_channel))
         np.testing.assert_array_equal(nf.g_bs_ris, near_channel(LINK_BS_RIS, desk))
         assert not np.array_equal(nf.g_ris_ue, nn.g_ris_ue)
 
     def test_synthesis_deterministic_per_seed(self, desk):
-        a = synthesize_channel("FF", desk, np.random.default_rng(7))
-        b = synthesize_channel("FF", desk, np.random.default_rng(7))
+        a = synthesize_channel("FF", desk, np.random.default_rng(7),
+                               **config_args(synthesize_channel))
+        b = synthesize_channel("FF", desk, np.random.default_rng(7),
+                               **config_args(synthesize_channel))
         np.testing.assert_array_equal(a.g_bs_ris, b.g_bs_ris)
         np.testing.assert_array_equal(a.g_ris_ue, b.g_ris_ue)
 
@@ -285,7 +295,8 @@ class TestSynthesis:
 
 class TestSerialization:
     def test_roundtrip_preserves_matrices(self, desk, tmp_path):
-        real = synthesize_channel("NF", desk, np.random.default_rng(3))
+        real = synthesize_channel("NF", desk, np.random.default_rng(3),
+                                  **config_args(synthesize_channel))
         out = tmp_path / "chan.json"
         dump_channel_json(real, out)
         back = load_channel_json(out)
@@ -294,7 +305,8 @@ class TestSerialization:
         assert back.model_tag == "NF"
 
     def test_dump_schema(self, desk, tmp_path):
-        real = synthesize_channel("NN", desk, np.random.default_rng(4))
+        real = synthesize_channel("NN", desk, np.random.default_rng(4),
+                                  **config_args(synthesize_channel))
         out = tmp_path / "chan.json"
         dump_channel_json(real, out)
         doc = json.loads(out.read_text())

@@ -32,10 +32,13 @@ from risbeam.codebook import (
 )
 from risbeam.geometry import NODE_RIS, SystemGeometry
 
+from conftest import config_args
+
 
 def geom(**kw):
     args = dict(carrier_hz=30e9, n_bs=4, n_ue=2, m_x=4, m_y=2,
-                bs_mid=(0, 0, 0), ue_mid=(24, 0, 0), ris_mid=(10, 0, 8))
+                bs_mid=(0, 0, 0), ue_mid=(24, 0, 0), ris_mid=(10, 0, 8),
+                **config_args(SystemGeometry.build))
     args.update(kw)
     return SystemGeometry.build(**args)
 

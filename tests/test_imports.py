@@ -1,10 +1,17 @@
-"""The package's internal imports: none deferred, none circular.
+"""The package's internal imports: none deferred, none circular; and
+its parameter defaults: none restates a config value.
 
 Each module of `src/risbeam` is parsed with `ast`, not imported, so a
 cycle shows here even where Python would resolve it at run time.  An
 import of a risbeam module inside a function hides a dependency from the
 top of the module, usually to break a cycle; the graph counts imports
 wherever they sit, so such a cycle still fails the second check.
+
+Each config value has one declaration, its `ExperimentConfig` field: the
+library takes every model value (path counts, NLoS power, gain mode,
+element spacing, stream count, iteration limit, tolerance, scheme) from
+its caller.  The parameters that do have defaults must be exactly the
+few in DEFAULTS, none of them a config value.
 """
 
 import ast
@@ -53,3 +60,32 @@ def test_internal_import_graph_is_acyclic():
     # the rate kernel lives in training, which the outer loop builds on
     assert order.index("training") < order.index("optimizer")
 
+
+DEFAULTS = sorted([
+    ("cli.main", ("argv",)),
+    # the --scale option's default, not a config key
+    ("harness.parse_config", ("scale",)),
+    ("harness.load_config", ("scale",)),
+    ("harness.geometry_from", ("ue_offset",)),
+    ("harness.emit_results", ("timing", "json_mirror")),
+    ("training._descend", ("prefix",)),
+])
+
+
+def defaulted(fn):
+    """Names of the parameters of a function node that have defaults."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    names = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+    names += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+              if d is not None]
+    return tuple(names)
+
+
+def test_only_the_listed_parameters_have_defaults():
+    found = sorted(
+        (f"{name}.{getattr(fn, 'name', '<lambda>')}", defaulted(fn))
+        for name, tree in MODULES.items() for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        and defaulted(fn))
+    assert found == DEFAULTS

@@ -15,7 +15,7 @@ from risbeam.channel import (
 from risbeam.codebook import SamplingGrid
 from risbeam.geometry import LINK_BS_RIS, LINK_RIS_UE, SystemGeometry
 from risbeam import optimizer, training
-from risbeam.harness import cell_setup, parse_config
+from risbeam.harness import cell_setup, parse_config, solve_cell
 from risbeam.optimizer import (
     AOState,
     Combiner,
@@ -31,6 +31,8 @@ from risbeam.optimizer import (
 )
 from risbeam.training import rates_for_phase_batch
 
+from conftest import config_args
+
 NOISE = 0.5
 
 
@@ -40,7 +42,8 @@ def rand_matrix(rng, shape):
 
 def desk_setup(ue=(0.24, 0.0, 0.0)):
     g = SystemGeometry.build(30e9, n_bs=8, n_ue=4, m_x=16, m_y=2,
-                             bs_mid=(0, 0, 0), ue_mid=ue, ris_mid=(0.1, 0, 0.08))
+                             bs_mid=(0, 0, 0), ue_mid=ue, ris_mid=(0.1, 0, 0.08),
+                             **config_args(SystemGeometry.build))
     real = ChannelRealization(g_bs_ris=near_channel(LINK_BS_RIS, g),
                               g_ris_ue=near_channel(LINK_RIS_UE, g),
                               model_tag="NN")
@@ -84,9 +87,11 @@ class TestAchievableRate:
         assert got == pytest.approx(direct, rel=1e-9)
         assert got == pytest.approx(gram, rel=1e-9)
 
-    def test_nonpositive_noise_rejected(self):
-        with pytest.raises(ValueError):
-            achievable_rate(np.eye(2), np.eye(2), 0.0)
+    @pytest.mark.parametrize("noise_var", [0.0, -1e-12, np.nan])
+    @pytest.mark.parametrize("fn", [achievable_rate, optimal_combiner])
+    def test_nonpositive_noise_rejected(self, fn, noise_var):
+        with pytest.raises(ValueError, match="noise_var must be positive"):
+            fn(np.eye(3), np.ones((3, 1)), noise_var)
 
     def test_batch_matches_scalar_evaluation(self):
         g, real, _, _ = desk_setup()
@@ -448,12 +453,10 @@ class TestSolvePrecoder:
            scale=st.sampled_from(["desk", "paper"]),
            seed=st.integers(0, 2**32 - 1))
     def test_kkt_on_cell_channels_at_both_power_scales(self, tag, scale, seed):
-        cfg = parse_config(f"model: {tag}\nlayers: 1", scale=scale)
-        geometry, real, gb, gu = cell_setup(cfg, seed)
-        state = ao_loop(real, geometry, p_max=cfg.p_max_w,
-                        noise_var=cfg.noise_w, grid_bs=gb, grid_ue=gu,
-                        layers=cfg.layers,
-                        max_iters=2)
+        cfg = parse_config(f"model: {tag}\nlayers: 1\nmax_iters: 2",
+                           scale=scale)
+        _, real, _, _ = cell_setup(cfg, seed)
+        state = solve_cell(cfg, seed)
         stationarity, slack, _ = precoder_kkt(
             cascade(real, state.phases), state.combiner.u, state.weight,
             state.precoder.w, cfg.p_max_w)
@@ -562,8 +565,8 @@ class TestBatchedBisection:
     @pytest.mark.parametrize("tag", ["FF", "NF", "FN", "NN"])
     @pytest.mark.parametrize("scale", ["desk", "paper"])
     def test_matches_the_oracle_inside_the_loop(self, monkeypatch, tag, scale):
-        cfg = parse_config(f"model: {tag}\nlayers: 2", scale=scale)
-        geometry, real, gb, gu = cell_setup(cfg, 7)
+        cfg = parse_config(f"model: {tag}\nlayers: 2\nmax_iters: 4",
+                           scale=scale)
         calls = []
 
         def spy(h, u, f, p_max):
@@ -572,8 +575,7 @@ class TestBatchedBisection:
             return got
 
         monkeypatch.setattr(optimizer, "solve_precoder", spy)
-        ao_loop(real, geometry, p_max=cfg.p_max_w, noise_var=cfg.noise_w,
-                grid_bs=gb, grid_ue=gu, layers=cfg.layers, max_iters=4)
+        solve_cell(cfg, 7)
         assert calls
         for w, (want, _) in calls:
             assert w.tobytes() == want.tobytes()
@@ -598,28 +600,33 @@ class TestBatchedBisection:
 
 class TestStreamCounts:
     def test_defaults_per_tag(self, desk):
-        assert default_stream_count("NN", desk) == 4      # min(8, 4, 32)
-        assert default_stream_count("FF", desk, l_b=3, l_u=3) == 3
-        assert default_stream_count("NF", desk, l_u=2) == 2
-        assert default_stream_count("FN", desk, l_b=1) == 1
+        paths = config_args(default_stream_count)           # 3 each
+        assert default_stream_count("NN", desk, **paths) == 4   # min(8, 4, 32)
+        assert default_stream_count("FF", desk, **paths) == 3
+        assert default_stream_count("NF", desk, **paths | {"l_u": 2}) == 2
+        assert default_stream_count("FN", desk, **paths | {"l_b": 1}) == 1
 
     def test_unknown_tag(self, desk):
         with pytest.raises(ValueError):
-            default_stream_count("XX", desk)
+            default_stream_count("XX", desk,
+                                 **config_args(default_stream_count))
 
 
 class TestAOLoop:
     P_MAX = 1e-8
     NOISE_W = 10 ** (-13.5)
 
-    def run(self, scheme="auto", max_iters=20, tag="NN", q=None, seed=0):
+    def run(self, tag="NN", seed=0, **loop):
+        """ao_loop on the desk layout at the config's loop values, with
+        `loop` (max_iters, scheme) on top."""
         g, real, gb, gu = desk_setup()
         if tag != "NN":
-            real = synthesize_channel(tag, g, np.random.default_rng(seed))
+            real = synthesize_channel(tag, g, np.random.default_rng(seed),
+                                      **config_args(synthesize_channel))
+        q = default_stream_count(tag, g, **config_args(default_stream_count))
         return ao_loop(real, g, p_max=self.P_MAX, noise_var=self.NOISE_W,
-                       grid_bs=gb, grid_ue=gu,
-                       layers=4,
-                       max_iters=max_iters, tol=1e-4, scheme=scheme, q=q)
+                       grid_bs=gb, grid_ue=gu, layers=4, q=q,
+                       **config_args(ao_loop, **loop))
 
     def test_zero_iterations_returns_initialization(self):
         state = self.run(max_iters=0)
@@ -667,12 +674,6 @@ class TestAOLoop:
             assert (it, rate, evals) == (t, rates[t], t * 16 * 4 * 16)
             assert gamma == abs(rates[t] - rates[t - 1]) / abs(rates[t - 1])
         assert state.trace[-1][2] == state.gamma
-
-    def test_missing_grids_diagnosed(self):
-        g, real, _, _ = desk_setup()
-        with pytest.raises(ValueError, match="grids"):
-            ao_loop(real, g, p_max=self.P_MAX, noise_var=self.NOISE_W,
-                    max_iters=2)
 
 
 class TestContainers:

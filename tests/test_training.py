@@ -42,13 +42,16 @@ from risbeam.training import (
     two_stage_overhead,
 )
 
+from conftest import config_args
+
 NOISE = 10 ** (-13.5)
 
 
 def desk_geometry(ue=(0.24, 0.0, 0.0)):
     return SystemGeometry.build(30e9, n_bs=8, n_ue=4, m_x=16, m_y=2,
                                 bs_mid=(0, 0, 0), ue_mid=ue,
-                                ris_mid=(0.1, 0, 0.08))
+                                ris_mid=(0.1, 0, 0.08),
+                                **config_args(SystemGeometry.build))
 
 
 def desk_grids(g, halfwidth_wl=10.0, s=2):
@@ -136,7 +139,8 @@ class TestAngularSweep:
     def test_single_codeword_grid(self):
         g = SystemGeometry.build(30e9, n_bs=2, n_ue=2, m_x=1, m_y=1,
                                  bs_mid=(0, 0, 0), ue_mid=(0.24, 0, 0),
-                                 ris_mid=(0.1, 0, 0.08))
+                                 ris_mid=(0.1, 0, 0.08),
+                                 **config_args(SystemGeometry.build))
         real = nn_realization(g)
         rep = angular_sweep(real, matched_precoder(real, g), NOISE, g)
         assert rep.evaluations == 1
@@ -320,9 +324,7 @@ class TestExhaustiveSearch:
     def test_single_codeword(self):
         g = desk_geometry()
         real = nn_realization(g)
-        book = build_ff_codebook(SystemGeometry.build(
-            30e9, n_bs=8, n_ue=4, m_x=16, m_y=2, bs_mid=(0, 0, 0),
-            ue_mid=(0.24, 0, 0), ris_mid=(0.1, 0, 0.08)))
+        book = build_ff_codebook(g)
         sub = type(book)(words=book.words[:1], provenance=book.provenance[:1])
         rep = exhaustive_search(real, matched_precoder(real, g), NOISE, sub)
         assert rep.evaluations == 1
@@ -789,7 +791,8 @@ class TestLayerSlot:
             self, monkeypatch, moved, bound):
         desk = dict(carrier_hz=30e9, n_bs=8, n_ue=4, m_x=16, m_y=2,
                     bs_mid=(0, 0, 0), ue_mid=(0.24, 0, 0),
-                    ris_mid=(0.1, 0, 0.08))
+                    ris_mid=(0.1, 0, 0.08),
+                    **config_args(SystemGeometry.build))
         geos = [SystemGeometry.build(**desk),
                 SystemGeometry.build(**desk | moved)]
         cells = []
@@ -915,7 +918,7 @@ class TestAngularSlot:
 
     DESK = dict(carrier_hz=30e9, n_bs=8, n_ue=4, m_x=16, m_y=2,
                 bs_mid=(0, 0, 0), ue_mid=(0.24, 0, 0), ris_mid=(0.1, 0, 0.08),
-                spacing_wavelengths=0.5)
+                **config_args(SystemGeometry.build))
 
     @pytest.mark.parametrize("scale", ["desk", "paper"])
     def test_shared_book_equals_a_fresh_build(self, scale):
