@@ -29,11 +29,17 @@ The file also holds, per trace setting and metric:
   is better than the parent's by more than the parent's quartile
   distance.
 
+`--trace 1` runs report per-layer metrics only, none with a bound, so
+`trace1.regressions` and `trace1.unresolved` are null: not applicable,
+rather than empty lists that would read as "nothing regressed".
+
 After the pairs, `bench/run.py --workload all --seed 3 --seconds 0.01
 --trace 1` runs once in each checkout: one traced round on seeds the
 pairs do not use.  Its per-layer metrics are kept under `counts`, so
 that the per-cell counts of both sides can be compared without taking
-them from medians over time-bounded runs.
+them from medians over time-bounded runs.  `count_changes` lists, per
+workload, every per-layer metric of unit count/cell whose value differs
+between the two sides there.
 
 `checkouts` names what was compared: each side's `git rev-parse HEAD`
 and whether its tree differs from that commit (`git status
@@ -164,6 +170,23 @@ def claims(stats: dict, n_pairs: int, better: dict) -> dict:
     return out
 
 
+def count_changes(counts: dict, declared: dict) -> dict:
+    """{workload: {metric: {"parent": v, "change": v}}} for each count/cell
+    metric of `counts` (the one-round record) whose sides differ; a
+    metric one side lacks reads null there."""
+    per_cell = {m["name"] for m in declared["per_layer"]
+                if m["unit"] == "count/cell"}
+    found = {}
+    for name in sorted(counts["parent"].keys() | counts["change"].keys()):
+        workload, metric = name.split(".", 1)
+        sides = {side: counts[side].get(name, {}).get("value")
+                 for side in ("parent", "change")}
+        found.setdefault(workload, {})
+        if metric in per_cell and sides["parent"] != sides["change"]:
+            found[workload][metric] = sides
+    return found
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("parent", type=Path)
@@ -189,9 +212,14 @@ def main():
             pairs.append(pair)
             print(f"trace {trace} pair {i + 1}/{PAIRS} done", flush=True)
         stats = summary(pairs, better)
+        # --trace 1 runs report no end-to-end metric, so nothing to bound
+        bounded = trace == 0
         record[f"trace{trace}"] = {
-            **stats, "regressions": regressions(stats["median"], declared),
-            "unresolved": unresolved(stats, pairs, declared),
+            **stats,
+            "regressions": regressions(stats["median"], declared)
+            if bounded else None,
+            "unresolved": unresolved(stats, pairs, declared)
+            if bounded else None,
             "claims": claims(stats, len(pairs), better), "pairs": pairs}
     record["counts"] = {"command": f"bench/run.py --workload all --seed "
                                    f"{COUNTS_SEED} --seconds {COUNTS_SECONDS}"
@@ -203,6 +231,7 @@ def main():
         record["counts"][side] = {
             name: metric for name, metric in metrics.items()
             if name.split(".", 1)[1] in per_layer}
+    record["count_changes"] = count_changes(record["counts"], declared)
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

@@ -7,10 +7,16 @@ per-variant summaries into one CSV.  The sweep comes from the config:
 
     python3 scripts/variant_sweep.py configs/desk_power_sweep.cfg
     python3 scripts/variant_sweep.py configs/paper_ris_height.cfg --scale paper
+
+A cell that raises is left out of its row's mean, std and n, as in the
+summary `risbeam run` writes (a value whose cells all raise reads nan,
+nan, 0).  Each failed cell is printed to standard error, and the script
+exits with status 1 once the CSV is written.
 """
 
 import argparse
 import csv
+import sys
 from dataclasses import replace
 
 from risbeam import harness
@@ -25,6 +31,7 @@ def main():
     args = ap.parse_args()
 
     base = harness.load_config(args.config, scale=args.scale)
+    failed = 0
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", base.sweep_param, "mean_rate_bps_hz",
@@ -36,8 +43,14 @@ def main():
             for _, value, _, mean, std, n in result.summary:
                 writer.writerow([name, f"{value:.6g}", f"{mean:.12g}",
                                  f"{std:.12g}", n])
-            print(f"{name}: done")
+            for err in result.errors:
+                print(f"error: {name}: failed cell: {err}", file=sys.stderr)
+            failed += len(result.errors)
+            print(f"{name}: {len(result.errors)} failed cells"
+                  if result.errors else f"{name}: done")
     print(f"wrote {args.out}")
+    if failed:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

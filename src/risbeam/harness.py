@@ -452,7 +452,8 @@ def _cell_job(args):
                         sweep_value=float(sweep_value), model=cfg.model,
                         rate_bps_hz=float("nan"), evaluations=0,
                         iterations=0, ms=0.0)
-        return row, f"seed={seed} sweep_value={sweep_value}: {exc}"
+        return row, (f"seed={seed} sweep_value={sweep_value}: "
+                     f"{type(exc).__name__}: {exc}")
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:

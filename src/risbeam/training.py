@@ -30,7 +30,7 @@ What depends on the precoder but not on the candidates is kept per
 thread by the rate kernel `rates_for_phase_batch`: its operand C, built
 once for a run of calls under one (realization, w, noise_var), and the
 work arrays its batches are written into, reused while the batch shape
-repeats.
+repeats.  A refining scheme names its winner from the row it scored.
 """
 
 from __future__ import annotations
@@ -49,9 +49,10 @@ from .codebook import (
     SIDE_UE,
     Codebook,
     Codeword,
+    PointTag,
     SamplingGrid,
     build_angular_component,  # resolvable here for the span tracer of bench/
-    build_distance_component,
+    build_distance_component,  # resolvable here for the span tracer of bench/
     build_ff_codebook,
     distance_words,
     quadrant_bounds,
@@ -84,6 +85,7 @@ class LayerRecord:
 _ANGULAR = None
 _LAYERS = OrderedDict()
 _LAYERS_LOCK = threading.Lock()
+_LAYERS_BYTES = 0      # the bytes of _LAYERS' word stacks, a running count
 # The bytes of word stacks _LAYERS may keep.  2 MiB holds every layer of
 # a desk NN experiment (1.3 MB at 20 cells, 1.9 MB at 80) and more than
 # one paper NN cell's (1.2 MB); unbounded, the paper NN experiment's
@@ -96,10 +98,11 @@ _WORK = threading.local()
 
 def drop_memos() -> None:
     """Empty both slots, so the next training calls compute afresh."""
-    global _ANGULAR
+    global _ANGULAR, _LAYERS_BYTES
     _ANGULAR = None
     with _LAYERS_LOCK:
         _LAYERS.clear()
+        _LAYERS_BYTES = 0
 
 
 def angular_book(geometry: SystemGeometry) -> Codebook:
@@ -148,14 +151,19 @@ def _layer_work(key: tuple):
 
 def _keep_layer_work(key: tuple, work: tuple) -> tuple:
     """Keep `work` under `key`, then drop the least recently used entries
-    until the kept word stacks take at most `LAYER_SLOT_BYTES` (so work
-    larger than that alone is not kept); returns `work`."""
+    until the kept word stacks, counted in `_LAYERS_BYTES`, take at most
+    `LAYER_SLOT_BYTES` (so work larger than that alone is not kept);
+    returns `work`."""
+    global _LAYERS_BYTES
     with _LAYERS_LOCK:
+        # a key another thread kept meanwhile is replaced in its place
+        _, old = _LAYERS.get(key, ((), ()))
+        _LAYERS_BYTES += (sum(a.nbytes for a in work[1])
+                          - sum(a.nbytes for a in old))
         _LAYERS[key] = work
-        kept = sum(a.nbytes for _, stacks in _LAYERS.values() for a in stacks)
-        while kept > LAYER_SLOT_BYTES:
+        while _LAYERS_BYTES > LAYER_SLOT_BYTES:
             _, (_, stacks) = _LAYERS.popitem(last=False)
-            kept -= sum(a.nbytes for a in stacks)
+            _LAYERS_BYTES -= sum(a.nbytes for a in stacks)
     return work
 
 
@@ -194,14 +202,16 @@ def _operand(realization: ChannelRealization, w: np.ndarray,
 
 
 def _batch_arrays(k: int, n_ue: int, q: int) -> tuple:
-    """This thread's (B, conj B, Gram) for K candidates, reused while the
-    shape repeats and replaced when it changes."""
+    """This thread's (B, conj B, Gram, I_q) for K candidates, reused while
+    the shape repeats and replaced when it changes; I_q is read-only."""
     key = (k, n_ue, q)
     held = getattr(_WORK, "batch", None)
     if held is None or held[0] != key:
+        eye = np.eye(q)
+        eye.flags.writeable = False
         held = _WORK.batch = key, (np.empty((k, n_ue, q), dtype=complex),
                                    np.empty((k, n_ue, q), dtype=complex),
-                                   np.empty((k, q, q), dtype=complex))
+                                   np.empty((k, q, q), dtype=complex), eye)
     return held[1]
 
 
@@ -218,7 +228,8 @@ def rates_for_phase_batch(realization: ChannelRealization, phis: np.ndarray,
     thread and built once for a run of calls under one (realization, w,
     noise_var) (`_operand`); the realization's matrices must not change in
     place while it is in use.  B, conj B and the Gram stack are written
-    into per-thread arrays reused while the batch shape repeats, so
+    into per-thread arrays, with the identity added to the Gram stack,
+    reused while the batch shape repeats, so
     paper-scale batches do not fault in fresh pages per call; the returned
     rates are always a fresh array.
     """
@@ -226,11 +237,11 @@ def rates_for_phase_batch(realization: ChannelRealization, phis: np.ndarray,
     c = _operand(realization, w, noise_var)
     m, n_ue, q = c.shape
     k = phis.shape[0] if phis.ndim == 2 else 1
-    b, bc, gram = _batch_arrays(k, n_ue, q)
+    b, bc, gram, eye = _batch_arrays(k, n_ue, q)
     np.matmul(phis, c.reshape(m, -1), out=b.reshape(phis.shape[:-1] + (-1,)))
     np.conjugate(b, out=bc)
     np.matmul(bc.swapaxes(1, 2), b, out=gram)
-    np.add(np.eye(q), gram, out=gram)
+    np.add(eye, gram, out=gram)
     rates = np.linalg.slogdet(gram)[1]
     if not np.all(np.isfinite(rates)):
         raise ValueError("non-finite rate operands")
@@ -312,12 +323,14 @@ def _descend(realization: ChannelRealization, w: np.ndarray,
     range slowest) as one broadcast product of plain arrays: the fixed
     `prefix` row times the sample of the last range, ..., times the first,
     in the row and multiplication order of `reduce(star, ...)`.  It scores
-    them in one batch and descends into the winning combination.  Only the
-    best layer's winning bounds and row are kept; after the last layer the
-    winner is named once, by `star` over the `build_distance_component`
-    lists of grids with those bounds (so hierarchical codewords carry the
-    user-side sample as their first operand).  Evaluations, layer records
-    and the best codeword accumulate into `report`, which is returned.
+    them in one batch and descends into the winning combination.  A layer
+    that sets a new best keeps its bounds, its sample row and each range's
+    winning stack; after the last layer the winner is named from them, with
+    no words built, by `star` over one-row books tagged with the samples'
+    points, so it has the scored row's coefficients and the tags of
+    `reduce(star, ...)` over full components (hierarchical codewords carry
+    the user-side sample as their first operand).  Evaluations, layer
+    records and the best codeword accumulate into `report`.
 
     A layer's quadrant bounds and word stacks depend only on its input
     ranges and on what `distance_words` reads of the geometry, the RIS
@@ -331,8 +344,8 @@ def _descend(realization: ChannelRealization, w: np.ndarray,
         raise ValueError("max_layers must be >= 0")
     ris = _ris_key(geometry)
     bounds = [grid.bounds for grid, _ in ranges]
-    # each range's (4, S, M) words, split off the sample axis
-    splits = np.cumsum([grid.s_x * grid.s_y for grid, _ in ranges])[:-1]
+    # each range's (4, S, M) words are a slice of the sample axis
+    ends = np.cumsum([0] + [grid.s_x * grid.s_y for grid, _ in ranges])
     winner = None
     for layer in range(1, layers + 1):
         key = ris, tuple((b, grid.s_x, grid.s_y, grid.fixed_z)
@@ -345,9 +358,9 @@ def _descend(realization: ChannelRealization, w: np.ndarray,
                 [sample_grid(q, grid.s_x, grid.s_y, grid.fixed_z)
                  for q, (grid, _) in zip(quads, ranges)], axis=1)
             words = distance_words(points, geometry)
-            words.flags.writeable = False   # the split views inherit it
-            work = _keep_layer_work(
-                key, (quads, np.split(words, splits, axis=1)))
+            words.flags.writeable = False   # the sliced views inherit it
+            work = _keep_layer_work(key, (quads, [
+                words[:, a:b] for a, b in zip(ends, ends[1:])]))
         quads, stacks = work
         # (combination, row, M): each range adds the slowest quadrant
         # axis and the fastest sample axis
@@ -360,8 +373,9 @@ def _descend(realization: ChannelRealization, w: np.ndarray,
             realization, cands.reshape(-1, cands.shape[-1]), w, noise_var)
         report.evaluations += rates.size
         k = int(np.argmax(rates))
-        *picks, s = (int(i) for i in np.unravel_index(
-            k, (4,) * len(ranges) + cands.shape[1:2]))
+        combo, s = divmod(k, cands.shape[1])
+        # the combination's quadrant digits, first range slowest
+        picks = [combo // 4 ** i % 4 for i in range(len(ranges))][::-1]
         layer_best = float(rates[k])
         report.layer_trace.append(LayerRecord(
             layer=layer, choice=tuple(q + 1 for q in picks),
@@ -369,16 +383,20 @@ def _descend(realization: ChannelRealization, w: np.ndarray,
         bounds = [quad[q] for quad, q in zip(quads, picks)]
         if layer_best > report.best_rate:
             report.best_rate = layer_best
-            winner = bounds, s
+            winner = bounds, s, [stack[q] for stack, q in zip(stacks, picks)]
     if winner is not None:
-        best_bounds, row = winner
+        best_bounds, s, samples = winner
+        parts = []
+        for (x0, x1, y0, y1), (grid, side), words in zip(best_bounds, ranges,
+                                                          samples):
+            s, i = divmod(s, grid.s_x * grid.s_y)   # first range fastest
+            ix, iy = divmod(i, grid.s_y)            # y sample fastest
+            # the sample point as `sample_grid` places it
+            tag = PointTag(side=side, x=x0 + (ix + 0.5) * (x1 - x0) / grid.s_x,
+                           y=y0 + (iy + 0.5) * (y1 - y0) / grid.s_y)
+            parts.append(Codebook(words=words[i:i + 1], provenance=(tag,)))
         head = [] if prefix is None else [prefix]
-        parts = [build_distance_component(
-                     replace(grid, x_min=x0, x_max=x1, y_min=y0, y_max=y1),
-                     side, geometry)
-                 for (x0, x1, y0, y1), (grid, side) in zip(best_bounds,
-                                                           ranges)]
-        report.best_codeword = reduce(star, head + parts[::-1])[row]
+        report.best_codeword = reduce(star, head + parts[::-1])[0]
     return report
 
 

@@ -1,6 +1,6 @@
 """`summary` and `claims` in scripts/bench_pairs.py, which decide every
 claimed gain, the checkout record that says what a BENCH file compared,
-and the one-round counts it keeps."""
+and the one-round counts it keeps and compares."""
 
 import json
 import runpy
@@ -12,9 +12,9 @@ import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 script = runpy.run_path(str(SCRIPT))
-summary, regressions, unresolved, claims = (
+summary, regressions, unresolved, claims, count_changes = (
     script["summary"], script["regressions"], script["unresolved"],
-    script["claims"])
+    script["claims"], script["count_changes"])
 checkout_state = script["checkout_state"]
 
 BETTER = {"evals_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
@@ -177,23 +177,29 @@ def test_checkout_state_of_a_plain_directory_is_null(tmp_path):
                                                     "dirty": None}
 
 
-def test_counts_of_one_traced_round_per_side_are_written(tmp_path,
-                                                          monkeypatch):
+PER_LAYER = [{"name": "rate_kernel.calls", "unit": "count/cell",
+              "better": "lower"},
+             {"name": "codebook.calls", "unit": "count/cell",
+              "better": "lower"},
+             {"name": "rate_kernel.ms", "unit": "ms/cell", "better": "lower"}]
+
+
+def run_main(tmp_path, monkeypatch, metrics):
+    """Run `main` with `bench/run.py` replaced by a call that returns
+    metrics(checkout name, trace, one_round); returns (calls, record)."""
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
-        "end_to_end": [{"name": "cells_per_s", "better": "higher",
-                        "bound": 0.25}],
-        "per_layer": [{"name": "rate_kernel.calls", "better": "lower"}]}))
+        "end_to_end": [{"name": "cells_per_s", "unit": "1/s",
+                        "better": "higher", "bound": 0.25}],
+        "per_layer": PER_LAYER}))
     calls = []
 
     def fake_run(checkout, trace, seed=0, seconds=script["SECONDS"]):
         calls.append((checkout.name, trace, seed, seconds))
         one_round = (seed, seconds) == (3, 0.01)
-        return {"correct": True, "failed": 0, "metrics": {
-            "w.cells_per_s": {"value": 5.0, "unit": "1/s"},
-            "w.rate_kernel.calls": {"value": 7.0 if one_round else 9.0,
-                                    "unit": "count/cell"}}}
+        return {"correct": True, "failed": 0,
+                "metrics": metrics(checkout.name, trace, one_round)}
 
     main = script["main"]
     monkeypatch.setitem(main.__globals__, "run", fake_run)
@@ -202,7 +208,17 @@ def test_counts_of_one_traced_round_per_side_are_written(tmp_path,
         "bench_pairs.py", str(tmp_path / "parent"), str(tmp_path / "change"),
         "--out", str(out)])
     main()
-    record = json.loads(out.read_text())
+    return calls, json.loads(out.read_text())
+
+
+def test_counts_of_one_traced_round_per_side_are_written(tmp_path,
+                                                          monkeypatch):
+    def metrics(side, trace, one_round):
+        return {"w.cells_per_s": {"value": 5.0, "unit": "1/s"},
+                "w.rate_kernel.calls": {"value": 7.0 if one_round else 9.0,
+                                        "unit": "count/cell"}}
+
+    calls, record = run_main(tmp_path, monkeypatch, metrics)
     # 10 pairs per trace setting, then the one round on each side
     assert len(calls) == 42
     assert calls[-2:] == [("parent", 1, 3, 0.01), ("change", 1, 3, 0.01)]
@@ -211,3 +227,39 @@ def test_counts_of_one_traced_round_per_side_are_written(tmp_path,
         "command": "bench/run.py --workload all --seed 3 --seconds 0.01 "
                    "--trace 1",
         "parent": one_round, "change": one_round}
+    assert record["count_changes"] == {"w": {}}
+
+
+def test_trace1_bounds_are_not_applicable(tmp_path, monkeypatch):
+    # the traced runs report per-layer metrics only; the untraced ones
+    # hold a 40 % slowdown, which trace0 reports
+    def metrics(side, trace, one_round):
+        if trace:
+            return {"w.rate_kernel.calls": {"value": 7.0,
+                                            "unit": "count/cell"}}
+        return {"w.cells_per_s": {"value": 3.0 if side == "change" else 5.0,
+                                  "unit": "1/s"}}
+
+    _, record = run_main(tmp_path, monkeypatch, metrics)
+    assert record["trace1"]["regressions"] is None
+    assert record["trace1"]["unresolved"] is None
+    assert [r["metric"] for r in record["trace0"]["regressions"]] == [
+        "w.cells_per_s"]
+    assert record["trace0"]["unresolved"] == []
+
+
+def test_count_changes_list_differing_counts_per_workload():
+    def side(values):
+        return {name: {"value": v, "unit": "-"} for name, v in values.items()}
+
+    counts = {
+        "parent": side({"a.rate_kernel.calls": 7.0, "a.codebook.calls": 9.0,
+                        "a.rate_kernel.ms": 1.0, "b.rate_kernel.calls": 3.0,
+                        "b.codebook.calls": 4.0}),
+        # a: codebook.calls fell, and the ms (not a count) moved;
+        # b: equal counts, but one side lacks codebook.calls
+        "change": side({"a.rate_kernel.calls": 7.0, "a.codebook.calls": 2.0,
+                        "a.rate_kernel.ms": 2.0, "b.rate_kernel.calls": 3.0})}
+    assert count_changes(counts, {"per_layer": PER_LAYER}) == {
+        "a": {"codebook.calls": {"parent": 9.0, "change": 2.0}},
+        "b": {"codebook.calls": {"parent": 4.0, "change": None}}}

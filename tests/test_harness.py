@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,8 @@ from risbeam.harness import (
     rng_for,
     run_experiment,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TINY = """
 model: FF
@@ -206,8 +209,32 @@ print(json.dumps({m: m in sys.modules
         # hierarchical training with zero layers fails inside the cell
         cfg = parse_config("model: NN\nlayers: 0\nseeds: [0]\n")
         result = run_experiment(cfg)
-        assert len(result.errors) == 1
+        # the message names the cell first and then the exception's class
+        assert result.errors == [
+            "seed=0 sweep_value=0.0: ValueError: hierarchical training "
+            "requires max_layers >= 1"]
         assert np.isnan(result.rows[0].rate_bps_hz)
+
+    def test_variant_sweep_reports_failed_cells(self, tmp_path, monkeypatch,
+                                                capsys):
+        cfg = tmp_path / "zero_layers.cfg"
+        cfg.write_text("model: NN\nlayers: 0\nsweep: power_dbm in [0]\n")
+        out = tmp_path / "variants.csv"
+        monkeypatch.setattr(sys, "argv", ["variant_sweep.py", str(cfg),
+                                          "--seeds", "2", "--out", str(out)])
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_path(str(ROOT / "scripts" / "variant_sweep.py"),
+                           run_name="__main__")
+        assert exited.value.code == 1
+        # only hierarchical training needs a layer; its two cells raise
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: NN-hierarchical: failed cell: seed={seed} "
+            "sweep_value=0.0: ValueError: hierarchical training requires "
+            "max_layers >= 1" for seed in (0, 1)]
+        rows = out.read_text().splitlines()
+        assert len(rows) == 1 + len(harness.VARIANTS)
+        assert rows[1] == "NN-hierarchical,0,nan,nan,0"
+        assert all(row.endswith(",2") for row in rows[2:])
 
     def test_sweep_values_see_the_same_draws(self):
         base = "model: FF\nseeds: [0, 1]\nmax_iters: 2\n"

@@ -7,7 +7,7 @@ import pytest
 from dataclasses import replace
 from functools import reduce
 
-from risbeam import harness, training
+from risbeam import codebook, harness, training
 from risbeam.channel import (
     ChannelRealization,
     FarFieldSpec,
@@ -405,7 +405,7 @@ def test_layer_trace_records_every_layer():
 
 
 class TestArrayNativeDescent:
-    """Layers score plain arrays; the public builders name the winner."""
+    """Layers score plain arrays; the winner is named from its scored row."""
 
     @staticmethod
     def capture_phis(monkeypatch):
@@ -532,6 +532,108 @@ class TestArrayNativeDescent:
         assert rep.best_codeword.provenance == book[s].provenance
 
 
+def rebuilt_winner(ranges, choices, head, geometry, row):
+    """The codeword at `row` of the layer reached by `choices`, named by
+    rebuilding that layer's full components: each range's grid split by
+    its 1-based quadrant choices, its `build_distance_component`, and
+    `star` over the prefix and the ranges, last range first."""
+    grids = [grid for grid, _ in ranges]
+    for choice in choices:
+        grids = [subdivide_range(grid)[q - 1]
+                 for grid, q in zip(grids, choice)]
+    parts = [build_distance_component(grid, side, geometry)
+             for grid, (_, side) in zip(grids, ranges)]
+    return reduce(star, head + parts[::-1])[row]
+
+
+class TestNamedWinner:
+    """The kept codeword is named from the row it was scored as: the same
+    coefficients, the tags of the full components' `star`, no words."""
+
+    @staticmethod
+    def cell(scale, scheme, seed=3):
+        """A harness cell's channel and matched precoder, the ranges of
+        `scheme` and its fixed prefix, and a call of `_descend` from an
+        empty report, so that every layer may name the kept codeword."""
+        cfg = harness.parse_config("", scale=scale)
+        g, real, gb, gu = harness.cell_setup(cfg, seed)
+        w = matched_precoder(real, g)
+        if scheme == "NN":
+            ranges, head = [(gb, "B"), (gu, "U")], []
+        else:
+            ranges = [(gb, "B")] if scheme == "NF" else [(gu, "U")]
+            head = [TestArrayNativeDescent.sweep_winner(real, w, g)]
+
+        def train():
+            empty = TrainingReport(best_codeword=None, best_rate=-np.inf,
+                                   evaluations=0, layer_trace=[])
+            return _descend(real, w, NOISE, g, ranges, cfg.layers, empty,
+                            prefix=head[0] if head else None)
+        return g, ranges, head, train
+
+    @staticmethod
+    def scored(monkeypatch):
+        """Every batch `_descend` scores, with its rates."""
+        batches = []
+
+        def spy(realization, phis, w, noise_var):
+            rates = rates_for_phase_batch(realization, phis, w, noise_var)
+            batches.append((phis.copy(), rates))
+            return rates
+
+        monkeypatch.setattr(training, "rates_for_phase_batch", spy)
+        return batches
+
+    @pytest.mark.usefixtures("empty_slots")
+    @pytest.mark.parametrize("scale", ["desk", "paper"])
+    @pytest.mark.parametrize("scheme", ["NN", "NF", "FN"])
+    def test_named_codeword_is_the_scored_row(self, monkeypatch, scale,
+                                              scheme):
+        g, ranges, head, train = self.cell(scale, scheme)
+        batches = self.scored(monkeypatch)
+        rep = train()
+        best = [rec.best_rate for rec in rep.layer_trace].index(rep.best_rate)
+        phis, rates = batches[best]
+        k = int(np.argmax(rates))
+        assert rates[k] == rep.best_rate
+        assert rep.best_codeword.coeffs.tobytes() == phis[k].tobytes()
+        # the row within the winning combination's block of candidates
+        rows = len(phis) // 4 ** len(ranges)
+        choices = [rec.choice for rec in rep.layer_trace[:best + 1]]
+        old = rebuilt_winner(ranges, choices, head, g, k % rows)
+        assert rep.best_codeword.provenance == old.provenance
+        assert rep.best_codeword.coeffs.tobytes() == old.coeffs.tobytes()
+
+    @pytest.mark.usefixtures("empty_slots")
+    @pytest.mark.parametrize("scheme", ["NN", "NF", "FN"])
+    def test_words_are_made_only_for_missed_layers(self, monkeypatch, scheme):
+        g, ranges, head, train = self.cell("desk", scheme)
+        made = []
+        # the layers' words, and any made in `codebook` (naming, say)
+        for owner in (training, codebook):
+            def spy(points, geometry, words=owner.distance_words):
+                made.append(points.shape)
+                return words(points, geometry)
+            monkeypatch.setattr(owner, "distance_words", spy)
+        layers = harness.parse_config("", scale="desk").layers
+        want = report_bytes(train())
+        assert len(made) == layers
+        made.clear()
+        assert report_bytes(train()) == want
+        assert made == []
+        # a slot whose deepest layers were dropped misses only those
+        for missed in (1, 3):
+            empty_layer_slot(monkeypatch)
+            train()
+            for _ in range(missed):
+                key, _ = training._LAYERS.popitem()
+                monkeypatch.setattr(training, "_LAYERS_BYTES",
+                                    kept_bytes())
+            made.clear()
+            assert report_bytes(train()) == want
+            assert len(made) == missed
+
+
 def report_bytes(rep):
     return (rep.best_codeword.coeffs.tobytes(), rep.best_codeword.provenance,
             repr(rep.best_rate), rep.evaluations, repr(rep.layer_trace))
@@ -539,6 +641,7 @@ def report_bytes(rep):
 
 def empty_layer_slot(monkeypatch):
     monkeypatch.setattr(training, "_LAYERS", OrderedDict())
+    monkeypatch.setattr(training, "_LAYERS_BYTES", 0)
 
 
 def empty_both_slots(monkeypatch):
@@ -822,7 +925,7 @@ class TestLayerSlot:
 
         run_threads(worker)
         assert wrong == [] and raised == []
-        assert kept_bytes() <= bound
+        assert training._LAYERS_BYTES == kept_bytes() <= bound
         if bound < training.LAYER_SLOT_BYTES:
             # 80 calls of 3 layers over at most 6 distinct layers: the
             # bound made them rebuild evicted ones
@@ -857,6 +960,8 @@ class TestLayerSlotBound:
         def checked(key, work):
             out = keep(key, work)
             seen.append(kept_bytes())
+            # the running count, after the keep and its evictions
+            assert training._LAYERS_BYTES == seen[-1]
             return out
         monkeypatch.setattr(training, "_keep_layer_work", checked)
         for real, w, gb, gu, g in self.cells(4):
@@ -865,6 +970,25 @@ class TestLayerSlotBound:
         assert max(seen) <= bound
         # the slot dropped layers: it keeps fewer than were built
         assert len(training._LAYERS) < len(seen)
+        training.drop_memos()
+        assert training._LAYERS_BYTES == 0
+
+    def test_a_key_kept_again_is_replaced_in_its_place(self, monkeypatch):
+        # two threads that miss one layer together both keep it
+        monkeypatch.setattr(training, "LAYER_SLOT_BYTES", 3 * 64)
+        words = [np.zeros((4, 1, 1), dtype=complex) for _ in range(4)]
+        for key in "abc":
+            training._keep_layer_work(key, ((), [words[0]]))
+        again = ((), [words[1], words[2]])
+        training._keep_layer_work("a", again)
+        # "a" keeps its place, with the bytes of its new stacks: 4 stacks
+        # of 64 bytes are past the bound, so "a", the least recent, goes
+        assert list(training._LAYERS) == ["b", "c"]
+        assert training._LAYERS_BYTES == kept_bytes() == 2 * 64
+        training._keep_layer_work("c", ((), [words[3]]))
+        assert list(training._LAYERS) == ["b", "c"]
+        assert training._LAYERS["c"][1][0] is words[3]
+        assert training._LAYERS_BYTES == kept_bytes() == 2 * 64
 
     def test_evicted_layers_rebuild_bit_identically(self, monkeypatch):
         cells = self.cells(2)
