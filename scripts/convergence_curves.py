@@ -28,9 +28,9 @@ def main():
             for seed in range(args.seeds):
                 state = harness.solve_cell(
                     replace(cfg, model=tag, training=scheme), seed)
-                for it, rate, gamma, _ in state.trace:
-                    writer.writerow([name, seed, it, f"{rate:.12g}",
-                                     f"{gamma:.6g}"])
+                for rec in state.records:
+                    writer.writerow([name, seed, rec.t, f"{rec.rate:.12g}",
+                                     f"{rec.gamma:.6g}"])
             print(f"{name}: done")
     print(f"wrote {args.out}")
 

@@ -17,7 +17,7 @@ Model tags name which side uses which model: "FF", "NF" (BS-RIS near),
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,28 +81,6 @@ class FarFieldSpec:
         if len(self.paths) < 1:
             raise ValueError("at least one path required")
         object.__setattr__(self, "paths", tuple(self.paths))
-
-
-@dataclass(frozen=True)
-class PhaseShiftVector:
-    """RIS phase shifts theta (radians); coefficients are exp(-1j*theta)."""
-
-    phases: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "phases",
-                           np.asarray(self.phases, dtype=float).ravel())
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return np.exp(-1j * self.phases)
-
-    @classmethod
-    def from_coefficients(cls, coeffs) -> "PhaseShiftVector":
-        coeffs = np.asarray(coeffs, dtype=complex).ravel()
-        if not np.all(np.abs(np.abs(coeffs) - 1.0) <= 1e-12):   # NaN fails
-            raise ValueError("coefficients must be unit modulus")
-        return cls(phases=np.mod(-np.angle(coeffs), 2.0 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -228,14 +206,9 @@ def near_channel(link: str, geometry: SystemGeometry) -> np.ndarray:
 
 
 def cascade(realization: ChannelRealization, phi) -> np.ndarray:
-    """Cascaded channel G_ris_ue @ diag(phi) @ G_bs_ris, shape (n_ue, n_bs).
-
-    phi may be a PhaseShiftVector or a length-M complex coefficient vector.
-    """
-    if isinstance(phi, PhaseShiftVector):
-        coeffs = phi.coefficients
-    else:
-        coeffs = np.asarray(phi, dtype=complex).ravel()
+    """Cascaded channel G_ris_ue @ diag(phi) @ G_bs_ris, shape (n_ue, n_bs),
+    for the length-M complex coefficient vector phi."""
+    coeffs = np.asarray(phi, dtype=complex).ravel()
     if coeffs.shape[0] != realization.m:
         raise ValueError(
             f"phase vector length {coeffs.shape[0]} != M={realization.m}")

@@ -137,6 +137,9 @@ def _seeds(value) -> tuple:
     if isinstance(value, list):
         if not value:
             raise ValueError("must list at least one seed")
+        # rng_for keys Philox with the seed as one 64-bit word
+        if any(isinstance(s, (int, float)) and s >= 2**64 for s in value):
+            raise ValueError("must be < 2**64")
         return tuple(_integer(0)(s) for s in value)
     return tuple(range(_integer(1)(value)))
 

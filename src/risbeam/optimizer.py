@@ -3,18 +3,17 @@ alternating optimization loop.
 
 The loop cycles RIS phases (beam training over the model's codebook),
 the closed-form MMSE combiner, the inverse-MSE weight matrix, and the
-power-constrained precoder, recording the achievable rate after every
-full cycle.
+power-constrained precoder, keeping one record per full cycle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import training
-from .channel import NEAR_LINKS, ChannelRealization, PhaseShiftVector, cascade
+from .channel import NEAR_LINKS, ChannelRealization, cascade
 from .codebook import NEAR_SIDE, SIDE_BS, SamplingGrid
 from .geometry import LINK_BS_RIS, LINK_RIS_UE, SystemGeometry
 
@@ -39,7 +38,7 @@ class Precoder:
         w = np.asarray(self.w, dtype=complex)
         if w.ndim != 2 or not np.all(np.isfinite(w)):
             raise ValueError("precoder must be a finite matrix")
-        if self.p_max <= 0:
+        if not self.p_max > 0:                # NaN included
             raise ValueError("p_max must be positive")
         power = float(np.sum(np.abs(w) ** 2))
         if power > self.p_max * (1.0 + _BUDGET_REL_SLACK):
@@ -58,24 +57,46 @@ class Combiner:
         object.__setattr__(self, "u", u)
 
 
+@dataclass(frozen=True)
+class Iteration:
+    """Cycle t of the alternating loop (0 is the initialization): the rate
+    after it, its relative change gamma, the training evaluations of
+    cycles 1..t, and whether the cycle applied its trained codeword."""
+
+    t: int
+    rate: float
+    gamma: float
+    evaluations: int
+    adopted: bool
+
+
 @dataclass
 class AOState:
-    """Result of one alternating-optimization run."""
+    """Result of one alternating-optimization run: the last solves, the
+    RIS coefficients phi they were made under, and one record per cycle."""
 
     precoder: Precoder
     combiner: Combiner
-    phases: PhaseShiftVector
+    phi: np.ndarray
     weight: np.ndarray
-    rate_history: list[float]
-    gamma: float
-    iterations: int
-    evaluations: int
-    training_regressions: int = 0
-    trace: list[tuple] = field(default_factory=list)
+    records: list[Iteration]
 
     @property
     def rate(self) -> float:
-        return self.rate_history[-1]
+        return self.records[-1].rate
+
+    @property
+    def iterations(self) -> int:
+        return self.records[-1].t
+
+    @property
+    def evaluations(self) -> int:
+        return self.records[-1].evaluations
+
+    @property
+    def training_regressions(self) -> int:
+        """Cycles whose trained codeword was rejected."""
+        return sum(not r.adopted for r in self.records)
 
 
 def achievable_rate(h: np.ndarray, w: np.ndarray, noise_var: float) -> float:
@@ -182,11 +203,11 @@ def solve_precoder(h: np.ndarray, u: np.ndarray, f: np.ndarray,
     solution fits the budget, otherwise mu > 0 found by bisection so the
     budget holds with equality (`_bisect_budget`).
     """
-    if p_max <= 0:
+    if not p_max > 0:                        # NaN included
         raise ValueError("p_max must be positive")
     hu = h.conj().T @ u                      # (n_bs, q)
     b = hu @ f                               # linear-term matrix
-    a = hu @ f @ hu.conj().T
+    a = b @ hu.conj().T
     a = 0.5 * (a + a.conj().T)
     lam, basis = np.linalg.eigh(a)
     lam = np.maximum(lam, 0.0)
@@ -253,6 +274,8 @@ def default_stream_count(tag: str, geometry: SystemGeometry,
 
 def initial_precoder(h0: np.ndarray, q: int, p_max: float) -> np.ndarray:
     """Matched-filter columns of the zero-phase cascade, scaled to p_max."""
+    if not p_max > 0:                        # NaN included
+        raise ValueError("p_max must be positive")
     w = h0.conj().T[:, :q].astype(complex).copy()
     norm = np.linalg.norm(w)
     if norm < 1e-300:
@@ -276,7 +299,7 @@ def ao_loop(realization: ChannelRealization, geometry: SystemGeometry, *,
     forces the plain sweep on any model.  Terminates after max_iters
     cycles or when the relative rate change drops below tol.  The trained
     codeword is only adopted when it does not reduce the current rate;
-    rejected retrainings are counted in training_regressions.
+    each cycle's record says whether it was.
 
     Training reuses its precoder-independent work across the cycles
     (see `training`).
@@ -306,42 +329,27 @@ def ao_loop(realization: ChannelRealization, geometry: SystemGeometry, *,
     w = initial_precoder(h, q, p_max)
     u = optimal_combiner(h, w, noise_var).u
     f = np.eye(q, dtype=complex)
-    rate = achievable_rate(h, w, noise_var)
-    history = [rate]
-    evaluations = 0
-    regressions = 0
-    gamma = np.inf
-    trace = [(0, rate, np.inf, 0)]
+    last = Iteration(t=0, rate=achievable_rate(h, w, noise_var),
+                     gamma=np.inf, evaluations=0, adopted=True)
+    records = [last]
 
-    t = 0
-    while t < max_iters and gamma >= tol:
+    while last.t < max_iters and last.gamma >= tol:
         report = train(w)
-        evaluations += report.evaluations
-        if report.best_rate >= rate:
+        adopted = report.best_rate >= last.rate
+        if adopted:
             phi = report.best_codeword.coeffs
-        else:
-            regressions += 1
         h = cascade(realization, phi)
         u = optimal_combiner(h, w, noise_var).u
-        e = mse_matrix(h, w, u, noise_var)
-        f = weight_update(e)
+        f = weight_update(mse_matrix(h, w, u, noise_var))
         w = solve_precoder(h, u, f, p_max).w
-        new_rate = achievable_rate(h, w, noise_var)
-        gamma = abs(new_rate - rate) / max(abs(rate), 1e-300)
-        rate = new_rate
-        history.append(rate)
-        t += 1
-        trace.append((t, rate, gamma, evaluations))
+        rate = achievable_rate(h, w, noise_var)
+        last = Iteration(
+            t=last.t + 1, rate=rate,
+            gamma=abs(rate - last.rate) / max(abs(last.rate), 1e-300),
+            evaluations=last.evaluations + report.evaluations,
+            adopted=adopted)
+        records.append(last)
 
-    return AOState(
-        precoder=Precoder(w=w, p_max=p_max),
-        combiner=Combiner(u=u),
-        phases=PhaseShiftVector.from_coefficients(phi),
-        weight=f,
-        rate_history=history,
-        gamma=float(gamma),
-        iterations=t,
-        evaluations=evaluations,
-        training_regressions=regressions,
-        trace=trace,
-    )
+    return AOState(precoder=Precoder(w=w, p_max=p_max),
+                   combiner=Combiner(u=u), phi=phi, weight=f,
+                   records=records)

@@ -252,8 +252,12 @@ def rates_for_phase_batch(realization: ChannelRealization, phis: np.ndarray,
 class TrainingReport:
     best_codeword: Codeword
     best_rate: float
-    evaluations: int
     layer_trace: list[LayerRecord]
+
+    @property
+    def evaluations(self) -> int:
+        """Codewords scored: the last layer record's running total."""
+        return self.layer_trace[-1].evaluations_total if self.layer_trace else 0
 
 
 def sweep_overhead(m_x: int, m_y: int) -> int:
@@ -288,7 +292,7 @@ def exhaustive_search(realization: ChannelRealization, w: np.ndarray,
     rec = LayerRecord(layer=0, choice=(k,), best_rate=float(rates[k]),
                       evaluations_total=len(codebook))
     return TrainingReport(best_codeword=codebook[k], best_rate=float(rates[k]),
-                          evaluations=len(codebook), layer_trace=[rec])
+                          layer_trace=[rec])
 
 
 def _sweep(realization: ChannelRealization, w: np.ndarray, noise_var: float,
@@ -329,8 +333,9 @@ def _descend(realization: ChannelRealization, w: np.ndarray,
     no words built, by `star` over one-row books tagged with the samples'
     points, so it has the scored row's coefficients and the tags of
     `reduce(star, ...)` over full components (hierarchical codewords carry
-    the user-side sample as their first operand).  Evaluations, layer
-    records and the best codeword accumulate into `report`.
+    the user-side sample as their first operand).  The layer records, each
+    with the running evaluation total, and the best codeword accumulate
+    into `report`.
 
     A layer's quadrant bounds and word stacks depend only on its input
     ranges and on what `distance_words` reads of the geometry, the RIS
@@ -371,7 +376,6 @@ def _descend(realization: ChannelRealization, w: np.ndarray,
                     4 * len(cands), -1, stack.shape[-1])
         rates = rates_for_phase_batch(
             realization, cands.reshape(-1, cands.shape[-1]), w, noise_var)
-        report.evaluations += rates.size
         k = int(np.argmax(rates))
         combo, s = divmod(k, cands.shape[1])
         # the combination's quadrant digits, first range slowest
@@ -379,7 +383,8 @@ def _descend(realization: ChannelRealization, w: np.ndarray,
         layer_best = float(rates[k])
         report.layer_trace.append(LayerRecord(
             layer=layer, choice=tuple(q + 1 for q in picks),
-            best_rate=layer_best, evaluations_total=report.evaluations))
+            best_rate=layer_best,
+            evaluations_total=report.evaluations + rates.size))
         bounds = [quad[q] for quad, q in zip(quads, picks)]
         if layer_best > report.best_rate:
             report.best_rate = layer_best
@@ -414,7 +419,7 @@ def hierarchical_nn(realization: ChannelRealization, w: np.ndarray,
     if layers < 1:
         raise ValueError("hierarchical training requires max_layers >= 1")
     empty = TrainingReport(best_codeword=None, best_rate=-np.inf,
-                           evaluations=0, layer_trace=[])
+                           layer_trace=[])
     return _descend(realization, w, noise_var, geometry,
                     [(grid_bs, SIDE_BS), (grid_ue, SIDE_UE)], layers, empty)
 

@@ -1,4 +1,19 @@
+import warnings
+
 import pytest
+
+# Once a property test fails, hypothesis's pytest plugin imports its
+# failing-example patch writer, whose libcst import warns that
+# mypy_extensions.TypedDict is deprecated.  Raised as an error inside a
+# report hook, that warning would end the whole run with INTERNALERROR,
+# so the writer is imported here, once, with only that warning ignored.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", category=DeprecationWarning,
+                            message="mypy_extensions.TypedDict is deprecated")
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:     # without libcst the plugin writes no patch
+        pass
 
 from risbeam.channel import random_far_spec, synthesize_channel
 from risbeam.geometry import SystemGeometry

@@ -233,8 +233,10 @@ def test_04_ao_monotone_and_convergent():
                             max_iters=cfg.max_iters, tol=cfg.tol,
                             scheme=cfg.training, q=q)
             total += 1
-            monotone += bool(np.all(np.diff(state.rate_history) >= -1e-6))
-            converged += (state.gamma < 1e-4 and state.iterations <= 20)
+            rates = [r.rate for r in state.records]
+            monotone += bool(np.all(np.diff(rates) >= -1e-6))
+            converged += (state.records[-1].gamma < 1e-4
+                          and state.iterations <= 20)
     verdict(4, "alternating optimization monotone and convergent",
             monotone >= 0.95 * total and converged >= 0.95 * total,
             detail=f"monotone {monotone}/{total}, converged {converged}/{total}")

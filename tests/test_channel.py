@@ -10,7 +10,6 @@ from risbeam.channel import (
     ChannelRealization,
     FarFieldSpec,
     PathSpec,
-    PhaseShiftVector,
     cascade,
     dump_channel_json,
     exact_distances,
@@ -152,25 +151,6 @@ class TestNearChannel:
     def test_shapes(self, desk):
         assert near_channel(LINK_BS_RIS, desk).shape == (desk.m, desk.n_bs)
         assert near_channel(LINK_RIS_UE, desk).shape == (desk.n_ue, desk.m)
-
-
-class TestPhaseShiftVector:
-    def test_unit_modulus(self):
-        v = PhaseShiftVector(phases=np.linspace(0, 5, 8))
-        np.testing.assert_allclose(np.abs(v.coefficients), 1.0, atol=1e-15)
-
-    def test_roundtrip_through_coefficients(self):
-        phases = np.array([0.0, 1.3, 4.4])
-        v = PhaseShiftVector.from_coefficients(np.exp(-1j * phases))
-        np.testing.assert_allclose(v.phases, phases, atol=1e-12)
-
-    def test_non_unit_coefficients_rejected(self):
-        with pytest.raises(ValueError):
-            PhaseShiftVector.from_coefficients([1.0, 0.5])
-
-    def test_nan_coefficients_rejected(self):
-        with pytest.raises(ValueError, match="unit modulus"):
-            PhaseShiftVector.from_coefficients([1.0, np.nan])
 
 
 class TestCascade:

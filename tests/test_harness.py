@@ -106,6 +106,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config("seeds: [-1]")
 
+    def test_seeds_span_the_philox_key_word(self):
+        top = 2**64 - 1
+        cfg = parse_config(f"seeds: [0, {top}]")
+        assert cfg.seeds == (0, top)
+        rng_for(top)
+        for bad in (f"{top + 1}", "1.9e19", f"{10**400}"):
+            with pytest.raises(ConfigError,
+                               match=r"line 2: seeds must be < 2\*\*64"):
+                parse_config(f"model: FF\nseeds: [0, {bad}]")
+
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config("# a comment\n\nmodel: FF  # trailing\n")
         assert cfg.model == "FF"
@@ -360,6 +370,26 @@ class TestCli:
         cli.main(["run", str(cfg), "--seed", "5", "--out", str(out)])
         rows = parse_result_csv(out)
         assert [r.seed for r in rows] == [5]
+
+    def test_run_seed_override_at_the_top_seed(self, tmp_path):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "res.csv"
+        assert cli.main(["run", str(cfg), "--seed", str(2**64 - 1),
+                         "--out", str(out)]) == 0
+        assert [r.seed for r in parse_result_csv(out)] == [2**64 - 1]
+
+    @pytest.mark.parametrize("seed, message", [
+        ("-1", "must be >= 0"), (str(2**64), "must be < 2**64"),
+        ("x", "invalid literal")])
+    def test_seed_override_checked_as_config_seeds(self, tmp_path, capsys,
+                                                   seed, message):
+        cfg = self.write_config(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["run", str(cfg), "--seed", seed,
+                      "--out", str(tmp_path / "res.csv")])
+        assert exited.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "res.csv").exists()
 
     @pytest.mark.parametrize("label, model, scheme", harness.VARIANTS,
                              ids=[v[0] for v in harness.VARIANTS])

@@ -17,12 +17,12 @@ from risbeam.geometry import LINK_BS_RIS, LINK_RIS_UE, SystemGeometry
 from risbeam import optimizer, training
 from risbeam.harness import cell_setup, parse_config, solve_cell
 from risbeam.optimizer import (
-    AOState,
     Combiner,
     Precoder,
     achievable_rate,
     ao_loop,
     default_stream_count,
+    initial_precoder,
     mse_matrix,
     optimal_combiner,
     precoder_kkt,
@@ -458,7 +458,7 @@ class TestSolvePrecoder:
         _, real, _, _ = cell_setup(cfg, seed)
         state = solve_cell(cfg, seed)
         stationarity, slack, _ = precoder_kkt(
-            cascade(real, state.phases), state.combiner.u, state.weight,
+            cascade(real, state.phi), state.combiner.u, state.weight,
             state.precoder.w, cfg.p_max_w)
         assert stationarity <= 1e-8
         assert slack <= 1e-6
@@ -631,18 +631,18 @@ class TestAOLoop:
     def test_zero_iterations_returns_initialization(self):
         state = self.run(max_iters=0)
         assert state.iterations == 0
-        assert len(state.rate_history) == 1
+        assert len(state.records) == 1
         assert state.evaluations == 0
 
     def test_rate_history_monotone(self):
         for seed in range(5):
             state = self.run(tag="NF", seed=seed)
-            diffs = np.diff(state.rate_history)
+            diffs = np.diff([r.rate for r in state.records])
             assert np.all(diffs >= -1e-6)
 
     def test_converges_on_desk_instance(self):
         state = self.run()
-        assert state.gamma < 1e-4
+        assert state.records[-1].gamma < 1e-4
         assert state.iterations <= 20
 
     def test_forced_angular_scheme_on_nn(self):
@@ -656,8 +656,7 @@ class TestAOLoop:
 
     def test_phases_stay_unit_modulus(self):
         state = self.run()
-        np.testing.assert_allclose(np.abs(state.phases.coefficients), 1.0,
-                                   atol=1e-12)
+        np.testing.assert_allclose(np.abs(state.phi), 1.0, atol=1e-12)
 
     def test_final_weight_matrix_positive_definite(self):
         state = self.run(max_iters=3)
@@ -667,13 +666,38 @@ class TestAOLoop:
 
     def test_trace_records_every_iteration(self):
         state = self.run(max_iters=3)
-        rates = state.rate_history
-        assert len(state.trace) == state.iterations + 1 == len(rates)
-        assert state.trace[0] == (0, rates[0], np.inf, 0)
-        for t, (it, rate, gamma, evals) in enumerate(state.trace[1:], 1):
-            assert (it, rate, evals) == (t, rates[t], t * 16 * 4 * 16)
-            assert gamma == abs(rates[t] - rates[t - 1]) / abs(rates[t - 1])
-        assert state.trace[-1][2] == state.gamma
+        first, *cycles = state.records
+        assert (first.t, first.gamma, first.evaluations, first.adopted) == \
+            (0, np.inf, 0, True)
+        assert [r.t for r in cycles] == [1, 2, 3] and state.iterations == 3
+        for before, rec in zip(state.records, cycles):
+            assert rec.evaluations == rec.t * 16 * 4 * 16
+            assert rec.gamma == abs(rec.rate - before.rate) / abs(before.rate)
+        assert state.rate == cycles[-1].rate
+        assert state.evaluations == cycles[-1].evaluations
+
+    def test_adopted_says_whether_training_kept_the_rate(self, monkeypatch):
+        best = []
+        train = training.angular_sweep
+
+        def spy(*args):
+            report = train(*args)
+            best.append(report.best_rate)
+            return report
+
+        monkeypatch.setattr(training, "angular_sweep", spy)
+        flags = []
+        for seed in range(5):
+            best.clear()
+            state = self.run(tag="FF", seed=seed)
+            cycles = state.records[1:]
+            assert len(best) == len(cycles)
+            for before, rec, rate in zip(state.records, cycles, best):
+                assert rec.adopted == (rate >= before.rate)
+            assert state.training_regressions == \
+                sum(not r.adopted for r in cycles)
+            flags += [r.adopted for r in cycles]
+        assert True in flags and False in flags
 
 
 class TestContainers:
@@ -691,6 +715,16 @@ class TestContainers:
         w = np.full((2, 2), np.sqrt(1.09 * p_max / 4))
         with pytest.raises(ValueError, match="budget"):
             Precoder(w=w, p_max=p_max)
+
+    @pytest.mark.parametrize("p_max", [0.0, -1.0, np.nan])
+    def test_budget_must_be_positive(self, p_max):
+        eye = np.eye(2, dtype=complex)
+        with pytest.raises(ValueError, match="p_max must be positive"):
+            Precoder(w=np.zeros((2, 2)), p_max=p_max)
+        with pytest.raises(ValueError, match="p_max must be positive"):
+            solve_precoder(eye, eye, eye, p_max)
+        with pytest.raises(ValueError, match="p_max must be positive"):
+            initial_precoder(eye, 1, p_max)
 
     def test_combiner_requires_finite(self):
         with pytest.raises(ValueError):
