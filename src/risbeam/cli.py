@@ -27,13 +27,13 @@ def _seed_flag(text: str) -> int:
 
 
 def _default_config(args) -> harness.ExperimentConfig:
-    if getattr(args, "config", None):
+    if args.config:
         cfg = harness.load_config(args.config, scale=args.scale)
     else:
         cfg = harness.parse_config("", scale=args.scale)
-    if getattr(args, "seed", None) is not None:
+    if getattr(args, "seed", None) is not None:   # codebook dump has none
         cfg = replace(cfg, seeds=(args.seed,))
-    if getattr(args, "out", None):
+    if args.out:
         cfg = replace(cfg, out=args.out)
     return cfg
 
@@ -94,10 +94,10 @@ def _cmd_validate(args) -> int:
 
 
 def _validation_checks(scale: str):
-    """Quick invariant battery covering every module; seconds, not minutes."""
-    cfg = harness.parse_config("seeds: [0]", scale=scale)
-    geo = harness.geometry_from(cfg)
-    grid_bs, grid_ue = harness.grids_from(cfg, geo)
+    """Quick invariant battery covering every module, on seed 0's `run`
+    cell at the nominal user position; seconds, not minutes."""
+    cfg = harness.parse_config("ue_jitter_frac: 0", scale=scale)
+    geo, real, grid_bs, grid_ue = harness.cell_setup(cfg, 0)
     checks = []
 
     pos = geo.element_positions(geometry.NODE_RIS)
@@ -117,9 +117,6 @@ def _validation_checks(scale: str):
     checks.append(("doubly-sampled codebook size is (s_x*s_y)^2",
                    len(nn) == 16))
 
-    rng = harness.rng_for(0)
-    real = channel.synthesize_channel("NN", geo, rng, cfg.paths_bs, cfg.paths_ue,
-                                      cfg.nlos_rel_power, cfg.gain_mode)
     w0 = optimizer.initial_precoder(
         channel.cascade(real, np.ones(geo.m)), 1, cfg.p_max_w)
     rep = training.hierarchical_nn(real, w0, cfg.noise_w, grid_bs, grid_ue,
@@ -142,11 +139,7 @@ def _validation_checks(scale: str):
     checks.append(("precoder satisfies its stationarity equation",
                    stationarity < 1e-7))
 
-    q = optimizer.default_stream_count("NN", geo, cfg.paths_bs, cfg.paths_ue)
-    state = optimizer.ao_loop(real, geo, p_max=cfg.p_max_w, noise_var=cfg.noise_w,
-                              grid_bs=grid_bs, grid_ue=grid_ue, layers=2,
-                              max_iters=5, tol=cfg.tol, scheme=cfg.training,
-                              q=q)
+    state = harness.solve_cell(replace(cfg, layers=2, max_iters=5), 0)
     hist = np.array([r.rate for r in state.records])
     checks.append(("rate history is nondecreasing",
                    bool(np.all(np.diff(hist) >= -1e-6))))
@@ -159,16 +152,21 @@ def main(argv=None) -> int:
         description="RIS-assisted MIMO downlink experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--scale", choices=("desk", "paper"), default="desk",
-                       help="default parameter bundle (desk is CI-sized)")
-        p.add_argument("--seed", type=_seed_flag, default=None,
-                       help="replace the seed list with this single seed")
-        p.add_argument("--out", default=None, help="output path")
+    flags = {
+        "--scale": dict(choices=("desk", "paper"), default="desk",
+                        help="default parameter bundle (desk is CI-sized)"),
+        "--seed": dict(type=_seed_flag, default=None,
+                       help="replace the seed list with this single seed"),
+        "--out": dict(default=None, help="output path"),
+    }
+
+    def add(p, *names):
+        for name in names:
+            p.add_argument(name, **flags[name])
 
     p_run = sub.add_parser("run", help="run a configured experiment sweep")
     p_run.add_argument("config", help="path to a key:value config file")
-    add_common(p_run)
+    add(p_run, "--scale", "--seed", "--out")
     p_run.add_argument("--timing", action="store_true",
                        help="write measured wall-clock ms (breaks byte "
                             "determinism of the CSV)")
@@ -180,7 +178,7 @@ def main(argv=None) -> int:
     p_cb.add_argument("action", choices=("dump",))
     p_cb.add_argument("--kind", choices=("ff", "nn", "nf", "fn"), default="ff")
     p_cb.add_argument("--config", default=None)
-    add_common(p_cb)
+    add(p_cb, "--scale", "--out")
     p_cb.set_defaults(func=_cmd_codebook)
 
     p_ch = sub.add_parser(
@@ -194,11 +192,11 @@ def main(argv=None) -> int:
     p_ch.add_argument("action", choices=("dump",))
     p_ch.add_argument("--model", choices=channel.MODEL_TAGS, default=None)
     p_ch.add_argument("--config", default=None)
-    add_common(p_ch)
+    add(p_ch, "--scale", "--seed", "--out")
     p_ch.set_defaults(func=_cmd_channel)
 
     p_val = sub.add_parser("validate", help="run the invariant suite")
-    add_common(p_val)
+    add(p_val, "--scale")
     p_val.set_defaults(func=_cmd_validate)
 
     args = parser.parse_args(argv)

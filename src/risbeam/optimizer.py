@@ -298,8 +298,8 @@ def ao_loop(realization: ChannelRealization, geometry: SystemGeometry, *,
     both grids, NF/FN: two-stage over the near side's grid); "angular"
     forces the plain sweep on any model.  Terminates after max_iters
     cycles or when the relative rate change drops below tol.  The trained
-    codeword is only adopted when it does not reduce the current rate;
-    each cycle's record says whether it was.
+    codeword is adopted when it does not reduce the current rate or is
+    the applied one; each cycle's record says whether it was.
 
     Training reuses its precoder-independent work across the cycles
     (see `training`).
@@ -335,7 +335,8 @@ def ao_loop(realization: ChannelRealization, geometry: SystemGeometry, *,
 
     while last.t < max_iters and last.gamma >= tol:
         report = train(w)
-        adopted = report.best_rate >= last.rate
+        adopted = (report.best_rate >= last.rate
+                   or np.array_equal(report.best_codeword.coeffs, phi))
         if adopted:
             phi = report.best_codeword.coeffs
         h = cascade(realization, phi)

@@ -392,13 +392,11 @@ def _descend(realization: ChannelRealization, w: np.ndarray,
     if winner is not None:
         best_bounds, s, samples = winner
         parts = []
-        for (x0, x1, y0, y1), (grid, side), words in zip(best_bounds, ranges,
-                                                          samples):
+        for b, (grid, side), words in zip(best_bounds, ranges, samples):
             s, i = divmod(s, grid.s_x * grid.s_y)   # first range fastest
-            ix, iy = divmod(i, grid.s_y)            # y sample fastest
-            # the sample point as `sample_grid` places it
-            tag = PointTag(side=side, x=x0 + (ix + 0.5) * (x1 - x0) / grid.s_x,
-                           y=y0 + (iy + 0.5) * (y1 - y0) / grid.s_y)
+            x, y, _ = sample_grid(b, grid.s_x, grid.s_y,
+                                  grid.fixed_z)[i].tolist()
+            tag = PointTag(side=side, x=x, y=y)
             parts.append(Codebook(words=words[i:i + 1], provenance=(tag,)))
         head = [] if prefix is None else [prefix]
         report.best_codeword = reduce(star, head + parts[::-1])[0]

@@ -427,6 +427,19 @@ class TestCli:
         assert real.model_tag == "NF"
         assert real.g_bs_ris.shape == (32, 8)
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--seed", "1"], ["validate", "--out", "x"],
+        ["codebook", "dump", "--seed", "1"]],
+        ids=["validate-seed", "validate-out", "codebook-seed"])
+    def test_unread_flags_are_rejected(self, tmp_path, monkeypatch, capsys,
+                                       argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            cli.main(argv)
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_validate_passes(self, capsys):
         rc = cli.main(["validate"])
         out = capsys.readouterr().out

@@ -677,27 +677,43 @@ class TestAOLoop:
         assert state.evaluations == cycles[-1].evaluations
 
     def test_adopted_says_whether_training_kept_the_rate(self, monkeypatch):
-        best = []
+        """A cycle adopts its trained codeword when the codeword's rate is
+        no lower than the last record's or it is the applied codeword, whose
+        kernel rate can sit a rounding below `achievable_rate`'s."""
+        reports = []
         train = training.angular_sweep
 
         def spy(*args):
-            report = train(*args)
-            best.append(report.best_rate)
-            return report
+            reports.append(train(*args))
+            return reports[-1]
+
+        def replay(state):
+            """(adopted, re-found, kernel rate lower) per trained cycle."""
+            cycles = state.records[1:]
+            assert len(reports) == len(cycles)
+            phi, seen = np.ones(len(state.phi), dtype=complex), []
+            for before, rec, rep in zip(state.records, cycles, reports):
+                same = np.array_equal(rep.best_codeword.coeffs, phi)
+                lower = rep.best_rate < before.rate
+                assert rec.adopted == (not lower or same)
+                if rec.adopted:
+                    phi = rep.best_codeword.coeffs
+                seen.append((rec.adopted, same, lower))
+            assert np.array_equal(state.phi, phi)
+            assert state.training_regressions == \
+                sum(not adopted for adopted, _, _ in seen)
+            reports.clear()
+            return seen
 
         monkeypatch.setattr(training, "angular_sweep", spy)
-        flags = []
-        for seed in range(5):
-            best.clear()
-            state = self.run(tag="FF", seed=seed)
-            cycles = state.records[1:]
-            assert len(best) == len(cycles)
-            for before, rec, rate in zip(state.records, cycles, best):
-                assert rec.adopted == (rate >= before.rate)
-            assert state.training_regressions == \
-                sum(not r.adopted for r in cycles)
-            flags += [r.adopted for r in cycles]
-        assert True in flags and False in flags
+        ff = [c for seed in range(5) for c in replay(self.run(tag="FF",
+                                                              seed=seed))]
+        # desk FF cycles re-find the applied codeword a rounding below
+        assert (True, True, True) in ff
+        angular = parse_config("training: angular")
+        nn = [c for seed in range(5) for c in replay(solve_cell(angular, seed))]
+        # desk NN-angular cells reject codewords other than the applied one
+        assert (False, False, True) in nn
 
 
 class TestContainers:
