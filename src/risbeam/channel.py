@@ -133,7 +133,7 @@ def upa_response(azimuth: float, elevation: float, m_x: int, m_y: int,
     uy = np.cos(elevation)
     ax = np.exp(-1j * np.arange(m_x) * step * ux)
     ay = np.exp(-1j * np.arange(m_y) * step * uy)
-    return np.kron(ax, ay) / np.sqrt(m_x * m_y)
+    return np.outer(ax, ay).ravel() / np.sqrt(m_x * m_y)
 
 
 def _response(node: str, azimuth: float, elevation: float,
@@ -225,10 +225,10 @@ def _link_direction_cosines(link: str, geometry: SystemGeometry):
 
 def _angles_from_cosines(ux: float, uy: float) -> tuple[float, float]:
     """Invert (sin(az)*sin(el), cos(el)) = (ux, uy) into (az, el)."""
-    uy = float(np.clip(uy, -1.0, 1.0))
+    uy = float(min(max(uy, -1.0), 1.0))
     el = float(np.arccos(uy))
     s = np.sin(el)
-    az = 0.0 if s < 1e-15 else float(np.arcsin(np.clip(ux / s, -1.0, 1.0)))
+    az = 0.0 if s < 1e-15 else float(np.arcsin(min(max(ux / s, -1.0), 1.0)))
     return az, el
 
 
@@ -246,7 +246,7 @@ def los_path(link: str, geometry: SystemGeometry, gain: complex) -> PathSpec:
     """LoS PathSpec with the geometric angles of the link."""
     ux, uy = _link_direction_cosines(link, geometry)
     return _path(link, gain, *_angles_from_cosines(ux, uy),
-                 float(np.arcsin(np.clip(ux, -1.0, 1.0))))
+                 float(np.arcsin(min(max(ux, -1.0), 1.0))))
 
 
 def random_far_spec(link: str, geometry: SystemGeometry, rng: np.random.Generator,

@@ -140,18 +140,17 @@ class SamplingGrid:
         return self.x_min, self.x_max, self.y_min, self.y_max
 
 
-def sample_grid(bounds, s_x: int, s_y: int, fixed_z: float) -> np.ndarray:
-    """Sample points of ranges `bounds` (..., 4), each row (x_min, x_max,
-    y_min, y_max), as an (..., s_x*s_y, 3) array at height `fixed_z`:
-    lo + (s - 1/2) * (hi - lo) / S per direction, y sample fastest."""
-    b = np.array(bounds, dtype=float)
-    x0, x1, y0, y1 = (b[..., i, None] for i in range(4))
-    pts = np.empty(b.shape[:-1] + (s_x, s_y, 3))
-    # arange(0.5, S) is s - 1/2 for s = 1..S exactly
-    pts[..., 0] = (x0 + np.arange(0.5, s_x) * (x1 - x0) / s_x)[..., :, None]
-    pts[..., 1] = (y0 + np.arange(0.5, s_y) * (y1 - y0) / s_y)[..., None, :]
-    pts[..., 2] = fixed_z
-    return pts.reshape(b.shape[:-1] + (s_x * s_y, 3))
+def sample_grid(ranges, s_x: int, s_y: int, fixed_z: float) -> np.ndarray:
+    """Sample points of each (x_min, x_max, y_min, y_max) range of the
+    sequence `ranges`, as an (R, s_x*s_y, 3) array at height `fixed_z`:
+    lo + (s - 1/2) * (hi - lo) / S per direction for s = 1..S, y sample
+    fastest."""
+    def axis(lo, hi, n):
+        return [lo + (s - 0.5) * (hi - lo) / n for s in range(1, n + 1)]
+    return np.array([[(x, y, fixed_z) for x in axis(x0, x1, s_x)
+                      for y in axis(y0, y1, s_y)]
+                     for x0, x1, y0, y1 in ranges],
+                    dtype=float).reshape(-1, s_x * s_y, 3)
 
 
 def quadrant_bounds(x_min: float, x_max: float, y_min: float, y_max: float,
@@ -261,7 +260,7 @@ def build_distance_component(grid: SamplingGrid, side: str,
     of one side, tagged with the side and the point."""
     if side not in (SIDE_BS, SIDE_UE):
         raise ValueError(f"side must be {SIDE_BS!r} or {SIDE_UE!r}")
-    xyz = sample_grid(grid.bounds, grid.s_x, grid.s_y, grid.fixed_z)
+    xyz = sample_grid([grid.bounds], grid.s_x, grid.s_y, grid.fixed_z)[0]
     tags = tuple(PointTag(side=side, x=x, y=y) for x, y, _ in xyz.tolist())
     return Codebook(words=distance_words(xyz, geometry), provenance=tags)
 

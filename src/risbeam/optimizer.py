@@ -3,11 +3,14 @@ alternating optimization loop.
 
 The loop cycles RIS phases (beam training over the model's codebook),
 the closed-form MMSE combiner, the inverse-MSE weight matrix, and the
-power-constrained precoder, keeping one record per full cycle.
+power-constrained precoder, keeping one record per full cycle.  The
+precoder's power multiplier is bisected over Python floats, summed in
+numpy's pairwise order so that every step is an array evaluation's.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +26,6 @@ _BUDGET_REL_SLACK = 1e-9
 # solve_precoder's bisection stops once the budget is met to this relative gap
 _BUDGET_REL_TOL = 1e-12
 _MAX_BISECT = 500
-# bisection steps per batched power evaluation (2^depth - 1 midpoints)
-_BISECT_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -140,58 +141,39 @@ def weight_update(e: np.ndarray) -> np.ndarray:
     return 0.5 * (f + f.conj().T)
 
 
-def _norm_sq(row_pow: np.ndarray, lam: np.ndarray, live: np.ndarray,
-             mus: list, terms: np.ndarray) -> list:
-    """||W(mu)||^2 = sum of row_pow / (lam + mu)^2 over the live rows, for
-    each mu of `mus`, as one (len(mus), n) array operation into `terms`,
-    whose masked entries stay zero.  A row's sum is bit-identical to the
-    sum of the same terms as a 1-D array."""
-    sq = lam + np.array(mus)[:, None]
-    np.square(sq, out=sq)
-    np.divide(row_pow, sq, out=terms, where=live)
-    return terms.sum(axis=1).tolist()
+def _pairwise_sum(terms: list) -> float:
+    """The sum of the floats `terms` in numpy's float64 pairwise order, so
+    it is bit-identical to np.sum of the same terms as an array: under 8
+    terms added in order; up to 128 into 8 running sums combined as
+    ((0+1)+(2+3))+((4+5)+(6+7)), the rest added in order; longer lists
+    halved at a multiple of 8.  (Python's own `sum` has another order.)"""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    acc, rest = 0.0, terms
+    if n >= 8:
+        r, tail = terms[:8], n - n % 8
+        for i in range(8, tail, 8):
+            for j in range(8):
+                r[j] += terms[i + j]
+        acc = (((r[0] + r[1]) + (r[2] + r[3]))
+               + ((r[4] + r[5]) + (r[6] + r[7])))
+        rest = terms[tail:]
+    for t in rest:
+        acc += t
+    return acc
 
 
-def _bisect_budget(row_pow: np.ndarray, lam: np.ndarray, live: np.ndarray,
-                   p_max: float, hi: float) -> float:
-    """The multiplier mu in (0, hi] at which ||W(mu)||^2 meets p_max.
-
-    Plain bisection: each step halves [lo, hi] at mu = 0.5 * (lo + hi),
-    keeps the half on which the budget is crossed, and stops once the
-    power at mu is feasible and within _BUDGET_REL_TOL of p_max; the
-    feasible end hi is returned.  The steps are taken _BISECT_DEPTH at a
-    time: a round forms, in Python floats, the 2^depth - 1 midpoints that
-    its steps can reach (heap order: node i halves toward 2i + 1 when the
-    power exceeds the budget, toward 2i + 2 otherwise), evaluates the power
-    at all of them in one `_norm_sq` call, and then takes its steps from
-    that table.  So the steps, the result and the _MAX_BISECT limit are
-    those of one-at-a-time bisection, bit for bit.
-    """
-    terms = np.zeros((2 ** _BISECT_DEPTH - 1, lam.size))
-    lo, steps = 0.0, 0
-    while True:
-        spans, mids = [(lo, hi)], []
-        for _ in range(_BISECT_DEPTH):
-            halves = []
-            for a, b in spans:
-                mid = 0.5 * (a + b)
-                mids.append(mid)
-                halves += [(mid, b), (a, mid)]
-            spans = halves
-        vals = _norm_sq(row_pow, lam, live, mids, terms)
-        node = 0
-        for _ in range(_BISECT_DEPTH):
-            if steps == _MAX_BISECT:
-                raise RuntimeError(
-                    f"power bisection did not converge in {_MAX_BISECT} steps")
-            steps += 1
-            mu, val = mids[node], vals[node]
-            if val > p_max:
-                lo, node = mu, 2 * node + 1
-            else:
-                hi, node = mu, 2 * node + 2
-                if p_max - val <= _BUDGET_REL_TOL * p_max:
-                    return hi                # feasible side of the bracket
+def _power(rows: list, mu: float) -> float:
+    """||W(mu)||^2 from the (row power p, eigenvalue lam) pairs: the sum of
+    p / (lam + mu)^2 over the live rows (p > 0), a masked row adding 0.0
+    and a zero denominator +inf, as numpy's masked divide and sum give it."""
+    terms = []
+    for p, lam in rows:
+        d = (lam + mu) * (lam + mu)
+        terms.append(0.0 if not p > 0.0 else (p / d if d else math.inf))
+    return _pairwise_sum(terms)
 
 
 def solve_precoder(h: np.ndarray, u: np.ndarray, f: np.ndarray,
@@ -200,8 +182,14 @@ def solve_precoder(h: np.ndarray, u: np.ndarray, f: np.ndarray,
 
     A = H^H U F U^H H.  Solved in closed form through the eigenbasis of A:
     W(mu) = (A + mu I)^-1 H^H U F with mu = 0 when the unconstrained
-    solution fits the budget, otherwise mu > 0 found by bisection so the
-    budget holds with equality (`_bisect_budget`).
+    solution fits the budget (an unbounded one, with a live row at a zero
+    eigenvalue, does not), otherwise mu > 0 found by bisection on
+    (0, ||B|| / sqrt(p_max)]: each step halves the bracket at
+    mu = 0.5 * (lo + hi) and keeps the half on which the budget is
+    crossed, and the first feasible mu whose power is within
+    _BUDGET_REL_TOL of p_max is taken.  The power is summed over Python
+    floats in numpy's order (`_power`), so mu and W are bit for bit those
+    of an array evaluation.  Raises after _MAX_BISECT steps.
     """
     if not p_max > 0:                        # NaN included
         raise ValueError("p_max must be positive")
@@ -224,13 +212,23 @@ def solve_precoder(h: np.ndarray, u: np.ndarray, f: np.ndarray,
         row_pow = np.where(null, 0.0, row_pow)
 
     live = row_pow > 0.0
+    rows = list(zip(row_pow.tolist(), lam.tolist()))
     mu = 0.0
-    with np.errstate(divide="ignore"):       # inf at mu = 0: unbounded
-        unbounded = not _norm_sq(row_pow, lam, live, [0.0],
-                                 np.zeros((1, lam.size)))[0] <= p_max
-    if unbounded:                            # the test also catches inf
-        mu = _bisect_budget(row_pow, lam, live, p_max,
-                            float(np.sqrt(np.sum(row_pow) / p_max)))
+    if not _power(rows, 0.0) <= p_max:       # the test also catches inf
+        lo, hi = 0.0, float(np.sqrt(np.sum(row_pow) / p_max))
+        for _ in range(_MAX_BISECT):
+            mid = 0.5 * (lo + hi)
+            val = _power(rows, mid)
+            if val > p_max:
+                lo = mid
+            else:
+                hi = mid
+                if p_max - val <= _BUDGET_REL_TOL * p_max:
+                    break
+        else:
+            raise RuntimeError(
+                f"power bisection did not converge in {_MAX_BISECT} steps")
+        mu = hi                              # feasible side of the bracket
 
     scaled = np.divide(bt, (lam + mu)[:, None], out=np.zeros_like(bt),
                        where=live[:, None])

@@ -394,8 +394,8 @@ def _descend(realization: ChannelRealization, w: np.ndarray,
         parts = []
         for b, (grid, side), words in zip(best_bounds, ranges, samples):
             s, i = divmod(s, grid.s_x * grid.s_y)   # first range fastest
-            x, y, _ = sample_grid(b, grid.s_x, grid.s_y,
-                                  grid.fixed_z)[i].tolist()
+            x, y, _ = sample_grid([b], grid.s_x, grid.s_y,
+                                  grid.fixed_z)[0, i].tolist()
             tag = PointTag(side=side, x=x, y=y)
             parts.append(Codebook(words=words[i:i + 1], provenance=(tag,)))
         head = [] if prefix is None else [prefix]

@@ -59,8 +59,8 @@ def cell_centres(grid):
 
 def grid_points(grid):
     """`sample_grid`'s (x, y) samples of `grid`, as a list of pairs."""
-    pts = sample_grid(grid.bounds, grid.s_x, grid.s_y, grid.fixed_z)
-    return [(x, y) for x, y, _ in pts.tolist()]
+    pts = sample_grid([grid.bounds], grid.s_x, grid.s_y, grid.fixed_z)
+    return [(x, y) for x, y, _ in pts[0].tolist()]
 
 
 class TestAngularSteering:

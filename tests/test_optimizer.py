@@ -482,8 +482,9 @@ class TestSolvePrecoder:
 
 
 def sequential_precoder(h, u, f, p_max, max_steps):
-    """solve_precoder with one norm evaluation per bisection step, the
-    order the batched rounds must reproduce; returns (w, steps taken)."""
+    """solve_precoder with each bisection step's norm evaluated as a numpy
+    array, the result the float bisection must reproduce; returns (w,
+    steps taken)."""
     hu = h.conj().T @ u
     b = hu @ f
     a = hu @ f @ hu.conj().T
@@ -528,8 +529,9 @@ def sequential_precoder(h, u, f, p_max, max_steps):
 
 
 class TestBatchedBisection:
-    """solve_precoder takes its bisection steps from batched evaluations;
-    the result must be the one-step-at-a-time result, bit for bit."""
+    """solve_precoder bisects with its power summed over Python floats;
+    every step, the step count at which it stops or raises, and W must be
+    those of the bisection with numpy array norms, bit for bit."""
 
     @staticmethod
     def instance(rng, n_bs, n_ue, q, p_max, exponent, rank_one):
@@ -586,7 +588,7 @@ class TestBatchedBisection:
         h, u, f = self.instance(np.random.default_rng(5), 8, 4, 2, p_max,
                                 -2.0, False)
         want, steps = sequential_precoder(h, u, f, p_max, 500)
-        assert steps > 2 * optimizer._BISECT_DEPTH
+        assert steps > 8
         for limit in (0, 1, 7, steps - 1):
             monkeypatch.setattr(optimizer, "_MAX_BISECT", limit)
             with pytest.raises(RuntimeError) as oracle:
@@ -596,6 +598,20 @@ class TestBatchedBisection:
             assert str(got.value) == str(oracle.value)
         monkeypatch.setattr(optimizer, "_MAX_BISECT", steps)   # just enough
         assert solve_precoder(h, u, f, p_max).w.tobytes() == want.tobytes()
+
+    def test_float_sum_is_numpys_sum(self):
+        # a numpy whose summation order changed fails here, not in digests
+        for n in [*range(41), 127, 128, 129, 136, 300]:
+            rng = np.random.default_rng(n)
+            terms = rng.standard_normal(n)     # cancelling: the order shows
+            terms[::3] = 0.0                   # interleaved zeros
+            with_inf = np.abs(terms)
+            with_inf[n // 2:n // 2 + 1] = np.inf
+            cases = [terms * 10.0 ** e for e in (-300, 0, 300)] + [
+                with_inf, terms * 10.0 ** rng.uniform(-300.0, 300.0, n)]
+            for case in cases:
+                got = optimizer._pairwise_sum(case.tolist())
+                assert got.hex() == float(np.sum(case)).hex(), n
 
 
 class TestStreamCounts:
