@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Hierarchical-training rate versus layer count, with flat-search marks.
 
-For the all-spherical channel, sweeps the number of refinement layers and
-also evaluates exhaustive search over 8- and 16-point-per-direction flat
+For the all-spherical channel, runs one layered descent per seed to
+--max-layers and reads each depth's row from its layer records: the best
+rate of the layers so far and the running evaluation count, which are
+the best rate and count of a descent stopped at that depth.  Also
+evaluates exhaustive search over 8- and 16-point-per-direction flat
 grids on the same ranges, which the layered scheme should match at 2 and
 3 layers respectively.
 """
@@ -37,13 +40,14 @@ def main():
         q = default_stream_count("NN", geometry, cfg.paths_bs, cfg.paths_ue)
         w = initial_precoder(cascade(real, np.ones(geometry.m)), q,
                              cfg.p_max_w)
-        # each depth re-walks the shallower depths' layers, which training
-        # keeps for this geometry
-        for layers in range(1, args.max_layers + 1):
-            rep = hierarchical_nn(real, w, cfg.noise_w, gb, gu, layers,
-                                  geometry)
-            rows.append((f"layered-L{layers}", seed, layers, rep.best_rate,
-                         rep.evaluations))
+        trace = [] if args.max_layers < 1 else hierarchical_nn(
+            real, w, cfg.noise_w, gb, gu, args.max_layers,
+            geometry).layer_trace
+        best = -np.inf
+        for rec in trace:
+            best = max(best, rec.best_rate)
+            rows.append((f"layered-L{rec.layer}", seed, rec.layer, best,
+                         rec.evaluations_total))
         for pts in (8, 16):
             book = build_nn_codebook(replace(gb, s_x=pts, s_y=pts),
                                      replace(gu, s_x=pts, s_y=pts), geometry)

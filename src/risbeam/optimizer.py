@@ -5,7 +5,9 @@ The loop cycles RIS phases (beam training over the model's codebook),
 the closed-form MMSE combiner, the inverse-MSE weight matrix, and the
 power-constrained precoder, keeping one record per full cycle.  The
 precoder's power multiplier is bisected over Python floats, summed in
-numpy's pairwise order so that every step is an array evaluation's.
+numpy's pairwise order so that every step is an array evaluation's;
+Newton-placed edges around the bisection's two roots settle the steps
+away from them without a sum.
 """
 
 from __future__ import annotations
@@ -26,6 +28,13 @@ _BUDGET_REL_SLACK = 1e-9
 # solve_precoder's bisection stops once the budget is met to this relative gap
 _BUDGET_REL_TOL = 1e-12
 _MAX_BISECT = 500
+# _edges keeps an edge only where the power it checks is across its
+# threshold by 2 kappa, kappa = _EDGE_MARGIN times `_power`'s rounding bound
+_EDGE_MARGIN = 10
+# Newton steps _edges takes toward each root at most
+_NEWTON_STEPS = 50
+# the bisection's edges when none are placed: every step evaluates _power
+_NO_EDGES = (-math.inf, math.inf, -math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -176,6 +185,71 @@ def _power(rows: list, mu: float) -> float:
     return _pairwise_sum(terms)
 
 
+def _power_rounding(n: int) -> float:
+    """A bound on the relative rounding error of `_power` over n rows: a
+    term's add, square and divide, a path of at most n - 1 additions
+    through the sum, whatever its order, and one unit for second-order
+    terms, each unit 2^-53."""
+    return (4 + (n - 1) + 1) * 2.0 ** -53
+
+
+def _root(live: list, target: float, mu: float) -> float:
+    """Newton's estimate of the mu at which ||W(mu)||^2 = target, from `mu`
+    below it, on g(mu) = ||W(mu)||^-1, which is concave and increasing, so
+    that every step stays below the root (Moré and Sorensen's step for the
+    secular equation); `live` holds the (p, lam) pairs with p > 0."""
+    goal = target ** -0.5
+    for _ in range(_NEWTON_STEPS):
+        power = slope = 0.0              # sum p/(lam+mu)^2, sum p/(lam+mu)^3
+        for p, lam in live:
+            inv = 1.0 / (lam + mu)
+            term = p * inv * inv
+            power += term
+            slope += term * inv
+        step = (goal - power ** -0.5) * power ** 1.5 / slope
+        if not step > mu * 2.0 ** -52:   # converged, or not finite
+            break
+        mu += step
+    return mu
+
+
+def _edges(rows: list, p_max: float, hi: float) -> tuple:
+    """Points a < b < c < d of the bisection on (0, hi] at which `_power`
+    settles a step without being evaluated, or `_NO_EDGES`.
+
+    Newton (`_root`) estimates the budget root, where the power is p_max,
+    from the lower bound max(0, hi - max lam, max(sqrt(p / p_max) - lam)),
+    and from there the tolerance root, where it is p_max (1 -
+    _BUDGET_REL_TOL).  a and b lie a quarter of the roots' gap below and
+    above the first, c and d around the second.  Each is kept only if
+    `_power` there is across its threshold by 2 kappa (`_EDGE_MARGIN`):
+    above p_max at a, below it at b, above p_max (1 - _BUDGET_REL_TOL) at c
+    and below that at d.  `_power` is monotone in mu, as each of its
+    float operations is, so every mu <= a is over budget, every mu in
+    [b, c] feasible and within tolerance, and every mu >= d feasible and
+    not within it, exactly as `_power` there would say.
+    """
+    live = [(p, lam) for p, lam in rows if p > 0.0]
+    kappa = _EDGE_MARGIN * _power_rounding(len(rows))
+    tight = p_max * (1.0 - _BUDGET_REL_TOL)
+    try:
+        start = max(0.0, hi - max(lam for _, lam in live),
+                    max(math.sqrt(p / p_max) - lam for p, lam in live))
+        budget = _root(live, p_max, start)
+        tol = _root(live, tight, budget)
+    except (ZeroDivisionError, OverflowError):
+        return _NO_EDGES
+    gap = 0.25 * (tol - budget)
+    edges = a, b, c, d = budget - gap, budget + gap, tol - gap, tol + gap
+    if not (a < b < c < d
+            and _power(rows, a) > p_max * (1.0 + 2.0 * kappa)
+            and _power(rows, b) <= p_max * (1.0 - 2.0 * kappa)
+            and _power(rows, c) >= tight * (1.0 + 2.0 * kappa)
+            and _power(rows, d) < tight * (1.0 - 2.0 * kappa)):
+        return _NO_EDGES
+    return edges
+
+
 def solve_precoder(h: np.ndarray, u: np.ndarray, f: np.ndarray,
                    p_max: float) -> Precoder:
     """Minimize Tr(W^H A W) - 2 Tr(Re(F U^H H W)) s.t. ||W||_F^2 <= p_max.
@@ -189,7 +263,10 @@ def solve_precoder(h: np.ndarray, u: np.ndarray, f: np.ndarray,
     crossed, and the first feasible mu whose power is within
     _BUDGET_REL_TOL of p_max is taken.  The power is summed over Python
     floats in numpy's order (`_power`), so mu and W are bit for bit those
-    of an array evaluation.  Raises after _MAX_BISECT steps.
+    of an array evaluation.  A step whose midpoint is outside the edges
+    of `_edges`, near neither root, takes the half that `_power` would
+    give it without evaluating it, so only the steps between the edges
+    sum.  Raises after _MAX_BISECT steps.
     """
     if not p_max > 0:                        # NaN included
         raise ValueError("p_max must be positive")
@@ -216,15 +293,24 @@ def solve_precoder(h: np.ndarray, u: np.ndarray, f: np.ndarray,
     mu = 0.0
     if not _power(rows, 0.0) <= p_max:       # the test also catches inf
         lo, hi = 0.0, float(np.sqrt(np.sum(row_pow) / p_max))
+        a, b, c, d = _edges(rows, p_max, hi)
         for _ in range(_MAX_BISECT):
             mid = 0.5 * (lo + hi)
-            val = _power(rows, mid)
-            if val > p_max:
+            if mid <= a:                     # over budget
                 lo = mid
-            else:
+            elif b <= mid <= c:              # feasible, within tolerance
                 hi = mid
-                if p_max - val <= _BUDGET_REL_TOL * p_max:
-                    break
+                break
+            elif mid >= d:                   # feasible, not within it
+                hi = mid
+            else:
+                val = _power(rows, mid)
+                if val > p_max:
+                    lo = mid
+                else:
+                    hi = mid
+                    if p_max - val <= _BUDGET_REL_TOL * p_max:
+                        break
         else:
             raise RuntimeError(
                 f"power bisection did not converge in {_MAX_BISECT} steps")

@@ -94,6 +94,18 @@ _LAYERS_BYTES = 0      # the bytes of _LAYERS' word stacks, a running count
 LAYER_SLOT_BYTES = 2 * 2**20
 # rates_for_phase_batch's kept operand and work arrays, one set per thread
 _WORK = threading.local()
+# The batches rates_for_phase_batch screens: K >= _SCREEN_MIN_K candidates
+# with q >= 2 and n_ue * q^2 <= _SCREEN_MAX_NQQ.  There numpy's per-matrix
+# zgemm and zgetrf calls cost more than the screen's fixed count of array
+# operations.  Alternating in-process timings of the log-det part on
+# random candidates (2 shared cores, OPENBLAS_NUM_THREADS=1), screened /
+# exact: K = 256 with n_ue = q = 4 (desk NN) 0.59, K = 160 0.80, K = 128
+# 1.24; at K = 256, q = 1 1.2-1.5, n_ue * q^2 = 128 0.80, 200 1.8 and
+# 512 1.8 (1.1-1.4 on paper NN's own batches).  Every paper-scale batch
+# of the shipped configs (K = 256 with n_ue * q^2 = 512, K <= 120
+# otherwise) keeps the exact path.
+_SCREEN_MIN_K = 256
+_SCREEN_MAX_NQQ = 64
 
 
 def drop_memos() -> None:
@@ -215,14 +227,88 @@ def _batch_arrays(k: int, n_ue: int, q: int) -> tuple:
     return held[1]
 
 
+def _screen(b: np.ndarray):
+    """(ln det(I_q + B^H B) of each candidate B of the (K, n_ue, q) stack
+    `b`, slack), with no per-candidate call: the lower triangle of every
+    Gram matrix, then an LDL^H, each step one array operation across the
+    candidates; None out of the screen's range.
+
+    I + B^H B >= I, so its pivots are at least 1.  Both this and the
+    kernel's exact path (GEMM Gram, LU `slogdet`) are backward stable,
+    so while that rounding is small against 1 each is within a small
+    multiple of n_ue q^2 2^-53 (q + tr B^H B) of the true log-det; the
+    slack, 2^-30 (q + the batch's largest trace), is more than 10^4 times
+    that at the screened sizes, and where the rounding is not small it
+    exceeds any spread of the values.  The range: a largest trace below
+    2^500 and every pivot at least 1/2, which also excludes overflow and
+    NaN.
+    """
+    k, n_ue, q = b.shape
+    bt = np.ascontiguousarray(b.transpose(1, 2, 0))     # (n_ue, q, K)
+    btc = np.conjugate(bt)
+    g = np.empty((q, q, k), dtype=complex)
+    add = np.add.reduce
+    with np.errstate(all="ignore"):
+        for i in range(q):
+            add(btc[:, i, None] * bt[:, :i + 1], axis=0, out=g[i, :i + 1])
+        d = g.real.reshape(q * q, k)[::q + 1].copy()       # the pivots
+        top = float(add(d, axis=0).max())
+        d += 1.0
+        for j in range(q - 1):
+            col = g[j + 1:, j]
+            lj = col * (1.0 / d[j])
+            cj = np.conjugate(col)
+            d[j + 1:] -= (lj * cj).real
+            for i in range(j + 2, q):
+                g[i, j + 1:i] -= lj[i - j - 1] * cj[:i - j - 1]
+    if not (top < 2.0 ** 500 and d.min() >= 0.5):
+        return None
+    return add(np.log(d), axis=0), 2.0 ** -30 * (q + top)
+
+
+def _screened_rates(b: np.ndarray, eye: np.ndarray):
+    """The kernel's rates of the stack `b`, exact where a row can be the
+    batch maximum and -inf where `_screen` proves it below; None out of
+    the screen's range.
+
+    A row is kept when its screened value is within the slack of the
+    largest.  A row left out is below the kept row with the largest
+    screened value by more than the slack less both paths' rounding, so
+    each row equal to the batch maximum is kept.  Kept rows go through
+    the exact path's conj, matmul, add and `slogdet`, which treat each
+    candidate alone, so they are bit for bit the rows of the full batch.
+    """
+    screen = _screen(b)
+    if screen is None:
+        return None
+    value, slack = screen
+    keep = np.flatnonzero(value >= value.max() - slack)
+    kept = b[keep]
+    gram = np.matmul(np.conjugate(kept).swapaxes(1, 2), kept)
+    np.add(eye, gram, out=gram)
+    exact = np.linalg.slogdet(gram)[1]
+    if not np.isfinite(exact).all():
+        raise ValueError("non-finite rate operands")
+    rates = np.full(len(b), -np.inf)
+    rates[keep] = exact / np.log(2.0)
+    return rates
+
+
 def rates_for_phase_batch(realization: ChannelRealization, phis: np.ndarray,
                           w: np.ndarray, noise_var: float) -> np.ndarray:
     """Achievable rate for each row of `phis` applied as RIS coefficients.
 
     One GEMM phis @ C, C[m, (u, q)] = G_ris_ue[u, m] (G_bs_ris W)[m, q] / s
     with s = sqrt(noise_var), gives each candidate's B = HW / s; its rate is
-    the q x q log-det log2 det(I_q + B^H B).  Non-finite rates raise.  A 1-D
-    `phis` is one candidate.
+    the q x q log-det log2 det(I_q + B^H B).  A non-finite exact rate
+    raises.  A 1-D `phis` is one candidate.
+
+    A batch of at least _SCREEN_MIN_K candidates whose matrices are small
+    (q >= 2, n_ue q^2 <= _SCREEN_MAX_NQQ) is screened (`_screened_rates`):
+    the rows that can be the batch maximum hold their exact rates, and the
+    rows proven below it hold -inf, so the argmax and the maximum are
+    those of the full exact batch.  Every other batch holds all its exact
+    rates.
 
     C depends on the precoder but not on the candidates, so it is kept per
     thread and built once for a run of calls under one (realization, w,
@@ -239,6 +325,10 @@ def rates_for_phase_batch(realization: ChannelRealization, phis: np.ndarray,
     k = phis.shape[0] if phis.ndim == 2 else 1
     b, bc, gram, eye = _batch_arrays(k, n_ue, q)
     np.matmul(phis, c.reshape(m, -1), out=b.reshape(phis.shape[:-1] + (-1,)))
+    if k >= _SCREEN_MIN_K and q >= 2 and n_ue * q * q <= _SCREEN_MAX_NQQ:
+        rates = _screened_rates(b, eye)
+        if rates is not None:
+            return rates
     np.conjugate(b, out=bc)
     np.matmul(bc.swapaxes(1, 2), b, out=gram)
     np.add(eye, gram, out=gram)

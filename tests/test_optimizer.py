@@ -1,5 +1,7 @@
+import statistics
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from risbeam.channel import (
 from risbeam.codebook import SamplingGrid
 from risbeam.geometry import LINK_BS_RIS, LINK_RIS_UE, SystemGeometry
 from risbeam import optimizer, training
-from risbeam.harness import cell_setup, parse_config, solve_cell
+from risbeam.harness import VARIANTS, cell_setup, parse_config, solve_cell
 from risbeam.optimizer import (
     Combiner,
     Precoder,
@@ -122,12 +124,17 @@ class TestRateKernel:
         w *= np.sqrt(cfg.p_max_w) / np.linalg.norm(w)
         phis = np.exp(-1j * rng.uniform(0, 2 * np.pi, (k, geometry.m)))
         batch = rates_for_phase_batch(real, phis, w, cfg.noise_w)
-        singles = [achievable_rate(cascade(real, p), w, cfg.noise_w)
-                   for p in phis]
+        singles = np.array([achievable_rate(cascade(real, p), w, cfg.noise_w)
+                            for p in phis])
         assert batch.shape == (k,)
+        kept = assert_kernel_rows(batch, reference_rates(real, phis, w,
+                                                         cfg.noise_w))
+        assert kept.all() or screened(k, geometry.n_ue, q)
         # both sides round 1 + x for a tiny x, so a row's error floor is a
         # few ulps of 1 in absolute terms (rates reach 1e-6 bit at desk FF)
-        np.testing.assert_allclose(batch, singles, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(batch[kept], singles[kept], rtol=1e-10,
+                                   atol=1e-14)
+        assert np.all(singles[~kept] < singles.max())
 
     @pytest.mark.parametrize("q", [1, 2])
     @pytest.mark.parametrize("operand", ["phis", "w"])
@@ -165,6 +172,25 @@ def reference_rates(real, phis, w, noise_var):
     return np.linalg.slogdet(gram)[1] / np.log(2.0)
 
 
+def screened(k, n_ue, q):
+    """Whether the kernel screens a batch of K candidates of n_ue x q."""
+    return (k >= training._SCREEN_MIN_K and q >= 2
+            and n_ue * q * q <= training._SCREEN_MAX_NQQ)
+
+
+def assert_kernel_rows(got, want):
+    """The kernel's batch `got` against `want`, the exact rate of every
+    row: each finite row is bit-equal to its exact rate, every other row
+    is -inf with an exact rate strictly below the batch maximum, and the
+    argmax is the same; returns the finite rows' mask."""
+    kept = np.isfinite(got)
+    assert np.array_equal(got[kept], want[kept])
+    assert np.all(got[~kept] == -np.inf)
+    assert np.all(want[~kept] < want.max())
+    assert np.argmax(got) == np.argmax(want)
+    return kept
+
+
 def kernel_cases():
     """(realization, phis, w, noise) for K in {1, 16, 256}, q in {1, n_ue},
     at desk and paper scale; shuffled, then again in reverse, so that all
@@ -190,7 +216,10 @@ class TestRateKernelWorkArrays:
     def test_interleaved_shapes_match_fresh_arrays_bit_for_bit(self):
         for real, phis, w, noise in kernel_cases():
             got = rates_for_phase_batch(real, phis, w, noise)
-            assert np.array_equal(got, reference_rates(real, phis, w, noise))
+            kept = assert_kernel_rows(got, reference_rates(real, phis, w,
+                                                           noise))
+            assert kept.all() or screened(len(phis), real.g_ris_ue.shape[0],
+                                          w.shape[1])
 
     def test_returned_rates_survive_later_calls(self):
         cases = kernel_cases()
@@ -204,11 +233,14 @@ class TestRateKernelWorkArrays:
 
     def test_threads_scoring_at_once_get_the_serial_rates(self):
         # the paper-scale K = 256, q = n_ue shape twice with other phases,
-        # and one other shape
+        # one other shape and a screened desk batch
         cases = kernel_cases()
         real, phis, w, noise = max(cases, key=lambda c: c[1].size * c[2].size)
+        desk = next(c for c in cases if screened(len(c[1]),
+                                                 c[0].g_ris_ue.shape[0],
+                                                 c[2].shape[1]))
         cases = [(real, phis, w, noise), (real, phis.conj(), w, noise),
-                 cases[0]]
+                 cases[0], desk]
         serial = [rates_for_phase_batch(*case) for case in cases]
         start = threading.Barrier(len(cases), timeout=30)
         got = [[] for _ in cases]
@@ -239,6 +271,78 @@ class TestRateKernelWorkArrays:
             got = rates_for_phase_batch(real, phis[0], w, noise)
             assert got.shape == (1,)
             assert np.array_equal(got, reference_rates(real, phis[0], w, noise))
+
+
+def exact_log_dets(b):
+    """ln det(I + B^H B) of every row of the stack `b` by the kernel's
+    exact path: conj, matmul, add and `slogdet` over the whole stack."""
+    gram = np.conjugate(b).swapaxes(1, 2) @ b
+    np.add(np.eye(b.shape[2]), gram, out=gram)
+    return np.linalg.slogdet(gram)[1]
+
+
+def adversarial_stack(seed, k, n_ue, q, exponent):
+    """K random candidates scaled by 10^exponent, then copies of the best
+    row (exact ties), duplicates of others, and rows one ulp away from
+    the best and from others."""
+    rng = np.random.default_rng(seed)
+    b = rand_matrix(rng, (k, n_ue, q)) * 10.0 ** exponent
+    best = int(np.argmax(exact_log_dets(b)))
+    rows = rng.permutation(k)
+    b[rows[:3]] = b[best]                                # ties at the top
+    b[rows[3:6]] = b[rows[6:9]]                          # other duplicates
+    for r, source in ((rows[9], best), (rows[10], best), (rows[11], rows[12])):
+        x = b[source].view(float).copy()
+        b[r].view(float)[...] = np.nextafter(x, np.inf if r % 2 else -np.inf)
+    return b
+
+
+class TestRateKernelScreen:
+    """A screened batch holds exact rates where a row can be the maximum
+    and -inf where the screen proves it below."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([256, 300]),
+           n_ue=st.integers(1, 4), q=st.integers(1, 4),
+           exponent=st.floats(-150.0, 150.0))
+    def test_screened_rows_are_the_exact_rows_that_can_win(self, seed, k,
+                                                          n_ue, q, exponent):
+        b = adversarial_stack(seed, k, n_ue, q, exponent)
+        exact = exact_log_dets(b) / np.log(2.0)
+        got = training._screened_rates(b, np.eye(q))
+        screen = training._screen(b)
+        assert (got is None) == (screen is None)
+        if got is None:
+            # out of range only where rounding can reach a pivot of 1
+            assert np.sum(np.abs(b) ** 2, axis=(1, 2)).max() > 2.0 ** 40
+            return
+        value, slack = screen
+        assert_kernel_rows(got, exact)
+        assert got.max() == exact.max()
+        assert np.sum(got == got.max()) == np.sum(exact == exact.max())
+        assert np.all(np.abs(value - exact * np.log(2.0)) <= slack / 1000)
+
+    def test_kernel_falls_back_past_the_screen_range(self):
+        # traces past 2^500 take the exact path, which rates every row
+        real, phis, w, noise = next(
+            case for case in kernel_cases()
+            if len(case[1]) == 256 and case[2].shape[1] == 4
+            and case[0].g_ris_ue.shape[0] == 4)
+        w = w * 2.0 ** 260
+        got = rates_for_phase_batch(real, phis, w, noise)
+        assert np.array_equal(got, reference_rates(real, phis, w, noise))
+
+    @pytest.mark.parametrize("name,model,scheme", VARIANTS)
+    def test_cells_match_the_unscreened_kernel(self, monkeypatch, name,
+                                               model, scheme):
+        cfg = parse_config(f"model: {model}\ntraining: {scheme}",
+                           scale="desk")
+        screened = [solve_cell(cfg, seed) for seed in range(5)]
+        monkeypatch.setattr(training, "_SCREEN_MIN_K", 2**62)
+        for seed, state in enumerate(screened):
+            exact = solve_cell(cfg, seed)
+            assert state.records == exact.records
+            assert state.phi.tobytes() == exact.phi.tobytes()
 
 
 class TestRateKernelOperand:
@@ -612,6 +716,85 @@ class TestBatchedBisection:
             for case in cases:
                 got = optimizer._pairwise_sum(case.tolist())
                 assert got.hex() == float(np.sum(case)).hex(), n
+
+
+def exact_power(rows, mu):
+    """||W(mu)||^2 over `_power`'s (p, lam) rows in rational arithmetic."""
+    mu = Fraction(mu)
+    return sum((Fraction(p) / (Fraction(lam) + mu) ** 2
+                for p, lam in rows if p > 0.0), Fraction(0))
+
+
+class TestGuidedBisection:
+    """The edges `_edges` places settle the bisection's steps away from its
+    two roots; the steps between them, and every step where no edges are
+    placed, sum `_power` as the plain bisection does."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(st.tuples(
+               st.one_of(st.just(0.0), st.floats(1e-30, 1e30)),
+               st.one_of(st.just(0.0), st.floats(1e-30, 1e30))),
+               min_size=1, max_size=300),
+           mu=st.floats(1e-20, 1e20))
+    def test_power_is_within_its_rounding_bound(self, rows, mu):
+        want = exact_power(rows, mu)
+        err = abs(Fraction(optimizer._power(rows, mu)) - want)
+        assert err <= Fraction(optimizer._power_rounding(len(rows))) * want
+
+    @pytest.mark.parametrize("scale", ["desk", "paper"])
+    def test_few_sums_per_bisecting_solve(self, monkeypatch, scale):
+        # the power sums solve_precoder makes itself, the test at mu = 0
+        # included; the plain bisection makes a median of 41
+        sums, budgets = [], []
+        power, solve = optimizer._power, optimizer.solve_precoder
+
+        def counted(rows, mu):
+            val = power(rows, mu)
+            if sys._getframe(1).f_code.co_name == "solve_precoder":
+                sums[-1].append(val)
+            return val
+
+        def spy(h, u, f, p_max):
+            sums.append([])
+            budgets.append(p_max)
+            return solve(h, u, f, p_max)
+
+        monkeypatch.setattr(optimizer, "_power", counted)
+        monkeypatch.setattr(optimizer, "solve_precoder", spy)
+        cfg = parse_config("", scale=scale)
+        for seed in range(5):
+            solve_cell(cfg, seed)
+        bisecting = [len(vals) for vals, p_max in zip(sums, budgets)
+                     if not vals[0] <= p_max]
+        assert len(bisecting) >= 5
+        assert statistics.median(bisecting) <= 4
+
+    def test_refused_edges_give_the_plain_bisection(self, monkeypatch):
+        p_max = parse_config("", scale="desk").p_max_w
+        h, u, f = TestBatchedBisection.instance(
+            np.random.default_rng(5), 8, 4, 2, p_max, -2.0, False)
+        want, steps = sequential_precoder(h, u, f, p_max, 500)
+        placed = []
+        edges = optimizer._edges
+
+        def spy(*args):
+            placed.append(edges(*args))
+            return placed[-1]
+
+        monkeypatch.setattr(optimizer, "_edges", spy)
+        assert solve_precoder(h, u, f, p_max).w.tobytes() == want.tobytes()
+        assert placed[-1] is not optimizer._NO_EDGES
+        monkeypatch.setattr(optimizer, "_EDGE_MARGIN", 1e30)
+        assert solve_precoder(h, u, f, p_max).w.tobytes() == want.tobytes()
+        assert placed[-1] is optimizer._NO_EDGES
+        for limit in (0, 1, 7, steps - 1):
+            monkeypatch.setattr(optimizer, "_MAX_BISECT", limit)
+            with pytest.raises(RuntimeError) as oracle:
+                sequential_precoder(h, u, f, p_max, limit)
+            with pytest.raises(RuntimeError) as got:
+                solve_precoder(h, u, f, p_max)
+            assert str(got.value) == str(oracle.value)
+            assert placed[-1] is optimizer._NO_EDGES
 
 
 class TestStreamCounts:
