@@ -28,9 +28,10 @@ by the bytes of its words (`LAYER_SLOT_BYTES`).  `drop_memos` empties
 both slots, which `harness.run_experiment` does before each experiment.
 What depends on the precoder but not on the candidates is kept per
 thread by the rate kernel `rates_for_phase_batch`: its operand C, built
-once for a run of calls under one (realization, w, noise_var), and the
-work arrays its batches are written into, reused while the batch shape
-repeats.  A refining scheme names its winner from the row it scored.
+once for a run of calls under one (realization, w, noise_var), the two
+directions its screen takes (`_directions`), and the work arrays its
+batches are written into, reused while the batch shape repeats.  A
+refining scheme names its winner from the row it scored.
 """
 
 from __future__ import annotations
@@ -94,18 +95,14 @@ _LAYERS_BYTES = 0      # the bytes of _LAYERS' word stacks, a running count
 LAYER_SLOT_BYTES = 2 * 2**20
 # rates_for_phase_batch's kept operand and work arrays, one set per thread
 _WORK = threading.local()
-# The batches rates_for_phase_batch screens: K >= _SCREEN_MIN_K candidates
-# with q >= 2 and n_ue * q^2 <= _SCREEN_MAX_NQQ.  There numpy's per-matrix
-# zgemm and zgetrf calls cost more than the screen's fixed count of array
-# operations.  Alternating in-process timings of the log-det part on
-# random candidates (2 shared cores, OPENBLAS_NUM_THREADS=1), screened /
-# exact: K = 256 with n_ue = q = 4 (desk NN) 0.59, K = 160 0.80, K = 128
-# 1.24; at K = 256, q = 1 1.2-1.5, n_ue * q^2 = 128 0.80, 200 1.8 and
-# 512 1.8 (1.1-1.4 on paper NN's own batches).  Every paper-scale batch
-# of the shipped configs (K = 256 with n_ue * q^2 = 512, K <= 120
-# otherwise) keeps the exact path.
+# The batches rates_for_phase_batch screens: K >= _SCREEN_MIN_K, q >= 2.
+# On the near rank-one channels the screen keeps a median of 1 row per
+# batch (one benchmark round: at most 1 of desk NN's 444, 5 of paper NN's
+# 120).  Screen and kept rows over the exact path, after the GEMM (in
+# process, 2 shared cores, OPENBLAS_NUM_THREADS=1): K = 256, n_ue = q = 4
+# (desk NN) 0.38, n_ue = q = 8 (paper NN) 0.23; K = 120 0.72 at q = 3 and
+# 0.37 at q = 8; K = 16 2.7.  Sweeps and two-stage layers stay exact.
 _SCREEN_MIN_K = 256
-_SCREEN_MAX_NQQ = 64
 
 
 def drop_memos() -> None:
@@ -210,7 +207,16 @@ def _operand(realization: ChannelRealization, w: np.ndarray,
              if q == 1 else np.empty((m, n_ue, q), dtype=complex))
     np.multiply(realization.g_ris_ue.T[:, :, None], t[:, None, :], out=c)
     _WORK.operand = realization, key, c
+    _WORK.t, _WORK.v = t, None
     return c
+
+
+def _directions() -> np.ndarray:
+    """The two leading right singular vectors of this thread's T, as rows;
+    taken on the first call after `_operand` builds C, kept until the next."""
+    if _WORK.v is None:
+        _WORK.v = np.linalg.svd(_WORK.t)[2][:2].conj()
+    return _WORK.v
 
 
 def _batch_arrays(k: int, n_ue: int, q: int) -> tuple:
@@ -227,62 +233,58 @@ def _batch_arrays(k: int, n_ue: int, q: int) -> tuple:
     return held[1]
 
 
-def _screen(b: np.ndarray):
-    """(ln det(I_q + B^H B) of each candidate B of the (K, n_ue, q) stack
-    `b`, slack), with no per-candidate call: the lower triangle of every
-    Gram matrix, then an LDL^H, each step one array operation across the
-    candidates; None out of the screen's range.
+def _bounds(b: np.ndarray, directions):
+    """(lower, upper, slack) on ln det(I_q + B^H B) for each candidate B of
+    the (K, n_ue, q) stack `b`, along the rows v_1, v_2 of the (2, q) array
+    `directions()`; None out of range, where `directions` is not called.
 
-    I + B^H B >= I, so its pivots are at least 1.  Both this and the
-    kernel's exact path (GEMM Gram, LU `slogdet`) are backward stable,
-    so while that rounding is small against 1 each is within a small
-    multiple of n_ue q^2 2^-53 (q + tr B^H B) of the true log-det; the
-    slack, 2^-30 (q + the batch's largest trace), is more than 10^4 times
-    that at the screened sizes, and where the rounding is not small it
-    exceeds any spread of the values.  The range: a largest trace below
-    2^500 and every pivot at least 1/2, which also excludes overflow and
-    NaN.
+    With the nonzero v_j orthonormal (to rounding, within the slack),
+    p_j = B v_j, a = |p_1|^2, d = |p_2|^2, c = p_1^H p_2, tr = |B|_F^2 and
+    D = (1 + a)(1 + d) - |c|^2 = det(I_2 + [p_1 p_2]^H [p_1 p_2]):
+    ln D <= ln det(I + B^H B) <= ln D + tr - a - d, below by eigenvalue
+    interlacing, above by Fischer's inequality in the basis (v_1, v_2, the
+    rest) and ln det(I + Y) <= tr Y.  D is kept >= 1 + max(a, d), its own
+    lower bound, against cancellation.  These bounds and the exact path
+    (GEMM Gram, LU `slogdet`) are within a small multiple of n_ue q^2
+    2^-53 (q + tr) of the truth while that is small against 1; the slack,
+    2^-30 (q + the largest trace), is over 10^4 times that at q, n_ue <= 8
+    and keeps every row once past the largest lower bound, at most
+    2 ln(1 + the largest trace), long before rounding can break the exact
+    path.  In range: a largest trace below 2^500, so no overflow or NaN.
     """
     k, n_ue, q = b.shape
-    bt = np.ascontiguousarray(b.transpose(1, 2, 0))     # (n_ue, q, K)
-    btc = np.conjugate(bt)
-    g = np.empty((q, q, k), dtype=complex)
-    add = np.add.reduce
     with np.errstate(all="ignore"):
-        for i in range(q):
-            add(btc[:, i, None] * bt[:, :i + 1], axis=0, out=g[i, :i + 1])
-        d = g.real.reshape(q * q, k)[::q + 1].copy()       # the pivots
-        top = float(add(d, axis=0).max())
-        d += 1.0
-        for j in range(q - 1):
-            col = g[j + 1:, j]
-            lj = col * (1.0 / d[j])
-            cj = np.conjugate(col)
-            d[j + 1:] -= (lj * cj).real
-            for i in range(j + 2, q):
-                g[i, j + 1:i] -= lj[i - j - 1] * cj[:i - j - 1]
-    if not (top < 2.0 ** 500 and d.min() >= 0.5):
-        return None
-    return add(np.log(d), axis=0), 2.0 ** -30 * (q + top)
+        flat = b.reshape(k, -1).view(float)
+        tr = np.einsum("ij,ij->i", flat, flat)
+        top = float(tr.max())
+        if not top < 2.0 ** 500:
+            return None
+        p = (directions() @ b.reshape(-1, q).T).reshape(2, k, n_ue)
+        a, d = np.einsum("jki,jki->jk", p.view(float), p.view(float))
+        c = np.einsum("ku,ku->k", np.conjugate(p[0]), p[1])
+        det = np.maximum((1.0 + a) * (1.0 + d) - (c.real ** 2 + c.imag ** 2),
+                         1.0 + np.maximum(a, d))
+    lower = np.log(det)
+    return lower, lower + (tr - a - d), 2.0 ** -30 * (q + top)
 
 
-def _screened_rates(b: np.ndarray, eye: np.ndarray):
+def _screened_rates(b: np.ndarray, directions, eye: np.ndarray):
     """The kernel's rates of the stack `b`, exact where a row can be the
-    batch maximum and -inf where `_screen` proves it below; None out of
-    the screen's range.
+    batch maximum and -inf where `_bounds` along `directions()` prove it
+    below; None out of the screen's range.
 
-    A row is kept when its screened value is within the slack of the
-    largest.  A row left out is below the kept row with the largest
-    screened value by more than the slack less both paths' rounding, so
-    each row equal to the batch maximum is kept.  Kept rows go through
-    the exact path's conj, matmul, add and `slogdet`, which treat each
-    candidate alone, so they are bit for bit the rows of the full batch.
+    A row is kept when its upper bound is within the slack of the largest
+    lower bound.  A row left out is below the row with the largest lower
+    bound by more than the slack less all rounding, so each row equal to
+    the batch maximum is kept.  Kept rows go through the exact path's
+    conj, matmul, add and `slogdet`, which treat each candidate alone, so
+    they are bit for bit the rows of the full batch.
     """
-    screen = _screen(b)
-    if screen is None:
+    bounds = _bounds(b, directions)
+    if bounds is None:
         return None
-    value, slack = screen
-    keep = np.flatnonzero(value >= value.max() - slack)
+    lower, upper, slack = bounds
+    keep = np.flatnonzero(upper >= lower.max() - slack)
     kept = b[keep]
     gram = np.matmul(np.conjugate(kept).swapaxes(1, 2), kept)
     np.add(eye, gram, out=gram)
@@ -303,21 +305,18 @@ def rates_for_phase_batch(realization: ChannelRealization, phis: np.ndarray,
     the q x q log-det log2 det(I_q + B^H B).  A non-finite exact rate
     raises.  A 1-D `phis` is one candidate.
 
-    A batch of at least _SCREEN_MIN_K candidates whose matrices are small
-    (q >= 2, n_ue q^2 <= _SCREEN_MAX_NQQ) is screened (`_screened_rates`):
-    the rows that can be the batch maximum hold their exact rates, and the
-    rows proven below it hold -inf, so the argmax and the maximum are
-    those of the full exact batch.  Every other batch holds all its exact
-    rates.
+    A batch of K >= _SCREEN_MIN_K candidates with q >= 2 is screened
+    (`_screened_rates`): rows that can be the batch maximum hold their
+    exact rates, rows proven below it -inf, so the argmax and the maximum
+    are those of the full exact batch; other batches hold all exact rates.
 
     C depends on the precoder but not on the candidates, so it is kept per
     thread and built once for a run of calls under one (realization, w,
     noise_var) (`_operand`); the realization's matrices must not change in
     place while it is in use.  B, conj B and the Gram stack are written
     into per-thread arrays, with the identity added to the Gram stack,
-    reused while the batch shape repeats, so
-    paper-scale batches do not fault in fresh pages per call; the returned
-    rates are always a fresh array.
+    reused while the batch shape repeats, so paper-scale batches do not
+    fault in fresh pages per call; the returned rates are a fresh array.
     """
     phis = np.asarray(phis)
     c = _operand(realization, w, noise_var)
@@ -325,8 +324,8 @@ def rates_for_phase_batch(realization: ChannelRealization, phis: np.ndarray,
     k = phis.shape[0] if phis.ndim == 2 else 1
     b, bc, gram, eye = _batch_arrays(k, n_ue, q)
     np.matmul(phis, c.reshape(m, -1), out=b.reshape(phis.shape[:-1] + (-1,)))
-    if k >= _SCREEN_MIN_K and q >= 2 and n_ue * q * q <= _SCREEN_MAX_NQQ:
-        rates = _screened_rates(b, eye)
+    if k >= _SCREEN_MIN_K and q >= 2:
+        rates = _screened_rates(b, _directions, eye)
         if rates is not None:
             return rates
     np.conjugate(b, out=bc)
