@@ -215,7 +215,7 @@ def _directions() -> np.ndarray:
     """The two leading right singular vectors of this thread's T, as rows;
     taken on the first call after `_operand` builds C, kept until the next."""
     if _WORK.v is None:
-        _WORK.v = np.linalg.svd(_WORK.t)[2][:2].conj()
+        _WORK.v = np.linalg.svd(_WORK.t, full_matrices=False)[2][:2].conj()
     return _WORK.v
 
 

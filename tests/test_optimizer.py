@@ -318,7 +318,8 @@ class TestRateKernelScreen:
         # right singular vectors, its least one (orthogonal to its own
         # direction) beside a zero row, or a random pair; at q = 1 the
         # second row is zero
-        basis = np.linalg.svd(b.reshape(-1, q) / np.abs(b).max())[2].conj()
+        basis = np.linalg.svd(b.reshape(-1, q) / np.abs(b).max(),
+                              full_matrices=False)[2].conj()
         pair = np.linalg.qr(rand_matrix(np.random.default_rng(seed + 1),
                                         (q, 2)))[0].T
         v = {"own": basis[:2], "orthogonal": basis[-1:], "random": pair}[along]
@@ -371,8 +372,9 @@ class TestRateKernelScreen:
             assert state.phi.tobytes() == exact.phi.tobytes()
 
     def test_paper_nn_batches_keep_few_rows(self, monkeypatch):
-        # the paper-scale channels are close to rank one, so along their
-        # dominant direction few rows of a K = 256 batch can win
+        # the paper-scale channels are close to rank one, so the bounds
+        # along their two leading directions leave few rows of a K = 256
+        # batch that can win
         kept = []
 
         def spy(*args):
@@ -455,7 +457,8 @@ class TestRateKernelOperand:
         rates_for_phase_batch(real, layer, w, noise)
         v = training._WORK.v
         t = real.g_bs_ris @ w / np.sqrt(noise)
-        assert np.array_equal(v, np.linalg.svd(t)[2][:2].conj())
+        assert np.array_equal(
+            v, np.linalg.svd(t, full_matrices=False)[2][:2].conj())
         rates_for_phase_batch(real, layer[::-1].copy(), w, noise)
         assert training._WORK.v is v
         rates_for_phase_batch(real, layer, 2 * w, noise)
