@@ -88,9 +88,9 @@ class SystemGeometry:
     _ris_positions: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.carrier_hz <= 0:
+        if not self.carrier_hz > 0:             # NaN included
             raise ValueError("carrier_hz must be positive")
-        if self.spacing_m <= 0:
+        if not self.spacing_m > 0:
             raise ValueError("spacing_m must be positive")
         for name in ("n_bs", "n_ue", "m_x", "m_y"):
             if int(getattr(self, name)) < 1:

@@ -29,7 +29,7 @@ from . import training
 from .channel import GAIN_MODES, MODEL_TAGS, synthesize_channel
 from .codebook import SamplingGrid
 from .geometry import SPEED_OF_LIGHT, SystemGeometry, check_layout
-from .optimizer import AOState, ao_loop, default_stream_count
+from .optimizer import AOState, ao_loop, default_stream_count, training_scheme
 
 TRAINING_SCHEMES = ("auto", "angular", "hierarchical", "two_stage")
 
@@ -330,6 +330,12 @@ def parse_config(text: str, scale: str = "desk") -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: {key} {exc}") from None
     cfg = ExperimentConfig(**values)
     _check_layouts(cfg, given)
+    # hierarchical training fails every cell at 0 layers; a swept 0 stays
+    # legal, as two-stage at 0 layers is a plain sweep
+    if (cfg.layers == 0 and cfg.sweep_param != "layers"
+            and training_scheme(cfg.training, cfg.model) == "hierarchical"):
+        raise ConfigError(f"line {given['layers']}: layers 0 fails every "
+                          "cell: hierarchical training requires layers >= 1")
     return cfg
 
 

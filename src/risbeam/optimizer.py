@@ -369,6 +369,14 @@ def initial_precoder(h0: np.ndarray, q: int, p_max: float) -> np.ndarray:
     return w * (np.sqrt(p_max) / norm)
 
 
+def training_scheme(scheme: str, tag: str) -> str:
+    """The scheme `ao_loop` trains a model-`tag` channel with: "auto" by
+    the number of spherical-wave links, any other scheme as given."""
+    if scheme == "auto":
+        return ("angular", "two_stage", "hierarchical")[len(NEAR_LINKS[tag])]
+    return scheme
+
+
 def ao_loop(realization: ChannelRealization, geometry: SystemGeometry, *,
             p_max: float, noise_var: float, grid_bs: SamplingGrid,
             grid_ue: SamplingGrid, layers: int, max_iters: int, tol: float,
@@ -389,8 +397,7 @@ def ao_loop(realization: ChannelRealization, geometry: SystemGeometry, *,
     (see `training`).
     """
     tag = realization.model_tag
-    if scheme == "auto":   # by the number of spherical-wave links
-        scheme = ("angular", "two_stage", "hierarchical")[len(NEAR_LINKS[tag])]
+    scheme = training_scheme(scheme, tag)
     q = min(q, geometry.n_bs, geometry.n_ue)   # streams beyond this are dead
     if q < 1:
         raise ValueError("stream count must be at least 1")

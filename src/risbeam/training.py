@@ -28,10 +28,9 @@ by the bytes of its words (`LAYER_SLOT_BYTES`).  `drop_memos` empties
 both slots, which `harness.run_experiment` does before each experiment.
 What depends on the precoder but not on the candidates is kept per
 thread by the rate kernel `rates_for_phase_batch`: its operand C, built
-once for a run of calls under one (realization, w, noise_var), the two
-directions its screen takes (`_directions`), and the work arrays its
-batches are written into, reused while the batch shape repeats.  A
-refining scheme names its winner from the row it scored.
+once for a run of calls under one (realization, w, noise_var), and the
+two directions its screen takes (`_directions`).  A refining scheme
+names its winner from the row it scored.
 """
 
 from __future__ import annotations
@@ -93,7 +92,7 @@ _LAYERS_BYTES = 0      # the bytes of _LAYERS' word stacks, a running count
 # cells, whose descents part early, would keep 14.4 MB and raise its
 # peak memory by 13 MB.
 LAYER_SLOT_BYTES = 2 * 2**20
-# rates_for_phase_batch's kept operand and work arrays, one set per thread
+# rates_for_phase_batch's kept operand, T and directions, one set per thread
 _WORK = threading.local()
 # The batches rates_for_phase_batch screens: K >= _SCREEN_MIN_K, q >= 2.
 # On the near rank-one channels the screen keeps a median of 1 row per
@@ -219,20 +218,6 @@ def _directions() -> np.ndarray:
     return _WORK.v
 
 
-def _batch_arrays(k: int, n_ue: int, q: int) -> tuple:
-    """This thread's (B, conj B, Gram, I_q) for K candidates, reused while
-    the shape repeats and replaced when it changes; I_q is read-only."""
-    key = (k, n_ue, q)
-    held = getattr(_WORK, "batch", None)
-    if held is None or held[0] != key:
-        eye = np.eye(q)
-        eye.flags.writeable = False
-        held = _WORK.batch = key, (np.empty((k, n_ue, q), dtype=complex),
-                                   np.empty((k, n_ue, q), dtype=complex),
-                                   np.empty((k, q, q), dtype=complex), eye)
-    return held[1]
-
-
 def _bounds(b: np.ndarray, directions):
     """(lower, upper, slack) on ln det(I_q + B^H B) for each candidate B of
     the (K, n_ue, q) stack `b`, along the rows v_1, v_2 of the (2, q) array
@@ -268,26 +253,27 @@ def _bounds(b: np.ndarray, directions):
     return lower, lower + (tr - a - d), 2.0 ** -30 * (q + top)
 
 
-def _screened_rates(b: np.ndarray, directions, eye: np.ndarray):
-    """The kernel's rates of the stack `b`, exact where a row can be the
-    batch maximum and -inf where `_bounds` along `directions()` prove it
-    below; None out of the screen's range.
+def _rates(b: np.ndarray, directions) -> np.ndarray:
+    """The kernel's rates of the (K, n_ue, q) stack `b`: exact where a row
+    can be the batch maximum, -inf where `_bounds` along `directions()`
+    prove it below.  `directions` None, or a batch out of the screen's
+    range, keeps every row.
 
     A row is kept when its upper bound is within the slack of the largest
     lower bound.  A row left out is below the row with the largest lower
     bound by more than the slack less all rounding, so each row equal to
-    the batch maximum is kept.  Kept rows go through the exact path's
-    conj, matmul, add and `slogdet`, which treat each candidate alone, so
-    they are bit for bit the rows of the full batch.
+    the batch maximum is kept.  Kept rows go through conj, matmul, add and
+    `slogdet`, which treat each candidate alone, so they are bit for bit
+    the rows of the full batch.  A non-finite kept rate raises.
     """
-    bounds = _bounds(b, directions)
-    if bounds is None:
-        return None
-    lower, upper, slack = bounds
-    keep = np.flatnonzero(upper >= lower.max() - slack)
+    keep = slice(None)
+    bounds = None if directions is None else _bounds(b, directions)
+    if bounds is not None:
+        lower, upper, slack = bounds
+        keep = np.flatnonzero(upper >= lower.max() - slack)
     kept = b[keep]
     gram = np.matmul(np.conjugate(kept).swapaxes(1, 2), kept)
-    np.add(eye, gram, out=gram)
+    np.add(np.eye(b.shape[2]), gram, out=gram)
     exact = np.linalg.slogdet(gram)[1]
     if not np.isfinite(exact).all():
         raise ValueError("non-finite rate operands")
@@ -305,36 +291,22 @@ def rates_for_phase_batch(realization: ChannelRealization, phis: np.ndarray,
     the q x q log-det log2 det(I_q + B^H B).  A non-finite exact rate
     raises.  A 1-D `phis` is one candidate.
 
-    A batch of K >= _SCREEN_MIN_K candidates with q >= 2 is screened
-    (`_screened_rates`): rows that can be the batch maximum hold their
-    exact rates, rows proven below it -inf, so the argmax and the maximum
-    are those of the full exact batch; other batches hold all exact rates.
+    A batch of K >= _SCREEN_MIN_K candidates with q >= 2 is screened along
+    the two leading directions of T = G_bs_ris W / s (`_rates`): rows that
+    can be the batch maximum hold their exact rates, rows proven below it
+    -inf, so the argmax and the maximum are those of the full exact batch;
+    other batches hold all exact rates.
 
     C depends on the precoder but not on the candidates, so it is kept per
     thread and built once for a run of calls under one (realization, w,
     noise_var) (`_operand`); the realization's matrices must not change in
-    place while it is in use.  B, conj B and the Gram stack are written
-    into per-thread arrays, with the identity added to the Gram stack,
-    reused while the batch shape repeats, so paper-scale batches do not
-    fault in fresh pages per call; the returned rates are a fresh array.
+    place while it is in use.  Every other array of a call is its own.
     """
-    phis = np.asarray(phis)
     c = _operand(realization, w, noise_var)
     m, n_ue, q = c.shape
-    k = phis.shape[0] if phis.ndim == 2 else 1
-    b, bc, gram, eye = _batch_arrays(k, n_ue, q)
-    np.matmul(phis, c.reshape(m, -1), out=b.reshape(phis.shape[:-1] + (-1,)))
-    if k >= _SCREEN_MIN_K and q >= 2:
-        rates = _screened_rates(b, _directions, eye)
-        if rates is not None:
-            return rates
-    np.conjugate(b, out=bc)
-    np.matmul(bc.swapaxes(1, 2), b, out=gram)
-    np.add(eye, gram, out=gram)
-    rates = np.linalg.slogdet(gram)[1]
-    if not np.all(np.isfinite(rates)):
-        raise ValueError("non-finite rate operands")
-    return rates / np.log(2.0)
+    b = np.matmul(phis, c.reshape(m, -1)).reshape(-1, n_ue, q)
+    screen = len(b) >= _SCREEN_MIN_K and q >= 2
+    return _rates(b, _directions if screen else None)
 
 
 @dataclass

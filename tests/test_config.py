@@ -130,6 +130,30 @@ def test_zero_layer_sweep_stays_legal():
     assert parse_config("sweep: layers in [0, 1]").sweep_values == (0.0, 1.0)
 
 
+@pytest.mark.parametrize("text", [
+    "layers: 0",
+    "model: NN\ntraining: auto\nlayers: 0",
+    "model: FF\nlayers: 0\ntraining: hierarchical",
+    "layers: 0\nsweep: power_dbm in [-50, -45]",
+])
+def test_zero_layers_under_hierarchical_training_rejected_at_parse(text):
+    line = text.split("\n").index("layers: 0") + 1
+    with pytest.raises(ConfigError, match=f"line {line}: layers 0 fails every "
+                       "cell: hierarchical training requires layers >= 1"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("text", [
+    "model: NF\nlayers: 0",
+    "model: FF\nlayers: 0",
+    "model: NN\ntraining: angular\nlayers: 0",
+    "model: NN\ntraining: two_stage\nlayers: 0",
+    "layers: 0\nsweep: layers in [0, 2]",
+])
+def test_zero_layers_stay_legal_without_hierarchical_cells(text):
+    assert parse_config(text).layers == 0
+
+
 def unchecked(text: str, **layout) -> ExperimentConfig:
     """The config of `text` with `layout` set past the parse-time checks."""
     return replace(parse_config(text), **layout)
@@ -206,8 +230,9 @@ def test_paper_sweep_configs_hold_the_reference_tables(name, sweep):
 
 
 def test_run_exits_nonzero_when_a_cell_fails(tmp_path, capsys):
-    cfg = tmp_path / "zero.cfg"
-    cfg.write_text("model: NN\nlayers: 0\nseeds: [0]\n")
+    # 60 layers shrink the desk ranges until a layer's quadrants degenerate
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text("model: NN\nlayers: 60\nseeds: [0]\n")
     out = tmp_path / "res.csv"
     assert cli.main(["run", str(cfg), "--out", str(out)]) != 0
     assert "failed cell" in capsys.readouterr().err
@@ -300,6 +325,13 @@ def test_config_round_trips_through_its_rendered_text(cfg, scale):
                      cfg.spacing_wavelengths)
     except ValueError:
         with pytest.raises(ConfigError, match="layout rejected|sweep value"):
+            parse_config(render(cfg), scale=scale)
+        return
+    # so is a non-swept 0 layers under hierarchical training
+    if (cfg.layers == 0 and cfg.sweep_param != "layers"
+            and (cfg.training == "hierarchical"
+                 or (cfg.training, cfg.model) == ("auto", "NN"))):
+        with pytest.raises(ConfigError, match="layers 0 fails every cell"):
             parse_config(render(cfg), scale=scale)
         return
     assert parse_config(render(cfg), scale=scale) == cfg

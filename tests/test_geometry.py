@@ -48,6 +48,16 @@ def test_invalid_parameters_rejected(field, value):
         SystemGeometry(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["carrier_hz", "spacing_m"])
+@pytest.mark.parametrize("value", [np.nan, -np.inf, 0.0])
+def test_nonpositive_or_nan_length_scale_rejected(field, value):
+    # NaN fails every comparison, so only a test for > 0 rejects it
+    kwargs = dict(carrier_hz=30e9, spacing_m=0.005, n_bs=2, n_ue=2, m_x=2, m_y=2)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be positive"):
+        SystemGeometry(**kwargs)
+
+
 def test_single_bs_element_sits_at_midpoint():
     g = make(n_bs=1, bs=(1.5, -2.0, 0.5))
     pos = g.element_positions(NODE_BS)

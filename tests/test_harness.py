@@ -216,19 +216,19 @@ print(json.dumps({m: m in sys.modules
         assert csvs[1] == csvs[2]
 
     def test_failed_cell_recorded_not_fatal(self):
-        # hierarchical training with zero layers fails inside the cell
-        cfg = parse_config("model: NN\nlayers: 0\nseeds: [0]\n")
+        # 60 layers shrink the desk ranges until a layer's quadrants
+        # degenerate, which fails inside the cell
+        cfg = parse_config("model: NN\nlayers: 60\nseeds: [0]\n")
         result = run_experiment(cfg)
         # the message names the cell first and then the exception's class
         assert result.errors == [
-            "seed=0 sweep_value=0.0: ValueError: hierarchical training "
-            "requires max_layers >= 1"]
+            "seed=0 sweep_value=0.0: ValueError: degenerate sampling range"]
         assert np.isnan(result.rows[0].rate_bps_hz)
 
     def test_variant_sweep_reports_failed_cells(self, tmp_path, monkeypatch,
                                                 capsys):
-        cfg = tmp_path / "zero_layers.cfg"
-        cfg.write_text("model: NN\nlayers: 0\nsweep: power_dbm in [0]\n")
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text("model: NN\nlayers: 60\nsweep: power_dbm in [0]\n")
         out = tmp_path / "variants.csv"
         monkeypatch.setattr(sys, "argv", ["variant_sweep.py", str(cfg),
                                           "--seeds", "2", "--out", str(out)])
@@ -236,15 +236,17 @@ print(json.dumps({m: m in sys.modules
             runpy.run_path(str(ROOT / "scripts" / "variant_sweep.py"),
                            run_name="__main__")
         assert exited.value.code == 1
-        # only hierarchical training needs a layer; its two cells raise
+        # every refining variant descends until its ranges degenerate, so
+        # their two cells raise each; the angular sweeps do not refine
+        refining = ("NN-hierarchical", "NF-two-stage", "FN-two-stage")
         assert capsys.readouterr().err.splitlines() == [
-            f"error: NN-hierarchical: failed cell: seed={seed} "
-            "sweep_value=0.0: ValueError: hierarchical training requires "
-            "max_layers >= 1" for seed in (0, 1)]
+            f"error: {name}: failed cell: seed={seed} sweep_value=0.0: "
+            "ValueError: degenerate sampling range"
+            for name in refining for seed in (0, 1)]
         rows = out.read_text().splitlines()
         assert len(rows) == 1 + len(harness.VARIANTS)
-        assert rows[1] == "NN-hierarchical,0,nan,nan,0"
-        assert all(row.endswith(",2") for row in rows[2:])
+        assert rows[1:4] == [f"{name},0,nan,nan,0" for name in refining]
+        assert all(row.endswith(",2") for row in rows[4:])
 
     def test_sweep_values_see_the_same_draws(self):
         base = "model: FF\nseeds: [0, 1]\nmax_iters: 2\n"

@@ -129,7 +129,7 @@ class TestRateKernel:
         assert batch.shape == (k,)
         kept = assert_kernel_rows(batch, reference_rates(real, phis, w,
                                                          cfg.noise_w))
-        assert kept.all() or screened(k, geometry.n_ue, q)
+        assert kept.all() or screened(k, q)
         # both sides round 1 + x for a tiny x, so a row's error floor is a
         # few ulps of 1 in absolute terms (rates reach 1e-6 bit at desk FF)
         np.testing.assert_allclose(batch[kept], singles[kept], rtol=1e-10,
@@ -172,8 +172,8 @@ def reference_rates(real, phis, w, noise_var):
     return np.linalg.slogdet(gram)[1] / np.log(2.0)
 
 
-def screened(k, n_ue, q):
-    """Whether the kernel screens a batch of K candidates of n_ue x q."""
+def screened(k, q):
+    """Whether the kernel screens a batch of K candidates with q columns."""
     return k >= training._SCREEN_MIN_K and q >= 2
 
 
@@ -210,15 +210,15 @@ def kernel_cases():
 
 
 class TestRateKernelWorkArrays:
-    """The kernel reuses per-thread work arrays; none may reach a result."""
+    """The kernel keeps only its operand per thread; every call, in any
+    order of shapes and threads, gives the rates of fresh arrays."""
 
     def test_interleaved_shapes_match_fresh_arrays_bit_for_bit(self):
         for real, phis, w, noise in kernel_cases():
             got = rates_for_phase_batch(real, phis, w, noise)
             kept = assert_kernel_rows(got, reference_rates(real, phis, w,
                                                            noise))
-            assert kept.all() or screened(len(phis), real.g_ris_ue.shape[0],
-                                          w.shape[1])
+            assert kept.all() or screened(len(phis), w.shape[1])
 
     def test_returned_rates_survive_later_calls(self):
         cases = kernel_cases()
@@ -236,7 +236,7 @@ class TestRateKernelWorkArrays:
         cases = kernel_cases()
         real, phis, w, noise = max(cases, key=lambda c: c[1].size * c[2].size)
         desk = next(c for c in cases if c[0].g_ris_ue.shape[0] == 4
-                    and screened(len(c[1]), 4, c[2].shape[1]))
+                    and screened(len(c[1]), c[2].shape[1]))
         cases = [(real, phis, w, noise), (real, phis.conj(), w, noise),
                  cases[0], desk]
         serial = [rates_for_phase_batch(*case) for case in cases]
@@ -308,36 +308,40 @@ class TestRateKernelScreen:
            n_ue=st.integers(1, 8), q=st.integers(1, 8),
            exponent=st.floats(-150.0, 150.0),
            tail=st.sampled_from([1.0, 1e-2, 1e-5]),
-           along=st.sampled_from(["own", "orthogonal", "random"]))
+           along=st.sampled_from(["own", "orthogonal", "random", None]))
     def test_screened_rows_are_the_exact_rows_that_can_win(
             self, seed, k, n_ue, q, exponent, tail, along):
         b = adversarial_stack(seed, k, n_ue, q, exponent, tail)
         exact_ln = exact_log_dets(b)
         exact = exact_ln / np.log(2.0)
-        # any orthonormal pair must be safe: the stack's own two leading
-        # right singular vectors, its least one (orthogonal to its own
-        # direction) beside a zero row, or a random pair; at q = 1 the
-        # second row is zero
-        basis = np.linalg.svd(b.reshape(-1, q) / np.abs(b).max(),
-                              full_matrices=False)[2].conj()
-        pair = np.linalg.qr(rand_matrix(np.random.default_rng(seed + 1),
-                                        (q, 2)))[0].T
-        v = {"own": basis[:2], "orthogonal": basis[-1:], "random": pair}[along]
-        v = np.vstack([v, np.zeros((2 - len(v), q))])
-        bounds = training._bounds(b, lambda: v)
         trace = np.sum(np.abs(b) ** 2, axis=(1, 2)).max()
-        if bounds is None:
+        directions = bounds = None              # along None: no screen
+        if along is not None:
+            # any orthonormal pair must be safe: the stack's own two
+            # leading right singular vectors, its least one (orthogonal to
+            # its own direction) beside a zero row, or a random pair; at
+            # q = 1 the second row is zero
+            basis = np.linalg.svd(b.reshape(-1, q) / np.abs(b).max(),
+                                  full_matrices=False)[2].conj()
+            pair = np.linalg.qr(rand_matrix(np.random.default_rng(seed + 1),
+                                            (q, 2)))[0].T
+            v = {"own": basis[:2], "orthogonal": basis[-1:],
+                 "random": pair}[along]
+            v = np.vstack([v, np.zeros((2 - len(v), q))])
+            directions = lambda: v
+            bounds = training._bounds(b, directions)
             # out of range only past the stated trace
-            assert trace > 2.0 ** 499
-            assert training._screened_rates(b, lambda: v, np.eye(q)) is None
-            return
-        assert trace < 2.0 ** 501
+            assert trace > 2.0 ** 499 if bounds is None else trace < 2.0 ** 501
         if not np.isfinite(exact).all():
-            # where rounding breaks the exact path, the screen raises too
+            # where rounding breaks the exact path, the kernel raises too
             with pytest.raises(ValueError, match="non-finite"):
-                training._screened_rates(b, lambda: v, np.eye(q))
+                training._rates(b, directions)
             return
-        got = training._screened_rates(b, lambda: v, np.eye(q))
+        got = training._rates(b, directions)
+        if bounds is None:
+            # unscreened, every row is the exact path's
+            assert np.array_equal(got, exact)
+            return
         lower, upper, slack = bounds
         assert_kernel_rows(got, exact)
         assert got.max() == exact.max()
