@@ -274,11 +274,13 @@ def _rates(b: np.ndarray, directions) -> np.ndarray:
     kept = b[keep]
     gram = np.matmul(np.conjugate(kept).swapaxes(1, 2), kept)
     np.add(np.eye(b.shape[2]), gram, out=gram)
-    exact = np.linalg.slogdet(gram)[1]
+    exact = np.linalg.slogdet(gram)[1] / np.log(2.0)
     if not np.isfinite(exact).all():
         raise ValueError("non-finite rate operands")
+    if bounds is None:
+        return exact
     rates = np.full(len(b), -np.inf)
-    rates[keep] = exact / np.log(2.0)
+    rates[keep] = exact
     return rates
 
 
