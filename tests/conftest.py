@@ -15,8 +15,14 @@ with warnings.catch_warnings():
     except ImportError:     # without libcst the plugin writes no patch
         pass
 
-from risbeam.channel import random_far_spec, synthesize_channel
-from risbeam.geometry import SystemGeometry
+from risbeam.channel import (
+    ChannelRealization,
+    near_channel,
+    random_far_spec,
+    synthesize_channel,
+)
+from risbeam.codebook import SamplingGrid
+from risbeam.geometry import LINK_BS_RIS, LINK_RIS_UE, SystemGeometry
 from risbeam.harness import geometry_from, parse_config
 from risbeam.optimizer import ao_loop, default_stream_count
 
@@ -55,3 +61,55 @@ def table2():
 def desk():
     """CI-sized layout: the reference shrunk 1/100 with 8/4 ULAs, 16x2 RIS."""
     return geometry_from(parse_config("", "desk"))
+
+
+# The desk cell: 8/4 ULAs and a 16x2 RIS at 30 GHz, the user 24 cm from
+# the BS and the RIS 8 cm above the line between them.
+DESK_LAYOUT = dict(carrier_hz=30e9, n_bs=8, n_ue=4, m_x=16, m_y=2,
+                   bs_mid=(0, 0, 0), ue_mid=(0.24, 0, 0),
+                   ris_mid=(0.1, 0, 0.08))
+
+
+def desk_geometry(**changes):
+    """The desk layout at the config's element spacing, with `changes` to
+    its `SystemGeometry.build` arguments."""
+    return SystemGeometry.build(
+        **DESK_LAYOUT | config_args(SystemGeometry.build) | changes)
+
+
+def nn_realization(g):
+    """The all-spherical channel of `g`: both links near-field."""
+    return ChannelRealization(g_bs_ris=near_channel(LINK_BS_RIS, g),
+                              g_ris_ue=near_channel(LINK_RIS_UE, g),
+                              model_tag="NN")
+
+
+def desk_grids(g, s=2):
+    """BS and user sampling grids 10 wavelengths to each side of the desk
+    nodes, s x s samples each."""
+    half = 10 * g.wavelength_m
+    def mk(cx, cy, z):
+        return SamplingGrid(x_min=cx - half, x_max=cx + half,
+                            y_min=cy - half, y_max=cy + half,
+                            s_x=s, s_y=s, fixed_z=z)
+    return mk(0.0, 0.0, 0.0), mk(0.24, 0.0, 0.0)
+
+
+def desk_cell(**changes):
+    """(geometry, NN realization, BS grid, user grid) of the desk cell,
+    as `harness.cell_setup` returns a cell."""
+    g = desk_geometry(**changes)
+    return g, nn_realization(g), *desk_grids(g)
+
+
+def rand_matrix(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def cell_centres(grid):
+    """(x, y) samples of `grid` by the cell-centre formula
+    lo + (s - 1/2)(hi - lo)/S, y sample fastest, in plain floats."""
+    def axis(lo, hi, n):
+        return [lo + (s - 0.5) * (hi - lo) / n for s in range(1, n + 1)]
+    return [(x, y) for x in axis(grid.x_min, grid.x_max, grid.s_x)
+            for y in axis(grid.y_min, grid.y_max, grid.s_y)]

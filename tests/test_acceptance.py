@@ -27,7 +27,6 @@ from risbeam.channel import (
     cascade,
     exact_distances,
     far_channel,
-    near_channel,
     synthesize_channel,
     taylor_distances,
     upa_response,
@@ -61,7 +60,13 @@ from risbeam.training import (
     two_stage_overhead,
 )
 
-from conftest import config_args
+from conftest import (
+    config_args,
+    desk_geometry,
+    desk_grids,
+    nn_realization,
+    rand_matrix,
+)
 
 NOISE_W = 10 ** (-13.5)          # -105 dBm
 DESK_P_W = 10 ** ((-50 - 30) / 10)
@@ -84,38 +89,23 @@ def desk_cfg(**overrides):
     return harness.parse_config(text, scale="desk")
 
 
-def nn_channel(geometry):
-    return ChannelRealization(g_bs_ris=near_channel(LINK_BS_RIS, geometry),
-                              g_ris_ue=near_channel(LINK_RIS_UE, geometry),
-                              model_tag="NN")
-
-
 def test_01_overhead_exactness():
     mismatches = []
     for m_x in (16, 60):                       # M = 32 and 120
-        g = SystemGeometry.build(30e9, n_bs=1, n_ue=1, m_x=m_x, m_y=2,
-                                 bs_mid=(0, 0, 0), ue_mid=(0.24, 0, 0),
-                                 ris_mid=(0.1, 0, 0.08),
-                                 **config_args(SystemGeometry.build))
+        g = desk_geometry(n_bs=1, n_ue=1, m_x=m_x)
         m = g.m
-        real = nn_channel(g)
+        real = nn_realization(g)
         w = np.full((1, 1), np.sqrt(DESK_P_W), dtype=complex)
-        half = 10 * g.wavelength_m
-        def grid(cx, z, s):
-            return SamplingGrid(x_min=cx - half, x_max=cx + half,
-                                y_min=-half, y_max=half, s_x=s, s_y=s,
-                                fixed_z=z)
         rep = angular_sweep(real, w, NOISE_W, g)
         if rep.evaluations != sweep_overhead(m_x, 2):
             mismatches.append(("sweep", m_x))
         for layers in range(1, 13):
             for s in (2, 4):
-                hier = hierarchical_nn(real, w, NOISE_W, grid(0, 0, s),
-                                       grid(0.24, 0, s), layers, g)
+                gb, gu = desk_grids(g, s=s)
+                hier = hierarchical_nn(real, w, NOISE_W, gb, gu, layers, g)
                 if hier.evaluations != 16 * layers * (s * s) ** 2:
                     mismatches.append(("hier", m_x, layers, s))
-                two = two_stage_hybrid(real, w, NOISE_W, grid(0, 0, s),
-                                       layers, "NF", g)
+                two = two_stage_hybrid(real, w, NOISE_W, gb, layers, "NF", g)
                 if two.evaluations != m + 4 * layers * s * s:
                     mismatches.append(("two", m_x, layers, s))
                 # closed forms of the flat-search baselines
@@ -171,11 +161,8 @@ def test_02_rank_claims(table2):
     s = np.linalg.svd(cascade(multi, phi), compute_uv=False)
     multi_rank = int(np.sum(s > 1e-8 * s[0]))
 
-    small = SystemGeometry.build(30e9, n_bs=4, n_ue=2, m_x=8, m_y=2,
-                                 bs_mid=(0, 0, 0), ue_mid=(0.24, 0, 0),
-                                 ris_mid=(0.1, 0, 0.08),
-                                 **config_args(SystemGeometry.build))
-    s = np.linalg.svd(cascade(nn_channel(small), np.ones(small.m)),
+    small = desk_geometry(n_bs=4, n_ue=2, m_x=8)
+    s = np.linalg.svd(cascade(nn_realization(small), np.ones(small.m)),
                       compute_uv=False)
     nn_rank = int(np.sum(s > 1e-8 * s[0]))
 
@@ -195,7 +182,7 @@ def test_03_hierarchical_matches_flat_search():
         rng = harness.rng_for(seed)
         off = rng.uniform(-0.15 * half, 0.15 * half, 2)
         g = harness.geometry_from(cfg, ue_offset=tuple(off))
-        real = nn_channel(g)
+        real = nn_realization(g)
         gb, gu = harness.grids_from(cfg, g)
         q = default_stream_count("NN", g, cfg.paths_bs, cfg.paths_ue)
         w = initial_precoder(cascade(real, np.ones(g.m)), q, cfg.p_max_w)
@@ -248,17 +235,17 @@ def test_05_combiner_optimality():
     beats_all = True
     worst_derivative = 0.0
     for _ in range(20):
-        h = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        w = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+        h = rand_matrix(rng, (4, 6))
+        w = rand_matrix(rng, (6, 2))
         u_opt = optimal_combiner(h, w, noise).u
         best = np.trace(mse_matrix(h, w, u_opt, noise)).real
         for _ in range(100):
-            u = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+            u = rand_matrix(rng, (4, 2))
             if best > np.trace(mse_matrix(h, w, u, noise)).real + 1e-12:
                 beats_all = False
         eps = 1e-4
         for _ in range(100):
-            d = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+            d = rand_matrix(rng, (4, 2))
             d /= np.linalg.norm(d)
             plus = np.trace(mse_matrix(h, w, u_opt + eps * d, noise)).real
             minus = np.trace(mse_matrix(h, w, u_opt - eps * d, noise)).real
@@ -274,9 +261,9 @@ def test_06_precoder_kkt():
     worst_slack = 0.0
     active = inactive = 0
     for k in range(100):
-        h = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        u = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        a0 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        h = rand_matrix(rng, (4, 6))
+        u = rand_matrix(rng, (4, 2))
+        a0 = rand_matrix(rng, (2, 2))
         f = a0 @ a0.conj().T + 0.5 * np.eye(2)
         p_max = 1e-4 if k % 2 == 0 else 1e6
         p = solve_precoder(h, u, f, p_max)

@@ -23,7 +23,7 @@ from risbeam.channel import (
 )
 from risbeam.geometry import LINK_BS_RIS, LINK_RIS_UE, SystemGeometry
 
-from conftest import config_args
+from conftest import config_args, nn_realization
 
 
 def geom(**kw):
@@ -154,19 +154,14 @@ class TestNearChannel:
 
 
 class TestCascade:
-    def nn_realization(self, g):
-        return ChannelRealization(g_bs_ris=near_channel(LINK_BS_RIS, g),
-                                  g_ris_ue=near_channel(LINK_RIS_UE, g),
-                                  model_tag="NN")
-
     def test_zero_phases_give_plain_product(self, desk):
-        real = self.nn_realization(desk)
+        real = nn_realization(desk)
         h = cascade(real, np.ones(desk.m, dtype=complex))
         np.testing.assert_allclose(h, real.g_ris_ue @ real.g_bs_ris, rtol=1e-12)
 
     def test_single_element_ris_is_scalar_weighting(self):
         g = geom(m_x=1, m_y=1)
-        real = self.nn_realization(g)
+        real = nn_realization(g)
         phi = np.exp(-1j * 0.7)
         h = cascade(real, np.array([phi]))
         expected = phi * np.outer(real.g_ris_ue[:, 0], real.g_bs_ris[0, :])
@@ -208,12 +203,12 @@ class TestCascade:
         # 1/100-scale layout, 4/2 ULAs, 8x2 RIS: rank = min(4, 2, 16) = 2
         g = geom(n_bs=4, n_ue=2, m_x=8, m_y=2, ue_mid=(0.24, 0, 0),
                  ris_mid=(0.1, 0, 0.08))
-        real = self.nn_realization(g)
+        real = nn_realization(g)
         s = np.linalg.svd(cascade(real, np.ones(g.m)), compute_uv=False)
         assert np.sum(s > 1e-8 * s[0]) == 2
 
     def test_cascade_linear_in_link_matrix(self, desk):
-        real = self.nn_realization(desk)
+        real = nn_realization(desk)
         scaled = ChannelRealization(g_bs_ris=3.7 * real.g_bs_ris,
                                     g_ris_ue=real.g_ris_ue, model_tag="NN")
         phi = np.exp(-1j * np.linspace(0, 3, desk.m))
@@ -221,7 +216,7 @@ class TestCascade:
                                    3.7 * cascade(real, phi), rtol=1e-13)
 
     def test_phase_vector_length_mismatch(self, desk):
-        real = self.nn_realization(desk)
+        real = nn_realization(desk)
         with pytest.raises(ValueError, match="length"):
             cascade(real, np.ones(desk.m + 1))
 

@@ -32,7 +32,7 @@ from risbeam.codebook import (
 )
 from risbeam.geometry import NODE_RIS, SystemGeometry
 
-from conftest import config_args
+from conftest import cell_centres, config_args
 
 
 def geom(**kw):
@@ -46,15 +46,6 @@ def geom(**kw):
 def unit_grid(s_x=2, s_y=2, z=0.0):
     return SamplingGrid(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0,
                         s_x=s_x, s_y=s_y, fixed_z=z)
-
-
-def cell_centres(grid):
-    """(x, y) samples of `grid` by the cell-centre formula
-    lo + (s - 1/2)(hi - lo)/S, y sample fastest, in plain floats."""
-    def axis(lo, hi, n):
-        return [lo + (s - 0.5) * (hi - lo) / n for s in range(1, n + 1)]
-    return [(x, y) for x in axis(grid.x_min, grid.x_max, grid.s_x)
-            for y in axis(grid.y_min, grid.y_max, grid.s_y)]
 
 
 def grid_points(grid):

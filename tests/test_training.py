@@ -1,3 +1,4 @@
+import statistics
 import sys
 import threading
 from collections import OrderedDict
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 from dataclasses import replace
 from functools import reduce
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risbeam import codebook, harness, training
 from risbeam.channel import (
@@ -14,7 +17,6 @@ from risbeam.channel import (
     PathSpec,
     cascade,
     far_channel,
-    near_channel,
 )
 from risbeam.codebook import (
     Codebook,
@@ -27,6 +29,8 @@ from risbeam.codebook import (
     subdivide_range,
 )
 from risbeam.geometry import LINK_BS_RIS, LINK_RIS_UE, SystemGeometry
+from risbeam.harness import VARIANTS, cell_setup, parse_config, solve_cell
+from risbeam.optimizer import achievable_rate
 from risbeam.training import (
     TrainingReport,
     _descend,
@@ -42,40 +46,17 @@ from risbeam.training import (
     two_stage_overhead,
 )
 
-from conftest import config_args
+from conftest import (
+    DESK_LAYOUT,
+    cell_centres,
+    desk_cell,
+    desk_geometry,
+    desk_grids,
+    nn_realization,
+    rand_matrix,
+)
 
 NOISE = 10 ** (-13.5)
-
-
-def desk_geometry(ue=(0.24, 0.0, 0.0)):
-    return SystemGeometry.build(30e9, n_bs=8, n_ue=4, m_x=16, m_y=2,
-                                bs_mid=(0, 0, 0), ue_mid=ue,
-                                ris_mid=(0.1, 0, 0.08),
-                                **config_args(SystemGeometry.build))
-
-
-def desk_grids(g, halfwidth_wl=10.0, s=2):
-    half = halfwidth_wl * g.wavelength_m
-    def mk(cx, cy, z):
-        return SamplingGrid(x_min=cx - half, x_max=cx + half,
-                            y_min=cy - half, y_max=cy + half,
-                            s_x=s, s_y=s, fixed_z=z)
-    return mk(0.0, 0.0, 0.0), mk(0.24, 0.0, 0.0)
-
-
-def cell_centres(grid):
-    """(x, y) samples of `grid` by the cell-centre formula
-    lo + (s - 1/2)(hi - lo)/S, y sample fastest, in plain floats."""
-    def axis(lo, hi, n):
-        return [lo + (s - 0.5) * (hi - lo) / n for s in range(1, n + 1)]
-    return [(x, y) for x in axis(grid.x_min, grid.x_max, grid.s_x)
-            for y in axis(grid.y_min, grid.y_max, grid.s_y)]
-
-
-def nn_realization(g):
-    return ChannelRealization(g_bs_ris=near_channel(LINK_BS_RIS, g),
-                              g_ris_ue=near_channel(LINK_RIS_UE, g),
-                              model_tag="NN")
 
 
 def matched_precoder(real, g, p_max=1e-8, q=None):
@@ -120,9 +101,7 @@ class TestOverheadCounters:
         assert rep.evaluations == two_stage_overhead(g.m, layers, s, s)
 
     def test_hierarchical_requires_layers(self):
-        g = desk_geometry()
-        real = nn_realization(g)
-        gb, gu = desk_grids(g)
+        g, real, gb, gu = desk_cell()
         with pytest.raises(ValueError, match="max_layers"):
             hierarchical_nn(real, matched_precoder(real, g), NOISE, gb, gu,
                             0, g)
@@ -137,10 +116,7 @@ class TestOverheadCounters:
 
 class TestAngularSweep:
     def test_single_codeword_grid(self):
-        g = SystemGeometry.build(30e9, n_bs=2, n_ue=2, m_x=1, m_y=1,
-                                 bs_mid=(0, 0, 0), ue_mid=(0.24, 0, 0),
-                                 ris_mid=(0.1, 0, 0.08),
-                                 **config_args(SystemGeometry.build))
+        g = desk_geometry(n_bs=2, n_ue=2, m_x=1, m_y=1)
         real = nn_realization(g)
         rep = angular_sweep(real, matched_precoder(real, g), NOISE, g)
         assert rep.evaluations == 1
@@ -183,7 +159,7 @@ class TestHierarchical:
             cell = subdivide_range(cell)[idx]
         cx = 0.5 * (cell.x_min + cell.x_max)
         cy = 0.5 * (cell.y_min + cell.y_max)
-        g = desk_geometry(ue=(cx, cy, 0.0))
+        g = desk_geometry(ue_mid=(cx, cy, 0.0))
         real = nn_realization(g)
         layers = 3
         rep = hierarchical_nn(real, matched_precoder(real, g), NOISE,
@@ -196,7 +172,7 @@ class TestHierarchical:
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_layer_choices_match_direct_scan(self, s):
-        g = desk_geometry(ue=(0.26, 0.01, 0.0))
+        g = desk_geometry(ue_mid=(0.26, 0.01, 0.0))
         real = nn_realization(g)
         gb, gu = desk_grids(g, s=s)
         w = matched_precoder(real, g)
@@ -228,9 +204,7 @@ class TestHierarchical:
         assert rep.best_codeword.provenance == winners[first].provenance
 
     def test_reports_are_deterministic(self):
-        g = desk_geometry(ue=(0.25, -0.005, 0.0))
-        real = nn_realization(g)
-        gb, gu = desk_grids(g)
+        g, real, gb, gu = desk_cell(ue_mid=(0.25, -0.005, 0.0))
         w = matched_precoder(real, g)
         layers = 2
         a = hierarchical_nn(real, w, NOISE, gb, gu, layers, g)
@@ -241,9 +215,7 @@ class TestHierarchical:
         assert [r.choice for r in a.layer_trace] == [r.choice for r in b.layer_trace]
 
     def test_degenerate_range_aborts(self):
-        g = desk_geometry()
-        real = nn_realization(g)
-        gb, gu = desk_grids(g)
+        g, real, gb, gu = desk_cell()
         tiny = replace(gu, x_min=0.0, x_max=float(np.nextafter(0.0, 1.0)),
                        y_min=0.0, y_max=1.0)
         with pytest.raises(ValueError, match="degenerate"):
@@ -353,9 +325,7 @@ class TestExhaustiveSearch:
     def test_flat_search_bounds_final_layer(self):
         # flat search over the depth-2 effective grid (8 points per
         # direction) is the argmax over a superset of the layer-2 codewords
-        g = desk_geometry(ue=(0.255, 0.003, 0.0))
-        real = nn_realization(g)
-        gb, gu = desk_grids(g)
+        g, real, gb, gu = desk_cell(ue_mid=(0.255, 0.003, 0.0))
         w = matched_precoder(real, g)
         rep = hierarchical_nn(real, w, NOISE, gb, gu, 2, g)
         book = build_nn_codebook(replace(gb, s_x=8, s_y=8),
@@ -368,7 +338,7 @@ class TestExhaustiveSearch:
 class TestScaleInvariance:
     @pytest.mark.parametrize("scale", [1e-3, 1e3])
     def test_selection_invariant_under_channel_scaling_single_stream(self, scale):
-        g = desk_geometry(ue=(0.235, 0.004, 0.0))
+        g = desk_geometry(ue_mid=(0.235, 0.004, 0.0))
         real = nn_realization(g)
         scaled = ChannelRealization(g_bs_ris=scale * real.g_bs_ris,
                                     g_ris_ue=real.g_ris_ue, model_tag="NN")
@@ -381,7 +351,7 @@ class TestScaleInvariance:
     def test_selection_invariant_multi_stream_seeded(self, seed):
         rng = np.random.default_rng(seed)
         off = rng.uniform(-0.01, 0.01, 2)
-        g = desk_geometry(ue=(0.24 + off[0], off[1], 0.0))
+        g = desk_geometry(ue_mid=(0.24 + off[0], off[1], 0.0))
         real = nn_realization(g)
         scaled = ChannelRealization(g_bs_ris=37.0 * real.g_bs_ris,
                                     g_ris_ue=real.g_ris_ue, model_tag="NN")
@@ -392,9 +362,7 @@ class TestScaleInvariance:
 
 
 def test_layer_trace_records_every_layer():
-    g = desk_geometry()
-    real = nn_realization(g)
-    gb, gu = desk_grids(g)
+    g, real, gb, gu = desk_cell()
     rep = hierarchical_nn(real, matched_precoder(real, g), NOISE, gb, gu, 2, g)
     assert [rec.layer for rec in rep.layer_trace] == [1, 2]
     for rec in rep.layer_trace:
@@ -426,9 +394,7 @@ class TestArrayNativeDescent:
                         provenance=(angular.provenance[k],))
 
     def test_hierarchical_layer1_phis_are_star_rows(self, monkeypatch):
-        g = desk_geometry(ue=(0.26, 0.01, 0.0))
-        real = nn_realization(g)
-        gb, gu = desk_grids(g)
+        g, real, gb, gu = desk_cell(ue_mid=(0.26, 0.01, 0.0))
         gu = replace(gu, s_x=3)
         batches = self.capture_phis(monkeypatch)
         hierarchical_nn(real, matched_precoder(real, g), NOISE, gb, gu, 1, g)
@@ -463,9 +429,7 @@ class TestArrayNativeDescent:
     ], ids=["heights", "transposed", "unequal-counts"])
     def test_unequal_sides_layer_phis_match_nn_codebooks(self, monkeypatch,
                                                          bs, ue):
-        g = desk_geometry(ue=(0.26, 0.01, 0.0))
-        real = nn_realization(g)
-        gb, gu = desk_grids(g)
+        g, real, gb, gu = desk_cell(ue_mid=(0.26, 0.01, 0.0))
         gb = replace(gb, s_x=bs[0], s_y=bs[1], fixed_z=bs[2])
         gu = replace(gu, s_x=ue[0], s_y=ue[1], fixed_z=ue[2])
         batches = self.capture_phis(monkeypatch)
@@ -481,9 +445,7 @@ class TestArrayNativeDescent:
 
     def test_range_degenerate_at_layer_two_aborts_after_one_batch(
             self, monkeypatch):
-        g = desk_geometry()
-        real = nn_realization(g)
-        gb, gu = desk_grids(g)
+        g, real, gb, gu = desk_cell()
         # two ulps wide: halves at layer 1, cannot be halved at layer 2
         narrow = replace(gu, x_min=0.0, x_max=2 * float(np.nextafter(0, 1)))
         batches = self.capture_phis(monkeypatch)
@@ -494,7 +456,7 @@ class TestArrayNativeDescent:
 
     @pytest.mark.parametrize("scheme", ["NN", "NF", "FN"])
     def test_replayed_trace_names_the_kept_codeword(self, scheme):
-        g = desk_geometry(ue=(0.26, 0.01, 0.0))
+        g = desk_geometry(ue_mid=(0.26, 0.01, 0.0))
         real = nn_realization(g)
         w = matched_precoder(real, g)
         gb, gu = desk_grids(g)
@@ -748,7 +710,7 @@ class TestLayerSlot:
     @pytest.mark.parametrize("scheme", ["NN", "NF", "FN", "angular"])
     def test_second_call_on_the_same_path_makes_no_words(self, monkeypatch,
                                                          scheme):
-        g = desk_geometry(ue=(0.26, 0.01, 0.0))
+        g = desk_geometry(ue_mid=(0.26, 0.01, 0.0))
         real = nn_realization(g)
         w = matched_precoder(real, g)
         gb, gu = desk_grids(g)
@@ -783,7 +745,7 @@ class TestLayerSlot:
         {"fixed_z": 0.03}, {"s_x": 3}, {"s_y": 1}, {"x_max": 0.25}])
     def test_layers_are_keyed_on_bounds_counts_and_height(self, monkeypatch,
                                                           change):
-        g = desk_geometry(ue=(0.26, 0.01, 0.0))
+        g = desk_geometry(ue_mid=(0.26, 0.01, 0.0))
         real = nn_realization(g)
         w = matched_precoder(real, g)
         gb, gu = desk_grids(g)
@@ -810,7 +772,7 @@ class TestLayerSlot:
 
     def test_other_user_position_reads_the_kept_words(self, monkeypatch):
         g = desk_geometry()
-        moved = desk_geometry(ue=(0.26, 0.01, 0.0))    # same RIS array
+        moved = desk_geometry(ue_mid=(0.26, 0.01, 0.0))    # same RIS array
         real = nn_realization(moved)
         w = matched_precoder(real, moved)
         for train in self.trainers(*desk_grids(g)):
@@ -829,9 +791,7 @@ class TestLayerSlot:
         ids=["ris_mid", "m_x", "m_y", "spacing", "carrier"])
     def test_each_ris_field_rebuilds_and_never_reads_the_first_words(
             self, monkeypatch, change):
-        desk = dict(carrier_hz=30e9, spacing_m=0.5 * 0.01, n_bs=8, n_ue=4,
-                    m_x=16, m_y=2, bs_mid=(0, 0, 0), ue_mid=(0.24, 0, 0),
-                    ris_mid=(0.1, 0, 0.08))
+        desk = DESK_LAYOUT | {"spacing_m": 0.5 * 0.01}
         g = SystemGeometry(**desk)
         other = SystemGeometry(**desk | change)
         real = nn_realization(other)
@@ -891,12 +851,7 @@ class TestLayerSlot:
         ids=["ris_moved", "same_ris_evicting"])
     def test_threads_on_alternating_geometries_match_the_serial_run(
             self, monkeypatch, moved, bound):
-        desk = dict(carrier_hz=30e9, n_bs=8, n_ue=4, m_x=16, m_y=2,
-                    bs_mid=(0, 0, 0), ue_mid=(0.24, 0, 0),
-                    ris_mid=(0.1, 0, 0.08),
-                    **config_args(SystemGeometry.build))
-        geos = [SystemGeometry.build(**desk),
-                SystemGeometry.build(**desk | moved)]
+        geos = [desk_geometry(), desk_geometry(**moved)]
         cells = []
         for g in geos:
             real = nn_realization(g)
@@ -944,7 +899,7 @@ class TestLayerSlotBound:
         and channel, so their descents part after the first layer."""
         out = []
         for i in range(n):
-            g = desk_geometry(ue=(0.24 + 0.004 * i, 0.002 * i, 0.0))
+            g = desk_geometry(ue_mid=(0.24 + 0.004 * i, 0.002 * i, 0.0))
             real = nn_realization(g)
             out.append((real, matched_precoder(real, g), *desk_grids(g), g))
         return out
@@ -1039,10 +994,6 @@ class TestAngularSlot:
     """One shared angular codebook, keyed on what its build reads, that
     each experiment starts without."""
 
-    DESK = dict(carrier_hz=30e9, n_bs=8, n_ue=4, m_x=16, m_y=2,
-                bs_mid=(0, 0, 0), ue_mid=(0.24, 0, 0), ris_mid=(0.1, 0, 0.08),
-                **config_args(SystemGeometry.build))
-
     @pytest.mark.parametrize("scale", ["desk", "paper"])
     def test_shared_book_equals_a_fresh_build(self, scale):
         g = harness.geometry_from(harness.parse_config("", scale=scale))
@@ -1058,9 +1009,9 @@ class TestAngularSlot:
         {"ue_mid": (0.26, 0.01, 0)}])
     def test_positions_share_the_book_without_a_build(self, monkeypatch,
                                                       moved):
-        book = training.angular_book(SystemGeometry.build(**self.DESK))
+        book = training.angular_book(desk_geometry())
         counts = TestLayerSlot.count_work(monkeypatch)
-        g = SystemGeometry.build(**self.DESK | moved)
+        g = desk_geometry(**moved)
         assert training.angular_book(g) is book
         real = nn_realization(g)
         w = matched_precoder(real, g)
@@ -1073,8 +1024,8 @@ class TestAngularSlot:
         {"carrier_hz": 28e9}])
     def test_each_key_field_rebuilds_and_replaces_the_entry(self, monkeypatch,
                                                             change):
-        g0 = SystemGeometry.build(**self.DESK)
-        g1 = SystemGeometry.build(**self.DESK | change)
+        g0 = desk_geometry()
+        g1 = desk_geometry(**change)
         counts = TestLayerSlot.count_work(monkeypatch)
         first = training.angular_book(g0)
         other = training.angular_book(g1)
@@ -1121,8 +1072,8 @@ class TestAngularSlot:
             assert counts["angular"] == 1
 
     def test_threads_on_alternating_keys_get_their_own_book(self):
-        geos = [SystemGeometry.build(**self.DESK),
-                SystemGeometry.build(**self.DESK | {"m_x": 8})]
+        geos = [desk_geometry(),
+                desk_geometry(m_x=8)]
         want = [build_ff_codebook(g).words.tobytes() for g in geos]
         wrong = []
 
@@ -1134,3 +1085,378 @@ class TestAngularSlot:
 
         run_threads(train)
         assert wrong == []
+
+
+class TestRateKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(tag=st.sampled_from(["FF", "NF", "FN", "NN"]),
+           scale=st.sampled_from(["desk", "paper"]),
+           seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 16, 256]),
+           data=st.data())
+    def test_rows_match_scalar_rate_at_both_scales(self, tag, scale, seed, k,
+                                                   data):
+        cfg = parse_config(f"model: {tag}", scale=scale)
+        geometry, real, _, _ = cell_setup(cfg, seed)
+        # q = 1 and the square case q = n_ue are both in range
+        q = data.draw(st.integers(1, min(geometry.n_bs, geometry.n_ue)),
+                      label="q")
+        rng = np.random.default_rng(seed)
+        w = rand_matrix(rng, (geometry.n_bs, q))
+        w *= np.sqrt(cfg.p_max_w) / np.linalg.norm(w)
+        phis = np.exp(-1j * rng.uniform(0, 2 * np.pi, (k, geometry.m)))
+        batch = rates_for_phase_batch(real, phis, w, cfg.noise_w)
+        singles = np.array([achievable_rate(cascade(real, p), w, cfg.noise_w)
+                            for p in phis])
+        assert batch.shape == (k,)
+        kept = assert_kernel_rows(batch, reference_rates(real, phis, w,
+                                                         cfg.noise_w))
+        assert kept.all() or screened(k, q)
+        # both sides round 1 + x for a tiny x, so a row's error floor is a
+        # few ulps of 1 in absolute terms (rates reach 1e-6 bit at desk FF)
+        np.testing.assert_allclose(batch[kept], singles[kept], rtol=1e-10,
+                                   atol=1e-14)
+        assert np.all(singles[~kept] < singles.max())
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("operand", ["phis", "w"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_operand_rejected(self, bad, operand, q):
+        g, real, _, _ = desk_cell()
+        rng = np.random.default_rng(9)
+        w = rand_matrix(rng, (g.n_bs, q)) * 1e-5
+        phis = np.exp(-1j * rng.uniform(0, 2 * np.pi, (4, g.m)))
+        if operand == "phis":
+            phis[1, 3] = bad
+        else:
+            w[2, 0] = bad
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="non-finite"):
+            rates_for_phase_batch(real, phis, w, 1e-13)
+
+    @pytest.mark.parametrize("noise_var", [0.0, -1e-12, np.nan])
+    def test_nonpositive_noise_rejected(self, noise_var):
+        g, real, _, _ = desk_cell()
+        rng = np.random.default_rng(9)
+        w = rand_matrix(rng, (g.n_bs, 2)) * 1e-5
+        phis = np.exp(-1j * rng.uniform(0, 2 * np.pi, (4, g.m)))
+        rates_for_phase_batch(real, phis, w, 1e-13)    # operand now held
+        with pytest.raises(ValueError, match="noise_var must be positive"):
+            rates_for_phase_batch(real, phis, w, noise_var)
+
+
+def reference_rates(real, phis, w, noise_var):
+    """The kernel's steps in its order, each product a fresh array."""
+    t = real.g_bs_ris @ w / np.sqrt(noise_var)
+    c = real.g_ris_ue.T[:, :, None] * t[:, None, :]
+    b = (phis @ c.reshape(len(c), -1)).reshape(-1, *c.shape[1:])
+    gram = np.eye(t.shape[1]) + b.conj().swapaxes(1, 2) @ b
+    return np.linalg.slogdet(gram)[1] / np.log(2.0)
+
+
+def screened(k, q):
+    """Whether the kernel screens a batch of K candidates with q columns."""
+    return k >= training._SCREEN_MIN_K and q >= 2
+
+
+def assert_kernel_rows(got, want):
+    """The kernel's batch `got` against `want`, the exact rate of every
+    row: each finite row is bit-equal to its exact rate, every other row
+    is -inf with an exact rate strictly below the batch maximum, and the
+    argmax is the same; returns the finite rows' mask."""
+    kept = np.isfinite(got)
+    assert np.array_equal(got[kept], want[kept])
+    assert np.all(got[~kept] == -np.inf)
+    assert np.all(want[~kept] < want.max())
+    assert np.argmax(got) == np.argmax(want)
+    return kept
+
+
+def kernel_cases():
+    """(realization, phis, w, noise) for K in {1, 16, 256}, q in {1, n_ue},
+    at desk and paper scale; shuffled, then again in reverse, so that all
+    but one call change the shape."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for scale in ("desk", "paper"):
+        cfg = parse_config("model: NN", scale=scale)
+        geometry, real, _, _ = cell_setup(cfg, 5)
+        for q in (1, geometry.n_ue):
+            for k in (1, 16, 256):
+                w = rand_matrix(rng, (geometry.n_bs, q))
+                w *= np.sqrt(cfg.p_max_w) / np.linalg.norm(w)
+                phis = np.exp(-1j * rng.uniform(0, 2 * np.pi, (k, geometry.m)))
+                cases.append((real, phis, w, cfg.noise_w))
+    order = rng.permutation(len(cases))
+    return [cases[i] for i in np.concatenate([order, order[::-1]])]
+
+
+class TestRateKernelFreshArrays:
+    """The kernel keeps only its operand per thread; every call, in any
+    order of shapes and threads, gives the rates of fresh arrays."""
+
+    def test_interleaved_shapes_match_fresh_arrays_bit_for_bit(self):
+        for real, phis, w, noise in kernel_cases():
+            got = rates_for_phase_batch(real, phis, w, noise)
+            kept = assert_kernel_rows(got, reference_rates(real, phis, w,
+                                                           noise))
+            assert kept.all() or screened(len(phis), w.shape[1])
+
+    def test_returned_rates_survive_later_calls(self):
+        cases = kernel_cases()
+        real, phis, w, noise = cases[0]
+        first = rates_for_phase_batch(real, phis, w, noise)
+        kept = first.copy()
+        rates_for_phase_batch(real, phis[::-1].copy(), w, noise)  # same shape
+        for case in cases[1:4]:
+            rates_for_phase_batch(*case)
+        assert np.array_equal(first, kept)
+
+    def test_threads_scoring_at_once_get_the_serial_rates(self):
+        # the paper-scale K = 256, q = n_ue shape twice with other phases,
+        # one other shape and a screened desk batch
+        cases = kernel_cases()
+        real, phis, w, noise = max(cases, key=lambda c: c[1].size * c[2].size)
+        desk = next(c for c in cases if c[0].g_ris_ue.shape[0] == 4
+                    and screened(len(c[1]), c[2].shape[1]))
+        cases = [(real, phis, w, noise), (real, phis.conj(), w, noise),
+                 cases[0], desk]
+        serial = [rates_for_phase_batch(*case) for case in cases]
+        start = threading.Barrier(len(cases), timeout=30)
+        got = [[] for _ in cases]
+
+        def score(i):
+            start.wait()
+            for _ in range(25):
+                got[i].append(rates_for_phase_batch(*cases[i]))
+
+        threads = [threading.Thread(target=score, args=(i,))
+                   for i in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for want, runs in zip(serial, got):
+            assert len(runs) == 25
+            assert all(np.array_equal(r, want) for r in runs)
+
+    def test_one_dimensional_phis_is_one_candidate(self):
+        for real, phis, w, noise in kernel_cases()[:6]:
+            got = rates_for_phase_batch(real, phis[0], w, noise)
+            assert got.shape == (1,)
+            assert np.array_equal(got, reference_rates(real, phis[0], w, noise))
+
+
+def exact_log_dets(b):
+    """ln det(I + B^H B) of every row of the stack `b` by the kernel's
+    exact path: conj, matmul, add and `slogdet` over the whole stack."""
+    gram = np.conjugate(b).swapaxes(1, 2) @ b
+    np.add(np.eye(b.shape[2]), gram, out=gram)
+    return np.linalg.slogdet(gram)[1]
+
+
+def adversarial_stack(seed, k, n_ue, q, exponent, tail):
+    """K random candidates R_k F sharing the right factor F = diag(tail^j)
+    Q, Q unitary (nearly rank one for a small `tail`, as the kernel's
+    candidates are), scaled by 10^exponent, then copies of the best row
+    (exact ties), duplicates of others, and rows one ulp away from the
+    best and from others."""
+    rng = np.random.default_rng(seed)
+    unitary = np.linalg.qr(rand_matrix(rng, (q, q)))[0]
+    factor = tail ** np.arange(q)[:, None] * unitary
+    b = rand_matrix(rng, (k, n_ue, q)) @ factor * 10.0 ** exponent
+    best = int(np.argmax(exact_log_dets(b)))
+    rows = rng.permutation(k)
+    b[rows[:3]] = b[best]                                # ties at the top
+    b[rows[3:6]] = b[rows[6:9]]                          # other duplicates
+    for r, source in ((rows[9], best), (rows[10], best), (rows[11], rows[12])):
+        x = b[source].view(float).copy()
+        b[r].view(float)[...] = np.nextafter(x, np.inf if r % 2 else -np.inf)
+    return b
+
+
+class TestRateKernelScreen:
+    """A screened batch holds exact rates where a row can be the maximum
+    and -inf where the screen proves it below."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([256, 300]),
+           n_ue=st.integers(1, 8), q=st.integers(1, 8),
+           exponent=st.floats(-150.0, 150.0),
+           tail=st.sampled_from([1.0, 1e-2, 1e-5]),
+           along=st.sampled_from(["own", "orthogonal", "random", None]))
+    def test_screened_rows_are_the_exact_rows_that_can_win(
+            self, seed, k, n_ue, q, exponent, tail, along):
+        b = adversarial_stack(seed, k, n_ue, q, exponent, tail)
+        exact_ln = exact_log_dets(b)
+        exact = exact_ln / np.log(2.0)
+        trace = np.sum(np.abs(b) ** 2, axis=(1, 2)).max()
+        directions = bounds = None              # along None: no screen
+        if along is not None:
+            # any orthonormal pair must be safe: the stack's own two
+            # leading right singular vectors, its least one (orthogonal to
+            # its own direction) beside a zero row, or a random pair; at
+            # q = 1 the second row is zero
+            basis = np.linalg.svd(b.reshape(-1, q) / np.abs(b).max(),
+                                  full_matrices=False)[2].conj()
+            pair = np.linalg.qr(rand_matrix(np.random.default_rng(seed + 1),
+                                            (q, 2)))[0].T
+            v = {"own": basis[:2], "orthogonal": basis[-1:],
+                 "random": pair}[along]
+            v = np.vstack([v, np.zeros((2 - len(v), q))])
+            directions = lambda: v
+            bounds = training._bounds(b, directions)
+            # out of range only past the stated trace
+            assert trace > 2.0 ** 499 if bounds is None else trace < 2.0 ** 501
+        if not np.isfinite(exact).all():
+            # where rounding breaks the exact path, the kernel raises too
+            with pytest.raises(ValueError, match="non-finite"):
+                training._rates(b, directions)
+            return
+        got = training._rates(b, directions)
+        if bounds is None:
+            # unscreened, every row is the exact path's
+            assert np.array_equal(got, exact)
+            return
+        lower, upper, slack = bounds
+        assert_kernel_rows(got, exact)
+        assert got.max() == exact.max()
+        assert np.sum(got == got.max()) == np.sum(exact == exact.max())
+        assert np.all(lower <= exact_ln + slack)
+        assert np.all(upper >= exact_ln - slack)
+
+    def test_kernel_falls_back_past_the_screen_range(self):
+        # traces past 2^500 take the exact path, which rates every row
+        real, phis, w, noise = next(
+            case for case in kernel_cases()
+            if len(case[1]) == 256 and case[2].shape[1] == 4
+            and case[0].g_ris_ue.shape[0] == 4)
+        w = w * 2.0 ** 260
+        got = rates_for_phase_batch(real, phis, w, noise)
+        assert np.array_equal(got, reference_rates(real, phis, w, noise))
+
+    @pytest.mark.parametrize("name,model,scheme", VARIANTS)
+    def test_cells_match_the_unscreened_kernel(self, monkeypatch, name,
+                                               model, scheme):
+        # desk seeds 0-4 and paper seeds 0-1, whose NN hierarchical
+        # batches are the paper's K = 256, n_ue = q = 8
+        cells = [(parse_config(f"model: {model}\ntraining: {scheme}",
+                               scale=scale), seed)
+                 for scale, seeds in (("desk", 5), ("paper", 2))
+                 for seed in range(seeds)]
+        screened = [solve_cell(cfg, seed) for cfg, seed in cells]
+        monkeypatch.setattr(training, "_SCREEN_MIN_K", 2**62)
+        for (cfg, seed), state in zip(cells, screened):
+            exact = solve_cell(cfg, seed)
+            assert state.records == exact.records
+            assert state.phi.tobytes() == exact.phi.tobytes()
+
+    def test_paper_nn_batches_keep_few_rows(self, monkeypatch):
+        # the paper-scale channels are close to rank one, so the bounds
+        # along their two leading directions leave few rows of a K = 256
+        # batch that can win
+        kept = []
+
+        def spy(*args):
+            rates = kernel(*args)
+            if len(rates) == 256:
+                kept.append(int(np.isfinite(rates).sum()))
+            return rates
+
+        kernel = training.rates_for_phase_batch
+        monkeypatch.setattr(training, "rates_for_phase_batch", spy)
+        cfg = parse_config("model: NN", scale="paper")
+        for seed in range(3):
+            solve_cell(cfg, seed)
+        assert len(kept) > 30
+        assert statistics.median(kept) <= 4
+
+    def test_nonfinite_screened_batch_rejected(self):
+        # the screen declines a batch that is not finite before it takes
+        # any direction, and the exact path raises
+        real, phis, w, noise = next(
+            case for case in kernel_cases()
+            if len(case[1]) == 256 and case[2].shape[1] == 8)
+        w = w.copy()
+        w[2, 0] = np.nan
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="non-finite"):
+            rates_for_phase_batch(real, phis, w, noise)
+
+
+class TestRateKernelOperand:
+    """C is kept per thread under (realization, w, noise_var); every call
+    must still give the rates of fresh arrays."""
+
+    @staticmethod
+    def paper_case(k_values=(120, 16)):
+        cfg = parse_config("model: NF", scale="paper")
+        geometry, real, _, _ = cell_setup(cfg, 3)
+        rng = np.random.default_rng(21)
+        w = rand_matrix(rng, (geometry.n_bs, 3))
+        w *= np.sqrt(cfg.p_max_w) / np.linalg.norm(w)
+        batches = [np.exp(-1j * rng.uniform(0, 2 * np.pi, (k, geometry.m)))
+                   for k in k_values]
+        return real, w, cfg.noise_w, batches
+
+    def test_w_mutated_in_place_between_calls(self):
+        real, w, noise, (phis, _) = self.paper_case()
+        first = rates_for_phase_batch(real, phis, w, noise)
+        w[2, 1] *= -1.0
+        w *= 1.5
+        got = rates_for_phase_batch(real, phis, w, noise)
+        assert np.array_equal(got, reference_rates(real, phis, w, noise))
+        assert not np.array_equal(got, first)
+
+    def test_other_realization_objects(self):
+        real, w, noise, (phis, _) = self.paper_case()
+        rates_for_phase_batch(real, phis, w, noise)
+        equal = ChannelRealization(g_bs_ris=real.g_bs_ris.copy(),
+                                   g_ris_ue=real.g_ris_ue.copy(),
+                                   model_tag=real.model_tag)
+        other = ChannelRealization(g_bs_ris=real.g_bs_ris[:, ::-1].copy(),
+                                   g_ris_ue=real.g_ris_ue,
+                                   model_tag=real.model_tag)
+        for r in (equal, other, real):
+            assert np.array_equal(rates_for_phase_batch(r, phis, w, noise),
+                                  reference_rates(r, phis, w, noise))
+
+    def test_noise_var_changes(self):
+        real, w, noise, (phis, _) = self.paper_case()
+        rates_for_phase_batch(real, phis, w, noise)
+        # np.float32(2**-45) == 2**-45, near the paper noise power, but
+        # its square root is a float32
+        for n in (2 * noise, noise, 2.0**-45, np.float32(2.0**-45), 2.0**-45):
+            assert np.array_equal(rates_for_phase_batch(real, phis, w, n),
+                                  reference_rates(real, phis, w, n))
+
+    def test_directions_taken_once_on_the_first_screened_batch(self):
+        real, w, noise, (sweep, layer) = self.paper_case((120, 256))
+        rates_for_phase_batch(real, sweep, w, noise)
+        assert training._WORK.v is None          # no screen, no directions
+        rates_for_phase_batch(real, layer, w, noise)
+        v = training._WORK.v
+        t = real.g_bs_ris @ w / np.sqrt(noise)
+        assert np.array_equal(
+            v, np.linalg.svd(t, full_matrices=False)[2][:2].conj())
+        rates_for_phase_batch(real, layer[::-1].copy(), w, noise)
+        assert training._WORK.v is v
+        rates_for_phase_batch(real, layer, 2 * w, noise)
+        assert training._WORK.v is not v
+
+    def test_alternating_batch_sizes_share_one_operand(self):
+        # a two-stage call: a K = 120 sweep, then K = 16 layers
+        real, w, noise, batches = self.paper_case()
+        rates_for_phase_batch(real, batches[0], w, noise)
+        held = training._WORK.operand
+        for phis in batches * 3:
+            got = rates_for_phase_batch(real, phis, w.copy(), noise)
+            assert np.array_equal(got, reference_rates(real, phis, w, noise))
+        assert training._WORK.operand is held
+        rates_for_phase_batch(real, batches[1], 2 * w, noise)
+        assert training._WORK.operand is not held
