@@ -59,6 +59,8 @@ PAIRS = 10
 SECONDS = 12
 # the one traced round whose per-layer counts the record keeps
 COUNTS_SEED, COUNTS_SECONDS = 3, 0.01
+# the last lines of a failed run's stderr that its error carries
+STDERR_LINES = 20
 # +1 where a larger value of a metric is better, -1 where a smaller one is
 SIGN = {"higher": 1, "lower": -1}
 
@@ -68,9 +70,13 @@ def run(checkout: Path, trace: int, seed: int = 0,
     cmd = [sys.executable, "bench/run.py", "--workload", "all",
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace)]
-    out = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True,
-                         text=True).stdout
-    result = json.loads(out.strip().splitlines()[-1])
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if done.returncode:
+        tail = "\n".join(done.stderr.rstrip().splitlines()[-STDERR_LINES:])
+        raise RuntimeError(f"{checkout} --trace {trace}: bench/run.py exited "
+                           f"with status {done.returncode}; stderr ends:\n"
+                           f"{tail}")
+    result = json.loads(done.stdout.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
         raise RuntimeError(f"{checkout} --trace {trace}: correct="
                            f"{result['correct']}, failed={result['failed']}")

@@ -11,12 +11,13 @@ import csv
 from dataclasses import replace
 
 from risbeam import harness
+from risbeam.cli import seed_count
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--scale", choices=("desk", "paper"), default="desk")
-    ap.add_argument("--seeds", type=int, default=10)
+    ap.add_argument("--seeds", type=seed_count, default=10)
     ap.add_argument("--out", default="convergence.csv")
     args = ap.parse_args()
 

@@ -17,6 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from risbeam import harness
+from risbeam.cli import seed_count
 from risbeam.channel import cascade
 from risbeam.codebook import build_nn_codebook
 from risbeam.optimizer import default_stream_count, initial_precoder
@@ -26,7 +27,7 @@ from risbeam.training import exhaustive_search, hierarchical_nn
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--scale", choices=("desk", "paper"), default="desk")
-    ap.add_argument("--seeds", type=int, default=20)
+    ap.add_argument("--seeds", type=seed_count, default=20)
     ap.add_argument("--max-layers", type=int, default=8)
     ap.add_argument("--out", default="rate_vs_layers.csv")
     args = ap.parse_args()

@@ -26,6 +26,15 @@ def _seed_flag(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text}: {exc}") from None
 
 
+def seed_count(text: str) -> int:
+    """A script's --seeds N, held to the check of a config's `seeds: N`;
+    the seeds are 0..N-1."""
+    try:
+        return len(harness.CONFIG_SCHEMA["seeds"].check(int(text)))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text}: {exc}") from None
+
+
 def _default_config(args) -> harness.ExperimentConfig:
     if args.config:
         cfg = harness.load_config(args.config, scale=args.scale)
@@ -200,7 +209,11 @@ def main(argv=None) -> int:
     p_val.set_defaults(func=_cmd_validate)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except harness.ConfigError as exc:
+        # a config file the parser refuses ends the command as a bad flag does
+        parser.exit(2, f"error: {args.config}: {exc}\n")
 
 
 if __name__ == "__main__":

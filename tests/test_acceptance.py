@@ -115,17 +115,16 @@ def test_01_overhead_exactness():
                     mismatches.append(("es-hy-form", m, layers, s))
                 # measured baselines wherever the codebook is tractable
                 if es_overhead_nn(layers, s, s) <= ES_MEASURE_CAP:
-                    side = grid(0, 0, s)
                     book = build_nn_codebook(
-                        replace(side, s_x=2 ** (layers + 1) * s, s_y=s),
-                        replace(grid(0.24, 0, s), s_x=2 ** (layers + 1) * s, s_y=s),
+                        replace(gb, s_x=2 ** (layers + 1) * s, s_y=s),
+                        replace(gu, s_x=2 ** (layers + 1) * s, s_y=s),
                         g)
                     es = exhaustive_search(real, w, NOISE_W, book)
                     if es.evaluations != es_overhead_nn(layers, s, s):
                         mismatches.append(("es-nn", m_x, layers, s))
                 if es_overhead_hybrid(m, layers, s, s) <= ES_MEASURE_CAP:
                     book = build_hybrid_codebook(
-                        "NF", replace(grid(0, 0, s), s_x=4 * layers * s, s_y=s), g)
+                        "NF", replace(gb, s_x=4 * layers * s, s_y=s), g)
                     es = exhaustive_search(real, w, NOISE_W, book)
                     if es.evaluations != es_overhead_hybrid(m, layers, s, s):
                         mismatches.append(("es-hy", m_x, layers, s))

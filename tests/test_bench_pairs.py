@@ -177,6 +177,22 @@ def test_checkout_state_of_a_plain_directory_is_null(tmp_path):
                                                     "dirty": None}
 
 
+def test_a_failed_run_raises_with_its_status_and_stderr_tail(tmp_path):
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    (bench / "run.py").write_text(
+        "import sys\n"
+        "for i in range(30):\n"
+        "    print(f'line {i}', file=sys.stderr)\n"
+        "sys.exit(1)\n")
+    with pytest.raises(RuntimeError) as failed:
+        script["run"](tmp_path, 0)
+    message = str(failed.value)
+    assert "bench/run.py exited with status 1" in message
+    assert message.endswith("\n".join(f"line {i}" for i in range(10, 30)))
+    assert "line 9\n" not in message
+
+
 PER_LAYER = [{"name": "rate_kernel.calls", "unit": "count/cell",
               "better": "lower"},
              {"name": "codebook.calls", "unit": "count/cell",

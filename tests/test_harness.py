@@ -248,6 +248,61 @@ print(json.dumps({m: m in sys.modules
         assert rows[1:4] == [f"{name},0,nan,nan,0" for name in refining]
         assert all(row.endswith(",2") for row in rows[4:])
 
+    @pytest.mark.parametrize("base", ["NF", "NN"])
+    def test_variant_sweep_checks_each_variant_config(self, tmp_path,
+                                                      monkeypatch, capsys,
+                                                      base):
+        # layers 0 refuses hierarchical training only, whatever the
+        # base model: the other variants run
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text(f"model: {base}\nlayers: 0\nsweep: power_dbm in [0]\n")
+        out = tmp_path / "variants.csv"
+        monkeypatch.setattr(sys, "argv", ["variant_sweep.py", str(cfg),
+                                          "--seeds", "1", "--out", str(out)])
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_path(str(ROOT / "scripts" / "variant_sweep.py"),
+                           run_name="__main__")
+        assert exited.value.code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: NN-hierarchical: config rejected: line 2: layers 0 "
+            "fails every cell: hierarchical training requires layers >= 1"]
+        rows = out.read_text().splitlines()
+        assert rows[1] == "NN-hierarchical,0,nan,nan,0"
+        assert len(rows) == 1 + len(harness.VARIANTS)
+        assert all(row.endswith(",1") for row in rows[2:])
+
+    def test_variant_sweep_refused_by_every_variant_writes_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("n_bs: 0\n")
+        out = tmp_path / "variants.csv"
+        monkeypatch.setattr(sys, "argv", ["variant_sweep.py", str(cfg),
+                                          "--out", str(out)])
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_path(str(ROOT / "scripts" / "variant_sweep.py"),
+                           run_name="__main__")
+        assert exited.value.code == 2
+        assert capsys.readouterr().err == \
+            f"error: {cfg}: line 1: n_bs must be >= 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    @pytest.mark.parametrize("script", ["variant_sweep", "convergence_curves",
+                                        "rate_vs_layers"])
+    def test_script_seed_counts_checked_as_config_seeds(
+            self, tmp_path, monkeypatch, capsys, script, count):
+        config = [str(ROOT / "configs" / "desk_power_sweep.cfg")] \
+            if script == "variant_sweep" else []
+        out = tmp_path / "out.csv"
+        monkeypatch.setattr(sys, "argv", [f"{script}.py", *config, "--seeds",
+                                          count, "--out", str(out)])
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_path(str(ROOT / "scripts" / f"{script}.py"),
+                           run_name="__main__")
+        assert exited.value.code == 2
+        assert f"--seeds: {count}: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_values_see_the_same_draws(self):
         base = "model: FF\nseeds: [0, 1]\nmax_iters: 2\n"
         alone = run_experiment(parse_config(base + "sweep: power_dbm in [-50]"))
@@ -392,6 +447,22 @@ class TestCli:
         assert exited.value.code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "res.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "{cfg}"], ["codebook", "dump", "--config", "{cfg}"],
+        ["channel", "dump", "--config", "{cfg}"]],
+        ids=["run", "codebook", "channel"])
+    def test_refused_config_ends_as_a_bad_flag(self, tmp_path, monkeypatch,
+                                               capsys, argv):
+        cfg = self.write_config(tmp_path, "n_bs: 0\n")
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            cli.main([arg.format(cfg=cfg) for arg in argv]
+                     + ["--out", str(tmp_path / "out")])
+        assert exited.value.code == 2
+        assert capsys.readouterr().err == \
+            f"error: {cfg}: line 1: n_bs must be >= 1\n"
+        assert sorted(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize("label, model, scheme", harness.VARIANTS,
                              ids=[v[0] for v in harness.VARIANTS])
