@@ -23,7 +23,7 @@ from risbeam.channel import (
 )
 from risbeam.geometry import LINK_BS_RIS, LINK_RIS_UE, SystemGeometry
 
-from conftest import config_args, nn_realization
+from conftest import config_args, desk_geometry, nn_realization
 
 
 def geom(**kw):
@@ -201,8 +201,7 @@ class TestCascade:
 
     def test_near_near_rank_matches_antenna_minimum(self):
         # 1/100-scale layout, 4/2 ULAs, 8x2 RIS: rank = min(4, 2, 16) = 2
-        g = geom(n_bs=4, n_ue=2, m_x=8, m_y=2, ue_mid=(0.24, 0, 0),
-                 ris_mid=(0.1, 0, 0.08))
+        g = desk_geometry(n_bs=4, n_ue=2, m_x=8)
         real = nn_realization(g)
         s = np.linalg.svd(cascade(real, np.ones(g.m)), compute_uv=False)
         assert np.sum(s > 1e-8 * s[0]) == 2
