@@ -12,8 +12,8 @@ Each variant's config is CONFIG's text with that variant's `model:`,
 `training:` and `seeds:` lines appended, so the parse-time checks see
 the variant's model and scheme.  A variant whose config is refused gets
 nan, nan, 0 rows and one `config rejected` line on standard error; a
-file that every variant refuses ends as `risbeam run` ends on it, with
-status 2 and nothing written.
+file that cannot be read, or that every variant refuses, ends as
+`risbeam run` ends on it, with status 2 and nothing written.
 
 A cell that raises is left out of its row's mean, std and n, as in the
 summary `risbeam run` writes (a value whose cells all raise reads nan,
@@ -24,7 +24,6 @@ failed cell makes the script exit with status 1 once the CSV is written.
 import argparse
 import csv
 import sys
-from pathlib import Path
 
 from risbeam import harness
 from risbeam.cli import seed_count
@@ -38,7 +37,10 @@ def main():
     ap.add_argument("--out", default="variant_sweep.csv")
     args = ap.parse_args()
 
-    text = Path(args.config).read_text()
+    try:
+        text = harness.config_text(args.config)
+    except harness.ConfigError as exc:
+        ap.exit(2, f"error: {args.config}: {exc}\n")
     variants = {}           # name: its config, or the ConfigError refusing it
     for name, tag, scheme in harness.VARIANTS:
         try:

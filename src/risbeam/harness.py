@@ -360,8 +360,17 @@ def _check_layouts(cfg: ExperimentConfig, given: dict) -> None:
             raise ConfigError(f"{where}: {exc}") from None
 
 
+def config_text(path) -> str:
+    """The text of the config file at `path`.  A file that cannot be read
+    as text raises ConfigError with the reason, as a refused one does."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(getattr(exc, "strerror", None) or str(exc)) from None
+
+
 def load_config(path, scale: str = "desk") -> ExperimentConfig:
-    return parse_config(Path(path).read_text(), scale=scale)
+    return parse_config(config_text(path), scale=scale)
 
 
 def apply_sweep(cfg: ExperimentConfig, value: float) -> ExperimentConfig:

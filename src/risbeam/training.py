@@ -17,15 +17,16 @@ The refining schemes take s_x and s_y from the grids they are given.
 
 Training keeps the work that repeats across scoring calls in this
 module.  What does not depend on the precoder is computed once and kept
-in two process slots, keyed by value on what it reads.  The angular
-codebook depends on the array alone, so every cell on the same array
-shares it (`angular_book`).  A refinement layer's quadrants and distance
-words depend on its input ranges and on the RIS element positions and
-wavelength, not on the channel, the precoder or the user position, so
-every cell and sweep value of an experiment on one RIS array shares
-them (`_layer_work`).  That slot is a least-recently-used store bounded
-by the bytes of its words (`LAYER_SLOT_BYTES`).  `drop_memos` empties
-both slots, which `harness.run_experiment` does before each experiment.
+in one process store (`_kept`), keyed by value on what it reads.  The
+angular codebook depends on the array alone, so every cell on the same
+array shares it (`angular_book`).  A range's quadrants and their
+distance words depend on the range and on the RIS element positions and
+wavelength, not on the channel, the precoder, the user position or the
+other range of the layer, so every cell and sweep value of an
+experiment on one RIS array shares them.  The store is least recently
+used first and bounded by the bytes of its words (`KEPT_BYTES`).
+`drop_memos` empties it, which `harness.run_experiment` does before
+each experiment.
 What depends on the precoder but not on the candidates is kept per
 thread by the rate kernel `rates_for_phase_batch`: its operand C, built
 once for a run of calls under one (realization, w, noise_var), and the
@@ -74,24 +75,20 @@ class LayerRecord:
     evaluations_total: int
 
 
-# The two slots of precoder-independent work:
-#   _ANGULAR = ((m_x, m_y, spacing_m, wavelength_m), angular codebook)
-#   _LAYERS = {(RIS array key, layer key): (quadrants, word stacks)},
-#             least recently used first
-# _ANGULAR is read and replaced as one tuple, so a thread never pairs a
-# key with another key's value; _LAYERS is read, reordered and trimmed
-# under _LAYERS_LOCK.  Two threads that miss together only compute the
-# same thing twice.  The kept arrays are read-only.
-_ANGULAR = None
-_LAYERS = OrderedDict()
-_LAYERS_LOCK = threading.Lock()
-_LAYERS_BYTES = 0      # the bytes of _LAYERS' word stacks, a running count
-# The bytes of word stacks _LAYERS may keep.  2 MiB holds every layer of
-# a desk NN experiment (1.3 MB at 20 cells, 1.9 MB at 80) and more than
-# one paper NN cell's (1.2 MB); unbounded, the paper NN experiment's
-# cells, whose descents part early, would keep 14.4 MB and raise its
-# peak memory by 13 MB.
-LAYER_SLOT_BYTES = 2 * 2**20
+# The precoder-independent work training keeps: {key: (value, bytes)},
+# least recently used first, read, reordered and trimmed under
+# _KEPT_LOCK.  A key is made of the plain values its work reads; the
+# angular codebook's key starts with "angular", a range's with its RIS
+# key.  Two threads that miss together only compute the same thing
+# twice.  The kept arrays are read-only.
+_KEPT = OrderedDict()
+_KEPT_LOCK = threading.Lock()
+# The bytes of words _KEPT may keep.  2 MiB holds every entry of a desk
+# NN experiment (0.98 MB at 20 cells, 1.24 MB at 80) and of one paper NN
+# cell (0.77 MB at seed 1, 1.23 MB at seed 0); unbounded, the 20-cell
+# paper NN experiment, whose cells' descents part early, would keep
+# 13.4 MB.
+KEPT_BYTES = 2 * 2**20
 # rates_for_phase_batch's kept operand, T and directions, one set per thread
 _WORK = threading.local()
 # The batches rates_for_phase_batch screens: K >= _SCREEN_MIN_K, q >= 2.
@@ -105,32 +102,47 @@ _SCREEN_MIN_K = 256
 
 
 def drop_memos() -> None:
-    """Empty both slots, so the next training calls compute afresh."""
-    global _ANGULAR, _LAYERS_BYTES
-    _ANGULAR = None
-    with _LAYERS_LOCK:
-        _LAYERS.clear()
-        _LAYERS_BYTES = 0
+    """Empty the store, so the next training calls compute afresh."""
+    with _KEPT_LOCK:
+        _KEPT.clear()
+
+
+def _kept(key: tuple, build):
+    """The value kept under `key`, made the most recently used; on a
+    miss, `build()` gives (value, the bytes of its words), and the value
+    is kept with its bytes.  The least recently used entries are then
+    dropped until the kept words take at most `KEPT_BYTES` or only the
+    new entry is left, so a value larger than the budget stays until the
+    next keep.  A key another thread kept meanwhile is replaced."""
+    with _KEPT_LOCK:
+        entry = _KEPT.get(key)
+        if entry is not None:
+            _KEPT.move_to_end(key)
+            return entry[0]
+    value, size = build()
+    with _KEPT_LOCK:
+        _KEPT.pop(key, None)
+        _KEPT[key] = value, size
+        total = sum(n for _, n in _KEPT.values())
+        while total > KEPT_BYTES and len(_KEPT) > 1:
+            total -= _KEPT.popitem(last=False)[1][1]
+    return value
 
 
 def angular_book(geometry: SystemGeometry) -> Codebook:
     """The angular codebook of `geometry`'s array.
 
-    It is taken from the slot when the slot's key (m_x, m_y, spacing_m,
-    wavelength_m), the values `build_ff_codebook` reads, matches;
-    otherwise it is built, made read-only and replaces the slot's one
-    book.  A sweep changes the key only between its values, so each
-    value of an experiment builds the book at most once per process.
+    It is kept under (m_x, m_y, spacing_m, wavelength_m), the values
+    `build_ff_codebook` reads, so every cell on the same array shares it;
+    a sweep changes the key only between its values.  A miss builds it
+    and makes its words read-only.
     """
-    global _ANGULAR
-    key = (geometry.m_x, geometry.m_y, geometry.spacing_m,
-           geometry.wavelength_m)
-    entry = _ANGULAR
-    if entry is None or entry[0] != key:
+    def build():
         book = build_ff_codebook(geometry)
         book.words.flags.writeable = False
-        entry = _ANGULAR = key, book
-    return entry[1]
+        return book, book.words.nbytes
+    return _kept(("angular", geometry.m_x, geometry.m_y, geometry.spacing_m,
+                  geometry.wavelength_m), build)
 
 
 def _ris_key(geometry: SystemGeometry) -> tuple:
@@ -138,41 +150,6 @@ def _ris_key(geometry: SystemGeometry) -> tuple:
     fields that place the RIS elements, and the wavelength."""
     return (tuple(geometry.ris_mid.tolist()), geometry.m_x, geometry.m_y,
             geometry.spacing_m, geometry.wavelength_m)
-
-
-def _layer_work(key: tuple):
-    """The (quadrants, word stacks) kept under `key`, or None.
-
-    `key` is (`_ris_key(geometry)`, the layer's input ranges), the values
-    its words are made from, so every cell and sweep value on one RIS
-    array finds the layers any of them made.  A layer stays kept until
-    `drop_memos` empties the slot before the next experiment, or until
-    `_keep_layer_work` drops it as the least recently used; a hit makes
-    it the most recently used.
-    """
-    with _LAYERS_LOCK:
-        work = _LAYERS.get(key)
-        if work is not None:
-            _LAYERS.move_to_end(key)
-        return work
-
-
-def _keep_layer_work(key: tuple, work: tuple) -> tuple:
-    """Keep `work` under `key`, then drop the least recently used entries
-    until the kept word stacks, counted in `_LAYERS_BYTES`, take at most
-    `LAYER_SLOT_BYTES` (so work larger than that alone is not kept);
-    returns `work`."""
-    global _LAYERS_BYTES
-    with _LAYERS_LOCK:
-        # a key another thread kept meanwhile is replaced in its place
-        _, old = _LAYERS.get(key, ((), ()))
-        _LAYERS_BYTES += (sum(a.nbytes for a in work[1])
-                          - sum(a.nbytes for a in old))
-        _LAYERS[key] = work
-        while _LAYERS_BYTES > LAYER_SLOT_BYTES:
-            _, (_, stacks) = _LAYERS.popitem(last=False)
-            _LAYERS_BYTES -= sum(a.nbytes for a in stacks)
-    return work
 
 
 def _operand(realization: ChannelRealization, w: np.ndarray,
@@ -272,8 +249,9 @@ def _rates(b: np.ndarray, directions) -> np.ndarray:
         lower, upper, slack = bounds
         keep = np.flatnonzero(upper >= lower.max() - slack)
     kept = b[keep]
+    q = b.shape[2]
     gram = np.matmul(np.conjugate(kept).swapaxes(1, 2), kept)
-    np.add(np.eye(b.shape[2]), gram, out=gram)
+    gram.reshape(-1, q * q)[:, ::q + 1] += 1.0      # I_q + Gram, in place
     exact = np.linalg.slogdet(gram)[1] / np.log(2.0)
     if not np.isfinite(exact).all():
         raise ValueError("non-finite rate operands")
@@ -382,11 +360,10 @@ def _descend(realization: ChannelRealization, w: np.ndarray,
 
     `ranges` lists (grid, side) pairs in choice order.  A range descends
     as its plain-float bounds; its grid fixes the sample counts and the
-    height.  Each layer splits every range with `quadrant_bounds` (which
-    raises what `subdivide_range` would), places the quadrants' samples
-    with `sample_grid`, and turns the (4, S, 3) points of all ranges,
-    joined along the sample axis, into words with one `distance_words`
-    call.  It forms the candidates of all quadrant combinations (first
+    height.  Each layer takes each range's quadrant bounds, split by
+    `quadrant_bounds` (which raises what `subdivide_range` would), and
+    the words of the quadrants' (4, S, 3) samples from `sample_grid`, as
+    one `distance_words` call per range.  It forms the candidates of all quadrant combinations (first
     range slowest) as one broadcast product of plain arrays: the fixed
     `prefix` row times the sample of the last range, ..., times the first,
     in the row and multiplication order of `reduce(star, ...)`.  It scores
@@ -400,36 +377,34 @@ def _descend(realization: ChannelRealization, w: np.ndarray,
     with the running evaluation total, and the best codeword accumulate
     into `report`.
 
-    A layer's quadrant bounds and word stacks depend only on its input
-    ranges and on what `distance_words` reads of the geometry, the RIS
-    element positions and the wavelength, so they are kept in the layer
-    slot (`_layer_work`) under both.  A later call that reaches the same
-    ranges on the same RIS array, under another precoder or in another
-    cell, takes them from there and goes straight to the candidate
-    product; a layer not kept is computed, and raises, as above.
+    A range's quadrant bounds and words depend only on the range and on
+    what `distance_words` reads of the geometry, the RIS element
+    positions and the wavelength, so they are kept in the store under
+    both.  A later call that reaches the same range on the same RIS
+    array, under another precoder, beside another range or in another
+    cell, takes them from there; a range not kept is computed, and
+    raises, as above, in range order.
     """
     if layers < 0:
         raise ValueError("max_layers must be >= 0")
     ris = _ris_key(geometry)
+
+    def work(b, grid):
+        """The quadrant bounds of the range `b` of `grid` and its (4, S, M)
+        words, kept per range."""
+        def build():
+            quads = quadrant_bounds(*b, grid.fixed_z)
+            words = distance_words(
+                sample_grid(quads, grid.s_x, grid.s_y, grid.fixed_z), geometry)
+            words.flags.writeable = False
+            return (quads, words), words.nbytes
+        return _kept((ris, b, grid.s_x, grid.s_y, grid.fixed_z), build)
+
     bounds = [grid.bounds for grid, _ in ranges]
-    # each range's (4, S, M) words are a slice of the sample axis
-    ends = np.cumsum([0] + [grid.s_x * grid.s_y for grid, _ in ranges])
     winner = None
     for layer in range(1, layers + 1):
-        key = ris, tuple((b, grid.s_x, grid.s_y, grid.fixed_z)
-                         for b, (grid, _) in zip(bounds, ranges))
-        work = _layer_work(key)
-        if work is None:
-            quads = [quadrant_bounds(*b, grid.fixed_z)
-                     for b, (grid, _) in zip(bounds, ranges)]
-            points = np.concatenate(
-                [sample_grid(q, grid.s_x, grid.s_y, grid.fixed_z)
-                 for q, (grid, _) in zip(quads, ranges)], axis=1)
-            words = distance_words(points, geometry)
-            words.flags.writeable = False   # the sliced views inherit it
-            work = _keep_layer_work(key, (quads, [
-                words[:, a:b] for a, b in zip(ends, ends[1:])]))
-        quads, stacks = work
+        quads, stacks = zip(*[work(b, grid)
+                              for b, (grid, _) in zip(bounds, ranges)])
         # (combination, row, M): each range adds the slowest quadrant
         # axis and the fastest sample axis
         cands = None if prefix is None else prefix.words[None]

@@ -29,6 +29,24 @@ from risbeam.harness import (
 
 ROOT = Path(__file__).resolve().parents[1]
 
+
+def unreadable_config(tmp_path, kind):
+    """A config path that cannot be read: a missing file, a directory or a
+    file that is not UTF-8 text; with the reason its read gives."""
+    path = tmp_path / "nothere.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "binary":
+        path.write_bytes(b"model: \xff\n")
+    try:
+        path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        return path, getattr(exc, "strerror", None) or str(exc)
+    raise AssertionError(f"{path} reads")
+
+
+UNREADABLE = ["missing", "directory", "binary"]
+
 TINY = """
 model: FF
 layers: 2
@@ -286,6 +304,20 @@ print(json.dumps({m: m in sys.modules
             f"error: {cfg}: line 1: n_bs must be >= 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_variant_sweep_unreadable_config_writes_nothing(
+            self, tmp_path, monkeypatch, capsys, kind):
+        cfg, reason = unreadable_config(tmp_path, kind)
+        out = tmp_path / "variants.csv"
+        monkeypatch.setattr(sys, "argv", ["variant_sweep.py", str(cfg),
+                                          "--out", str(out)])
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_path(str(ROOT / "scripts" / "variant_sweep.py"),
+                           run_name="__main__")
+        assert exited.value.code == 2
+        assert capsys.readouterr().err == f"error: {cfg}: {reason}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("count", ["0", "-2"])
     @pytest.mark.parametrize("script", ["variant_sweep", "convergence_curves",
                                         "rate_vs_layers"])
@@ -463,6 +495,23 @@ class TestCli:
         assert capsys.readouterr().err == \
             f"error: {cfg}: line 1: n_bs must be >= 1\n"
         assert sorted(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    @pytest.mark.parametrize("argv", [
+        ["run", "{cfg}"], ["codebook", "dump", "--config", "{cfg}"],
+        ["channel", "dump", "--config", "{cfg}"]],
+        ids=["run", "codebook", "channel"])
+    def test_unreadable_config_ends_as_a_refused_one(
+            self, tmp_path, monkeypatch, capsys, argv, kind):
+        cfg, reason = unreadable_config(tmp_path, kind)
+        made = sorted(tmp_path.iterdir())
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            cli.main([arg.format(cfg=cfg) for arg in argv]
+                     + ["--out", str(tmp_path / "out")])
+        assert exited.value.code == 2
+        assert capsys.readouterr().err == f"error: {cfg}: {reason}\n"
+        assert sorted(tmp_path.iterdir()) == made
 
     @pytest.mark.parametrize("label, model, scheme", harness.VARIANTS,
                              ids=[v[0] for v in harness.VARIANTS])

@@ -25,6 +25,8 @@ from risbeam.codebook import (
     build_distance_component,
     build_ff_codebook,
     build_nn_codebook,
+    quadrant_bounds,
+    sample_grid,
     star,
     subdivide_range,
 )
@@ -570,7 +572,7 @@ class TestNamedWinner:
     def test_words_are_made_only_for_missed_layers(self, monkeypatch, scheme):
         g, ranges, head, train = self.cell("desk", scheme)
         made = []
-        # the layers' words, and any made in `codebook` (naming, say)
+        # the ranges' words, and any made in `codebook` (naming, say)
         for owner in (training, codebook):
             def spy(points, geometry, words=owner.distance_words):
                 made.append(points.shape)
@@ -578,21 +580,20 @@ class TestNamedWinner:
             monkeypatch.setattr(owner, "distance_words", spy)
         layers = harness.parse_config("", scale="desk").layers
         want = report_bytes(train())
-        assert len(made) == layers
+        # one call per range of each layer
+        assert len(made) == layers * len(ranges)
         made.clear()
         assert report_bytes(train()) == want
         assert made == []
-        # a slot whose deepest layers were dropped misses only those
+        # a store whose deepest layers were dropped misses only those
         for missed in (1, 3):
-            empty_layer_slot(monkeypatch)
+            drop_kept_ranges(monkeypatch)
             train()
-            for _ in range(missed):
-                key, _ = training._LAYERS.popitem()
-                monkeypatch.setattr(training, "_LAYERS_BYTES",
-                                    kept_bytes())
+            for _ in range(missed * len(ranges)):
+                training._KEPT.popitem()
             made.clear()
             assert report_bytes(train()) == want
-            assert len(made) == missed
+            assert len(made) == missed * len(ranges)
 
 
 def report_bytes(rep):
@@ -600,31 +601,48 @@ def report_bytes(rep):
             repr(rep.best_rate), rep.evaluations, repr(rep.layer_trace))
 
 
-def empty_layer_slot(monkeypatch):
-    monkeypatch.setattr(training, "_LAYERS", OrderedDict())
-    monkeypatch.setattr(training, "_LAYERS_BYTES", 0)
+def is_book(key):
+    """Whether a key of the store is an angular codebook's; the others
+    are ranges'."""
+    return key[0] == "angular"
 
 
-def empty_both_slots(monkeypatch):
-    monkeypatch.setattr(training, "_ANGULAR", None)
-    empty_layer_slot(monkeypatch)
+def empty_store(monkeypatch):
+    monkeypatch.setattr(training, "_KEPT", OrderedDict())
+
+
+def drop_kept_ranges(monkeypatch):
+    """Swap in a store that holds only the kept angular codebooks."""
+    monkeypatch.setattr(training, "_KEPT", OrderedDict(
+        (key, entry) for key, entry in training._KEPT.items()
+        if is_book(key)))
+
+
+def kept_words():
+    """Every kept word array, angular codebooks' and ranges'."""
+    return [value.words if is_book(key) else value[1]
+            for key, (value, _) in training._KEPT.items()]
 
 
 def kept_bytes():
-    return sum(a.nbytes for _, stacks in training._LAYERS.values()
-               for a in stacks)
+    """The bytes the store recorded for its entries, checked against the
+    bytes of the words it holds."""
+    recorded = sum(size for _, size in training._KEPT.values())
+    assert recorded == sum(a.nbytes for a in kept_words())
+    return recorded
 
 
 def spoil_kept_words():
-    """Zero every kept word stack: a read of them changes the report."""
-    for key, (quads, stacks) in list(training._LAYERS.items()):
-        training._LAYERS[key] = quads, [np.zeros_like(a) for a in stacks]
+    """Zero every kept range's words: a read of them changes the report."""
+    for key, ((quads, words), size) in [
+            item for item in training._KEPT.items() if not is_book(item[0])]:
+        training._KEPT[key] = (quads, np.zeros_like(words)), size
 
 
 @pytest.fixture
 def empty_slots(monkeypatch):
-    """Start from empty angular and layer slots."""
-    empty_both_slots(monkeypatch)
+    """Start from an empty store."""
+    empty_store(monkeypatch)
 
 
 def run_threads(train, n=4):
@@ -644,9 +662,9 @@ def run_threads(train, n=4):
 
 @pytest.mark.usefixtures("empty_slots")
 class TestLayerSlot:
-    """Each layer's words are kept for the RIS array they were made on,
-    whatever geometry object carries it; the angular codebook comes from
-    its own slot."""
+    """Each range's words are kept for the RIS array they were made on,
+    whatever geometry object carries it and whatever range is beside it;
+    the angular codebook is kept in the same store."""
 
     SCHEMES = ("angular_sweep", "hierarchical_nn", "two_stage_hybrid")
 
@@ -696,12 +714,12 @@ class TestLayerSlot:
         # every call trained on the cell's one geometry object
         assert len({id(args[-1]) for _, args, *_ in calls}) == 1
         for original, args, kwargs, got in calls:
-            empty_both_slots(monkeypatch)
+            empty_store(monkeypatch)
             assert got == report_bytes(original(*args, **kwargs))
         fresh_work = {k: counts[k] - shared[k] for k in counts}
         # the cell reused work: each training call starts at the same
         # ranges; the angular codebook was built at most once, in the
-        # cell's first call, while every replay from empty slots built it
+        # cell's first call, while every replay from an empty store built it
         assert shared["angular"] == (scheme == "angular" or model != "NN")
         assert fresh_work["angular"] == len(calls) * shared["angular"]
         if model != "FF" and scheme != "angular":
@@ -725,19 +743,20 @@ class TestLayerSlot:
 
         counts = self.count_work(monkeypatch)
         first = report_bytes(train())
-        words = 0 if scheme == "angular" else 4
+        # one call per range of each of the 4 layers
+        words = {"NN": 8, "angular": 0}.get(scheme, 4)
         angular = 0 if scheme == "NN" else 1
         assert counts == {"words": words, "angular": angular}
         counts.update(words=0, angular=0)
         assert report_bytes(train()) == first
         assert counts == {"words": 0, "angular": 0}
-        # an empty layer slot makes the layers' words again, but the
-        # angular codebook still comes from its slot
-        empty_layer_slot(monkeypatch)
+        # a store without the ranges makes their words again, but the
+        # angular codebook is still kept
+        drop_kept_ranges(monkeypatch)
         assert report_bytes(train()) == first
         assert counts == {"words": words, "angular": 0}
         counts.update(words=0, angular=0)
-        empty_both_slots(monkeypatch)
+        empty_store(monkeypatch)
         assert report_bytes(train()) == first
         assert counts == {"words": words, "angular": angular}
 
@@ -756,29 +775,58 @@ class TestLayerSlot:
                  (hierarchical_nn, (gb, moved, 3))]
         fresh = []
         for scheme, args in runs:
-            empty_both_slots(monkeypatch)
+            empty_store(monkeypatch)
             fresh.append(report_bytes(scheme(real, w, NOISE, *args, g)))
-        empty_both_slots(monkeypatch)
+        empty_store(monkeypatch)
         for (scheme, args), want in zip(runs, fresh):
             assert report_bytes(scheme(real, w, NOISE, *args, g)) == want
 
+    def test_a_bs_range_under_two_user_ranges_is_made_once(self,
+                                                          monkeypatch):
+        g, real, gb, gu = desk_cell()
+        w = matched_precoder(real, g)
+        grids = [gu, replace(gu, x_min=gu.x_min + 0.01,
+                             x_max=gu.x_max + 0.01)]
+        want = []
+        for grid in grids:
+            empty_store(monkeypatch)
+            want.append(report_bytes(
+                hierarchical_nn(real, w, NOISE, gb, grid, 1, g)))
+        empty_store(monkeypatch)
+        made = []
+        words = training.distance_words
+
+        def spy(points, geometry):
+            made.append({tuple(p) for p in points.reshape(-1, 3).tolist()})
+            return words(points, geometry)
+        monkeypatch.setattr(training, "distance_words", spy)
+        assert [report_bytes(hierarchical_nn(real, w, NOISE, gb, grid, 1, g))
+                for grid in grids] == want
+        # the BS range's words, then each user range's
+        bs = {tuple(p) for p in sample_grid(
+            quadrant_bounds(*gb.bounds, gb.fixed_z), gb.s_x, gb.s_y,
+            gb.fixed_z).reshape(-1, 3).tolist()}
+        assert len(made) == 3
+        assert [bs <= points for points in made] == [True, False, False]
+
     @staticmethod
     def trainers(gb, gu):
-        """Hierarchical and NF two-stage training on fixed grids."""
-        return (lambda real, w, geo: hierarchical_nn(real, w, NOISE, gb, gu,
-                                                     2, geo),
-                lambda real, w, geo: two_stage_hybrid(real, w, NOISE, gb, 2,
-                                                      "NF", geo))
+        """Hierarchical and NF two-stage training on fixed grids, with the
+        number of ranges each refines."""
+        return ((lambda real, w, geo: hierarchical_nn(real, w, NOISE, gb, gu,
+                                                      2, geo), 2),
+                (lambda real, w, geo: two_stage_hybrid(real, w, NOISE, gb, 2,
+                                                       "NF", geo), 1))
 
     def test_other_user_position_reads_the_kept_words(self, monkeypatch):
         g = desk_geometry()
         moved = desk_geometry(ue_mid=(0.26, 0.01, 0.0))    # same RIS array
         real = nn_realization(moved)
         w = matched_precoder(real, moved)
-        for train in self.trainers(*desk_grids(g)):
-            empty_both_slots(monkeypatch)
+        for train, _ in self.trainers(*desk_grids(g)):
+            empty_store(monkeypatch)
             want = report_bytes(train(real, w, moved))
-            empty_both_slots(monkeypatch)
+            empty_store(monkeypatch)
             # the same channel descends the same path on g's object
             train(real, w, g)
             counts = self.count_work(monkeypatch)
@@ -796,16 +844,17 @@ class TestLayerSlot:
         other = SystemGeometry(**desk | change)
         real = nn_realization(other)
         w = matched_precoder(real, other)
-        for train in self.trainers(*desk_grids(g)):
-            empty_both_slots(monkeypatch)
+        for train, ranges in self.trainers(*desk_grids(g)):
+            empty_store(monkeypatch)
             want = report_bytes(train(real, w, other))
-            empty_both_slots(monkeypatch)
+            empty_store(monkeypatch)
             first = nn_realization(g)
             train(first, matched_precoder(first, g), g)
             spoil_kept_words()
             counts = self.count_work(monkeypatch)
             assert report_bytes(train(real, w, other)) == want
-            assert counts["words"] == 2
+            # every range of both layers was made again
+            assert counts["words"] == 2 * ranges
 
     def test_cached_arrays_are_read_only(self):
         g = desk_geometry()
@@ -814,11 +863,13 @@ class TestLayerSlot:
         gb, gu = desk_grids(g)
         hierarchical_nn(real, w, NOISE, gb, gu, 2, g)
         two_stage_hybrid(real, w, NOISE, gu, 2, "FN", g)
-        kept = training._LAYERS
-        stacks = [a for _, per_range in kept.values() for a in per_range]
-        assert len(kept) == 4 and len(stacks) == 6
+        words = kept_words()
+        # 2 layers of 2 ranges, the FN call's layer-2 user range (its
+        # layer-1 range is the hierarchical call's), and the book
+        assert len(words) == 6
         angular = training.angular_book(g)
-        for a in stacks + [angular.words]:
+        assert any(a is angular.words for a in words)
+        for a in words:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 1.0
@@ -833,20 +884,21 @@ class TestLayerSlot:
         narrow = replace(gu, x_min=0.0, x_max=2 * float(np.nextafter(0, 1)))
         with pytest.raises(ValueError) as cold:
             hierarchical_nn(real, w, NOISE, gb, narrow, 3, g)
-        empty_both_slots(monkeypatch)
+        empty_store(monkeypatch)
         hierarchical_nn(real, w, NOISE, gb, narrow, 1, g)
         counts = self.count_work(monkeypatch)
         batches = TestArrayNativeDescent.capture_phis(monkeypatch)
         with pytest.raises(ValueError, match="degenerate sampling range") as warm:
             hierarchical_nn(real, w, NOISE, gb, narrow, 3, g)
         assert str(warm.value) == str(cold.value)
-        # layer 1 came from the slot and was scored; layer 2 raised
-        assert len(batches) == 1 and counts["words"] == 0
+        # layer 1 came from the store and was scored; at layer 2 the BS
+        # range's words were made, then the user range raised
+        assert len(batches) == 1 and counts["words"] == 1
 
-    # one desk layer of hierarchical training keeps 2*4*4*32 words of
-    # 16 bytes; the small bound keeps one and a half of them
+    # one desk range keeps 4*4*32 words of 16 bytes, a hierarchical layer
+    # two of them; the small bound keeps three
     @pytest.mark.parametrize("moved, bound", [
-        ({"ris_mid": (0.12, 0.01, 0.1)}, training.LAYER_SLOT_BYTES),
+        ({"ris_mid": (0.12, 0.01, 0.1)}, training.KEPT_BYTES),
         ({"ue_mid": (0.26, 0.01, 0.0)}, 3 * 2**13)],
         ids=["ris_moved", "same_ris_evicting"])
     def test_threads_on_alternating_geometries_match_the_serial_run(
@@ -863,9 +915,9 @@ class TestLayerSlot:
 
         want = []
         for k in (0, 1):
-            empty_both_slots(monkeypatch)
+            empty_store(monkeypatch)
             want.append(train(k))
-        monkeypatch.setattr(training, "LAYER_SLOT_BYTES", bound)
+        monkeypatch.setattr(training, "KEPT_BYTES", bound)
         counts = self.count_work(monkeypatch)
         wrong, raised = [], []
 
@@ -879,17 +931,18 @@ class TestLayerSlot:
 
         run_threads(worker)
         assert wrong == [] and raised == []
-        assert training._LAYERS_BYTES == kept_bytes() <= bound
-        if bound < training.LAYER_SLOT_BYTES:
-            # 80 calls of 3 layers over at most 6 distinct layers: the
-            # bound made them rebuild evicted ones
-            assert counts["words"] > 6
+        assert kept_bytes() <= bound
+        if bound < training.KEPT_BYTES:
+            # 80 calls of 3 layers over at most 12 distinct ranges: the
+            # bound made them rebuild dropped ones
+            assert counts["words"] > 12
 
 
 @pytest.mark.usefixtures("empty_slots")
 class TestLayerSlotBound:
-    """The layer slot drops its least recently used layers to keep its
-    word stacks within LAYER_SLOT_BYTES; what it drops is rebuilt."""
+    """The store drops its least recently used entries until its words
+    take at most KEPT_BYTES or only the newest entry is left; what it
+    drops is rebuilt."""
 
     LAYER = 2 * 4 * 4 * 32 * 16    # bytes of one desk hierarchical layer
 
@@ -908,41 +961,55 @@ class TestLayerSlotBound:
     def test_kept_bytes_never_exceed_the_bound(self, monkeypatch,
                                                layers_kept):
         bound = layers_kept * self.LAYER + self.LAYER // 2
-        monkeypatch.setattr(training, "LAYER_SLOT_BYTES", bound)
-        seen, keep = [], training._keep_layer_work
+        monkeypatch.setattr(training, "KEPT_BYTES", bound)
+        built, over, kept = [], [], training._kept
 
-        def checked(key, work):
-            out = keep(key, work)
-            seen.append(kept_bytes())
-            # the running count, after the keep and its evictions
-            assert training._LAYERS_BYTES == seen[-1]
+        def checked(key, build):
+            def counted():
+                built.append(key)
+                return build()
+            out = kept(key, counted)
+            # after the keep and its drops the newest entry stays; the
+            # words fit unless it is left alone
+            assert list(training._KEPT)[-1] == key
+            if kept_bytes() > bound:
+                assert len(training._KEPT) == 1
+                over.append(key)
             return out
-        monkeypatch.setattr(training, "_keep_layer_work", checked)
+        monkeypatch.setattr(training, "_kept", checked)
         for real, w, gb, gu, g in self.cells(4):
             hierarchical_nn(real, w, NOISE, gb, gu, 4, g)
             two_stage_hybrid(real, w, NOISE, gu, 3, "FN", g)
-        assert max(seen) <= bound
-        # the slot dropped layers: it keeps fewer than were built
-        assert len(training._LAYERS) < len(seen)
+        # only the desk angular codebook, two ranges' bytes, is past the
+        # half-layer bound
+        assert all(is_book(key) for key in over)
+        assert bool(over) == (layers_kept == 0)
+        # the store dropped entries: it keeps fewer than were built
+        assert len(training._KEPT) < len(built)
         training.drop_memos()
-        assert training._LAYERS_BYTES == 0
+        assert kept_bytes() == 0 and not training._KEPT
 
-    def test_a_key_kept_again_is_replaced_in_its_place(self, monkeypatch):
-        # two threads that miss one layer together both keep it
-        monkeypatch.setattr(training, "LAYER_SLOT_BYTES", 3 * 64)
-        words = [np.zeros((4, 1, 1), dtype=complex) for _ in range(4)]
-        for key in "abc":
-            training._keep_layer_work(key, ((), [words[0]]))
-        again = ((), [words[1], words[2]])
-        training._keep_layer_work("a", again)
-        # "a" keeps its place, with the bytes of its new stacks: 4 stacks
-        # of 64 bytes are past the bound, so "a", the least recent, goes
-        assert list(training._LAYERS) == ["b", "c"]
-        assert training._LAYERS_BYTES == kept_bytes() == 2 * 64
-        training._keep_layer_work("c", ((), [words[3]]))
-        assert list(training._LAYERS) == ["b", "c"]
-        assert training._LAYERS["c"][1][0] is words[3]
-        assert training._LAYERS_BYTES == kept_bytes() == 2 * 64
+    def test_a_key_kept_again_is_replaced_as_the_newest(self, monkeypatch):
+        # two threads that miss one key together both keep it
+        monkeypatch.setattr(training, "KEPT_BYTES", 3 * 64)
+
+        def racing(key, value, size):
+            def build():
+                # another thread keeps `key` while this one builds it
+                training._kept(key, lambda: ("first", 64))
+                return value, size
+            return build
+
+        for key in "bc":
+            training._kept(key, lambda: ("old", 64))
+        assert training._kept("a", racing("a", "again", 128)) == "again"
+        # "a" is kept with the bytes of its new value as the newest entry:
+        # 4 * 64 bytes are past the bound, so "b", the least recent, goes
+        assert list(training._KEPT.items()) == [("c", ("old", 64)),
+                                                ("a", ("again", 128))]
+        training._kept("d", racing("d", "new", 64))
+        assert list(training._KEPT.items()) == [("a", ("again", 128)),
+                                                ("d", ("new", 64))]
 
     def test_evicted_layers_rebuild_bit_identically(self, monkeypatch):
         cells = self.cells(2)
@@ -961,17 +1028,18 @@ class TestLayerSlotBound:
 
         want = []
         for cell in cells:
-            empty_both_slots(monkeypatch)
+            empty_store(monkeypatch)
             want.append(run(cell))
         fresh = list(built)
-        empty_both_slots(monkeypatch)
-        # room for one layer: each layer evicts the one before it
-        monkeypatch.setattr(training, "LAYER_SLOT_BYTES", self.LAYER)
+        empty_store(monkeypatch)
+        # room for one layer's two ranges: each range drops the one two
+        # before it
+        monkeypatch.setattr(training, "KEPT_BYTES", self.LAYER)
         built.clear()
         assert [run(cell) for cell in cells] == want
-        assert len(training._LAYERS) == 1
-        # every layer was rebuilt, word for word as from an empty slot
-        assert built == fresh and len(built) == 6
+        assert len(training._KEPT) == 2
+        # every range was rebuilt, word for word as from an empty store
+        assert built == fresh and len(built) == 12
 
     @pytest.mark.parametrize("bound", [0, 3 * LAYER])
     def test_experiment_output_does_not_depend_on_the_bound(
@@ -985,14 +1053,14 @@ class TestLayerSlotBound:
             return out.read_bytes(), out.with_suffix(".summary.csv").read_bytes()
 
         want = emitted()
-        monkeypatch.setattr(training, "LAYER_SLOT_BYTES", bound)
+        monkeypatch.setattr(training, "KEPT_BYTES", bound)
         assert emitted() == want
 
 
 @pytest.mark.usefixtures("empty_slots")
 class TestAngularSlot:
-    """One shared angular codebook, keyed on what its build reads, that
-    each experiment starts without."""
+    """One shared angular codebook per key of what its build reads, kept
+    in the store, that each experiment starts without."""
 
     @pytest.mark.parametrize("scale", ["desk", "paper"])
     def test_shared_book_equals_a_fresh_build(self, scale):
@@ -1022,8 +1090,7 @@ class TestAngularSlot:
     @pytest.mark.parametrize("change", [
         {"m_x": 8}, {"m_y": 1}, {"spacing_wavelengths": 0.25},
         {"carrier_hz": 28e9}])
-    def test_each_key_field_rebuilds_and_replaces_the_entry(self, monkeypatch,
-                                                            change):
+    def test_each_key_field_builds_its_own_book(self, monkeypatch, change):
         g0 = desk_geometry()
         g1 = desk_geometry(**change)
         counts = TestLayerSlot.count_work(monkeypatch)
@@ -1031,13 +1098,13 @@ class TestAngularSlot:
         other = training.angular_book(g1)
         assert counts["angular"] == 2
         assert other.words.tobytes() == build_ff_codebook(g1).words.tobytes()
-        # the slot holds one book: g1's replaced g0's
-        key = (g1.m_x, g1.m_y, g1.spacing_m, g1.wavelength_m)
-        assert training._ANGULAR == (key, other)
-        again = training.angular_book(g0)
-        assert counts["angular"] == 3 and again is not first
-        assert again.words.tobytes() == first.words.tobytes()
-        assert again.provenance == first.provenance
+        # the store keeps both books, each under what its build reads
+        keys = [("angular", g.m_x, g.m_y, g.spacing_m, g.wavelength_m)
+                for g in (g0, g1)]
+        assert list(training._KEPT) == keys
+        assert training._KEPT[keys[1]][0] is other
+        assert training.angular_book(g0) is first
+        assert counts["angular"] == 2
 
     def test_shared_words_are_read_only(self):
         g = desk_geometry()
@@ -1047,6 +1114,21 @@ class TestAngularSlot:
         for target in (book.words, book[0].coeffs):
             with pytest.raises(ValueError):
                 target[0] = 1.0
+
+    def test_a_book_past_the_budget_is_built_once_and_shared(self,
+                                                            monkeypatch):
+        g = desk_geometry()
+        monkeypatch.setattr(training, "KEPT_BYTES", 64)
+        counts = TestLayerSlot.count_work(monkeypatch)
+        book = training.angular_book(g)
+        assert book.words.nbytes > training.KEPT_BYTES
+        real = nn_realization(g)
+        w = matched_precoder(real, g)
+        angular_sweep(real, w, NOISE, g)
+        assert training.angular_book(g) is book
+        assert counts["angular"] == 1
+        assert list(training._KEPT) == [
+            ("angular", g.m_x, g.m_y, g.spacing_m, g.wavelength_m)]
 
     def test_m_x_sweep_matches_each_value_run_alone(self, monkeypatch,
                                                     tmp_path):
@@ -1060,15 +1142,16 @@ class TestAngularSlot:
 
         counts = TestLayerSlot.count_work(monkeypatch)
         rows, summary = emitted([8, 16, 8])
-        # one build per sweep value: the cells of a value share the book
-        assert counts["angular"] == 3
+        # one build per key: the cells of a value share the book, and the
+        # second m_x 8 takes the book the first one kept
+        assert counts["angular"] == 2
         for i, value in enumerate((8, 16, 8)):
             counts["angular"] = 0
             alone_rows, alone_summary = emitted([value])
             assert rows[1 + 2 * i:3 + 2 * i] == alone_rows[1:]
             assert summary[1 + i] == alone_summary[1]
             # each experiment starts without the book, even when the one
-            # before it left the same key in the slot (m_x 8 here)
+            # before it left the same key in the store (m_x 8 here)
             assert counts["angular"] == 1
 
     def test_threads_on_alternating_keys_get_their_own_book(self):
