@@ -363,19 +363,19 @@ def _descend(realization: ChannelRealization, w: np.ndarray,
     height.  Each layer takes each range's quadrant bounds, split by
     `quadrant_bounds` (which raises what `subdivide_range` would), and
     the words of the quadrants' (4, S, 3) samples from `sample_grid`, as
-    one `distance_words` call per range.  It forms the candidates of all quadrant combinations (first
-    range slowest) as one broadcast product of plain arrays: the fixed
-    `prefix` row times the sample of the last range, ..., times the first,
-    in the row and multiplication order of `reduce(star, ...)`.  It scores
-    them in one batch and descends into the winning combination.  A layer
-    that sets a new best keeps its bounds, its sample row and each range's
-    winning stack; after the last layer the winner is named from them, with
-    no words built, by `star` over one-row books tagged with the samples'
-    points, so it has the scored row's coefficients and the tags of
-    `reduce(star, ...)` over full components (hierarchical codewords carry
-    the user-side sample as their first operand).  The layer records, each
-    with the running evaluation total, and the best codeword accumulate
-    into `report`.
+    one `distance_words` call per range.  It forms the candidates of all
+    quadrant combinations (first range slowest) as one broadcast product
+    of plain arrays: the fixed `prefix` row times the sample of the last
+    range, ..., times the first, in the row and multiplication order of
+    `reduce(star, ...)`.  It scores them in one batch and descends into
+    the winning combination.  A layer that sets a new best keeps its
+    bounds, its sample row and each range's winning stack; after the last
+    layer the winner is named from them, with no words built, by `star`
+    over one-row books tagged with the samples' points, so it has the
+    scored row's coefficients and the tags of `reduce(star, ...)` over
+    full components (hierarchical codewords carry the user-side sample as
+    their first operand).  The layer records, each with the running
+    evaluation total, and the best codeword accumulate into `report`.
 
     A range's quadrant bounds and words depend only on the range and on
     what `distance_words` reads of the geometry, the RIS element
