@@ -634,9 +634,10 @@ def kept_bytes():
 
 def spoil_kept_words():
     """Zero every kept range's words: a read of them changes the report."""
-    for key, ((quads, words), size) in [
-            item for item in training._KEPT.items() if not is_book(item[0])]:
-        training._KEPT[key] = (quads, np.zeros_like(words)), size
+    for key, (value, size) in list(training._KEPT.items()):
+        if not is_book(key):
+            quads, words = value
+            training._KEPT[key] = (quads, np.zeros_like(words)), size
 
 
 @pytest.fixture
