@@ -14,6 +14,7 @@ accuracy; the last column is their ratio.
 import argparse
 import csv
 
+from risbeam.cli import config_flag
 from risbeam.training import (
     es_overhead_hybrid,
     es_overhead_nn,
@@ -24,11 +25,16 @@ from risbeam.training import (
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--range-d", type=float, default=4000.0,
+    # each flag is held to the check of the config key it stands for
+    ap.add_argument("--range-d", type=config_flag("range_halfwidth_wl", float),
+                    default=4000.0,
                     help="full sampling range in multiples of d")
-    ap.add_argument("--s", type=int, default=2, help="samples per direction")
-    ap.add_argument("--m", type=int, default=120, help="RIS elements")
-    ap.add_argument("--max-layers", type=int, default=12)
+    ap.add_argument("--s", type=config_flag("s_x", int), default=2,
+                    help="samples per direction")
+    ap.add_argument("--m", type=config_flag("m_x", int), default=120,
+                    help="RIS elements")
+    ap.add_argument("--max-layers", type=config_flag("layers", int),
+                    default=12)
     ap.add_argument("--out", default="overhead.csv")
     args = ap.parse_args()
 

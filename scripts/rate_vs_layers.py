@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from risbeam import harness
-from risbeam.cli import seed_count
+from risbeam.cli import config_flag, seed_count
 from risbeam.channel import cascade
 from risbeam.codebook import build_nn_codebook
 from risbeam.optimizer import default_stream_count, initial_precoder
@@ -28,7 +28,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--scale", choices=("desk", "paper"), default="desk")
     ap.add_argument("--seeds", type=seed_count, default=20)
-    ap.add_argument("--max-layers", type=int, default=8)
+    ap.add_argument("--max-layers", type=config_flag("layers", int),
+                    default=8)
     ap.add_argument("--out", default="rate_vs_layers.csv")
     args = ap.parse_args()
 

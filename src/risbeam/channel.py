@@ -87,7 +87,8 @@ class FarFieldSpec:
 class ChannelRealization:
     """One draw of both link matrices plus the model tag.
 
-    g_bs_ris has shape (M, n_bs); g_ris_ue has shape (n_ue, M).
+    g_bs_ris has shape (M, n_bs); g_ris_ue has shape (n_ue, M).  Both are
+    held C-ordered, so results do not depend on the memory order given.
     """
 
     g_bs_ris: np.ndarray
@@ -95,12 +96,11 @@ class ChannelRealization:
     model_tag: str
 
     def __post_init__(self):
-        g1 = np.asarray(self.g_bs_ris, dtype=complex)
-        g2 = np.asarray(self.g_ris_ue, dtype=complex)
+        g1 = np.ascontiguousarray(self.g_bs_ris, dtype=complex)
+        g2 = np.ascontiguousarray(self.g_ris_ue, dtype=complex)
         if g1.ndim != 2 or g2.ndim != 2 or g1.shape[0] != g2.shape[1]:
             raise ValueError("link matrices must share the RIS dimension M")
-        if not (np.all(np.isfinite(g1.view(float))) and
-                np.all(np.isfinite(g2.view(float)))):
+        if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
             raise ValueError("non-finite channel entries")
         if self.model_tag not in MODEL_TAGS:
             raise ValueError(f"unknown model tag {self.model_tag!r}")

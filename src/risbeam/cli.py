@@ -18,21 +18,26 @@ import numpy as np
 from . import channel, codebook, geometry, harness, optimizer, training
 
 
+def config_flag(key: str, read):
+    """An argparse type: a flag's text, read by `read`, held to the check
+    of config key `key` as that key's value in a config would be."""
+    def parse(text: str):
+        try:
+            return harness.CONFIG_SCHEMA[key].check(read(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text}: {exc}") from None
+    return parse
+
+
 def _seed_flag(text: str) -> int:
     """--seed, held to the check of one entry of a config's seed list."""
-    try:
-        return harness.CONFIG_SCHEMA["seeds"].check([int(text)])[0]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{text}: {exc}") from None
+    return config_flag("seeds", lambda t: [int(t)])(text)[0]
 
 
 def seed_count(text: str) -> int:
     """A script's --seeds N, held to the check of a config's `seeds: N`;
     the seeds are 0..N-1."""
-    try:
-        return len(harness.CONFIG_SCHEMA["seeds"].check(int(text)))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{text}: {exc}") from None
+    return len(config_flag("seeds", int)(text))
 
 
 def _default_config(args) -> harness.ExperimentConfig:

@@ -28,9 +28,6 @@ _BUDGET_REL_SLACK = 1e-9
 # solve_precoder's bisection stops once the budget is met to this relative gap
 _BUDGET_REL_TOL = 1e-12
 _MAX_BISECT = 500
-# _edges keeps an edge only where the power it checks is across its
-# threshold by 2 kappa, kappa = _EDGE_MARGIN times `_power`'s rounding bound
-_EDGE_MARGIN = 10
 # Newton steps _edges takes toward each root at most
 _NEWTON_STEPS = 50
 # the bisection's edges when none are placed: every step evaluates _power
@@ -62,7 +59,7 @@ class Combiner:
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=complex)
-        if u.ndim != 2 or not np.all(np.isfinite(u.view(float))):
+        if u.ndim != 2 or not np.all(np.isfinite(u)):
             raise ValueError("combiner must be a finite matrix")
         object.__setattr__(self, "u", u)
 
@@ -114,7 +111,7 @@ def achievable_rate(h: np.ndarray, w: np.ndarray, noise_var: float) -> float:
     if not noise_var > 0:                   # NaN included
         raise ValueError("noise_var must be positive")
     b = np.asarray(h, dtype=complex) @ np.asarray(w, dtype=complex)
-    if not np.all(np.isfinite(b.view(float))):
+    if not np.all(np.isfinite(b)):
         raise ValueError("non-finite rate operands")
     s = np.linalg.svd(b, compute_uv=False)
     return float(np.sum(np.log2(1.0 + s * s / noise_var)))
@@ -185,14 +182,6 @@ def _power(rows: list, mu: float) -> float:
     return _pairwise_sum(terms)
 
 
-def _power_rounding(n: int) -> float:
-    """A bound on the relative rounding error of `_power` over n rows: a
-    term's add, square and divide, a path of at most n - 1 additions
-    through the sum, whatever its order, and one unit for second-order
-    terms, each unit 2^-53."""
-    return (4 + (n - 1) + 1) * 2.0 ** -53
-
-
 def _root(live: list, target: float, mu: float) -> float:
     """Newton's estimate of the mu at which ||W(mu)||^2 = target, from `mu`
     below it, on g(mu) = ||W(mu)||^-1, which is concave and increasing, so
@@ -221,31 +210,29 @@ def _edges(rows: list, p_max: float, hi: float) -> tuple:
     from the lower bound max(0, hi - max lam, max(sqrt(p / p_max) - lam)),
     and from there the tolerance root, where it is p_max (1 -
     _BUDGET_REL_TOL).  a and b lie a quarter of the roots' gap below and
-    above the first, c and d around the second.  Each is kept only if
-    `_power` there is across its threshold by 2 kappa (`_EDGE_MARGIN`):
-    above p_max at a, below it at b, above p_max (1 - _BUDGET_REL_TOL) at c
-    and below that at d.  `_power` is monotone in mu, as each of its
-    float operations is, so every mu <= a is over budget, every mu in
-    [b, c] feasible and within tolerance, and every mu >= d feasible and
-    not within it, exactly as `_power` there would say.
+    above the first, c and d around the second.  Each is kept only if the
+    bisection's own test there passes: over budget at a, feasible at b,
+    within _BUDGET_REL_TOL at c and not within it at d.  `_power` never
+    increases as mu >= 0 grows, also in floating point: it is a fixed tree
+    of correctly rounded adds, squares and divides over lam >= 0.  So a
+    step whose midpoint is <= a, in [b, c] or >= d ends exactly as
+    evaluating `_power` there would end it.
     """
     live = [(p, lam) for p, lam in rows if p > 0.0]
-    kappa = _EDGE_MARGIN * _power_rounding(len(rows))
-    tight = p_max * (1.0 - _BUDGET_REL_TOL)
     try:
         start = max(0.0, hi - max(lam for _, lam in live),
                     max(math.sqrt(p / p_max) - lam for p, lam in live))
         budget = _root(live, p_max, start)
-        tol = _root(live, tight, budget)
+        tol = _root(live, p_max * (1.0 - _BUDGET_REL_TOL), budget)
     except (ZeroDivisionError, OverflowError):
         return _NO_EDGES
     gap = 0.25 * (tol - budget)
     edges = a, b, c, d = budget - gap, budget + gap, tol - gap, tol + gap
     if not (a < b < c < d
-            and _power(rows, a) > p_max * (1.0 + 2.0 * kappa)
-            and _power(rows, b) <= p_max * (1.0 - 2.0 * kappa)
-            and _power(rows, c) >= tight * (1.0 + 2.0 * kappa)
-            and _power(rows, d) < tight * (1.0 - 2.0 * kappa)):
+            and _power(rows, a) > p_max
+            and _power(rows, b) <= p_max
+            and p_max - _power(rows, c) <= _BUDGET_REL_TOL * p_max
+            and p_max - _power(rows, d) > _BUDGET_REL_TOL * p_max):
         return _NO_EDGES
     return edges
 
@@ -263,10 +250,11 @@ def solve_precoder(h: np.ndarray, u: np.ndarray, f: np.ndarray,
     crossed, and the first feasible mu whose power is within
     _BUDGET_REL_TOL of p_max is taken.  The power is summed over Python
     floats in numpy's order (`_power`), so mu and W are bit for bit those
-    of an array evaluation.  A step whose midpoint is outside the edges
-    of `_edges`, near neither root, takes the half that `_power` would
-    give it without evaluating it, so only the steps between the edges
-    sum.  Raises after _MAX_BISECT steps.
+    of an array evaluation.  `_edges` places each edge where this test
+    itself passes, so a step whose midpoint is outside the edges, near
+    neither root, takes the half that `_power` would give it without
+    evaluating it, and only the steps between the edges sum.  Raises
+    after _MAX_BISECT steps.
     """
     if not p_max > 0:                        # NaN included
         raise ValueError("p_max must be positive")

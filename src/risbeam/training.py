@@ -160,8 +160,7 @@ def _operand(realization: ChannelRealization, w: np.ndarray,
     `is`), w's shape, dtype and bytes, and noise_var with its type.  A
     call under the same key takes C as it is, so the scoring calls of one
     training call, whatever their batch size, build it once; any other
-    key rebuilds it, into the same array while the shape holds.  The
-    rebuild rejects a noise_var that is not positive.
+    key builds C afresh, and rejects a noise_var that is not positive.
     """
     key = (w.shape, w.dtype, w.tobytes(), type(noise_var), noise_var)
     held = getattr(_WORK, "operand", None)
@@ -170,18 +169,10 @@ def _operand(realization: ChannelRealization, w: np.ndarray,
     if not noise_var > 0:                   # NaN included
         raise ValueError("noise_var must be positive")
     t = realization.g_bs_ris @ w / np.sqrt(noise_var)           # (M, q)
-    m, q = t.shape
-    n_ue = realization.g_ris_ue.shape[0]
-    if held is not None and held[2].shape == (m, n_ue, q):
-        c = held[2]
-    else:
-        # C is laid out as numpy lays out g_ris_ue.T * t for C-ordered
-        # channels and as the GEMM then reads it: an F-ordered (M, n_ue)
-        # view for q = 1, C-ordered otherwise; the same BLAS path then
-        # gives the same bits
-        c = (np.empty((n_ue, m, q), dtype=complex).transpose(1, 0, 2)
-             if q == 1 else np.empty((m, n_ue, q), dtype=complex))
-    np.multiply(realization.g_ris_ue.T[:, :, None], t[:, None, :], out=c)
+    # laid out as the GEMM reads it, and as numpy lays out g_ris_ue.T * t:
+    # an F-ordered (M, n_ue) matrix for q = 1, C-ordered otherwise
+    c = np.multiply(realization.g_ris_ue.T[:, :, None], t[:, None, :],
+                    order="F" if t.shape[1] == 1 else "C")
     _WORK.operand = realization, key, c
     _WORK.t, _WORK.v = t, None
     return c

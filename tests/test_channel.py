@@ -23,7 +23,7 @@ from risbeam.channel import (
 )
 from risbeam.geometry import LINK_BS_RIS, LINK_RIS_UE, SystemGeometry
 
-from conftest import config_args, desk_geometry, nn_realization
+from conftest import config_args, desk_geometry, nn_realization, rand_matrix
 
 
 def geom(**kw):
@@ -294,6 +294,24 @@ class TestSerialization:
         out.write_text(json.dumps({"format": "other"}))
         with pytest.raises(ValueError, match="format"):
             load_channel_json(out)
+
+
+@pytest.mark.parametrize("transposed", [True, False])
+def test_realization_takes_any_memory_order(transposed):
+    rng = np.random.default_rng(6)
+
+    def matrix(rows, cols):    # a transposed view, or a Fortran-ordered copy
+        if transposed:
+            return rand_matrix(rng, (cols, rows)).T
+        return np.asfortranarray(rand_matrix(rng, (rows, cols)))
+
+    g1, g2 = matrix(6, 4), matrix(3, 6)
+    real = ChannelRealization(g_bs_ris=g1, g_ris_ue=g2, model_tag="NN")
+    for held, given in ((real.g_bs_ris, g1), (real.g_ris_ue, g2)):
+        assert np.array_equal(held, given) and held.flags.c_contiguous
+    g2[0, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        ChannelRealization(g_bs_ris=g1, g_ris_ue=g2, model_tag="NN")
 
 
 def test_realization_validates_shapes():

@@ -335,6 +335,28 @@ print(json.dumps({m: m in sys.modules
         assert f"--seeds: {count}: must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("script, flag, value", [
+        ("overhead_vs_step", "--s", "0"),
+        ("overhead_vs_step", "--s", "-1"),
+        ("overhead_vs_step", "--m", "0"),
+        ("overhead_vs_step", "--range-d", "-5"),
+        ("overhead_vs_step", "--max-layers", "-2"),
+        ("rate_vs_layers", "--max-layers", "-2"),
+    ])
+    def test_script_flags_checked_as_their_config_keys(
+            self, tmp_path, monkeypatch, capsys, script, flag, value):
+        out = tmp_path / "out.csv"
+        monkeypatch.setattr(sys, "argv", [f"{script}.py", flag, value,
+                                          "--out", str(out)])
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_path(str(ROOT / "scripts" / f"{script}.py"),
+                           run_name="__main__")
+        assert exited.value.code == 2
+        # the reason is the config key's: "must be >= 1", "must be >= 0" for
+        # --max-layers, "must be a positive number" for --range-d
+        assert f"argument {flag}: {value}: must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_values_see_the_same_draws(self):
         base = "model: FF\nseeds: [0, 1]\nmax_iters: 2\n"
         alone = run_experiment(parse_config(base + "sweep: power_dbm in [-50]"))

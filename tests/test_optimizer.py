@@ -1,6 +1,6 @@
+import math
 import statistics
 import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from risbeam.channel import cascade, synthesize_channel
 from risbeam import optimizer, training
-from risbeam.harness import cell_setup, parse_config, solve_cell
+from risbeam.harness import VARIANTS, cell_setup, parse_config, solve_cell
 from risbeam.optimizer import (
     Combiner,
     Precoder,
@@ -393,11 +393,17 @@ class TestFloatBisection:
                 assert got.hex() == float(np.sum(case)).hex(), n
 
 
-def exact_power(rows, mu):
-    """||W(mu)||^2 over `_power`'s (p, lam) rows in rational arithmetic."""
-    mu = Fraction(mu)
-    return sum((Fraction(p) / (Fraction(lam) + mu) ** 2
-                for p, lam in rows if p > 0.0), Fraction(0))
+def array_decision(rows, p_max, mu):
+    """What the bisection decides at a midpoint mu over `_power`'s (p, lam)
+    rows, its power summed as a numpy array: "over" budget, feasible and
+    "within" _BUDGET_REL_TOL, or "feasible" and not within it."""
+    p, lam = np.array(rows).T
+    with np.errstate(divide="ignore"):
+        val = float(np.divide(p, (lam + mu) ** 2, out=np.zeros_like(p),
+                              where=p > 0.0).sum())
+    if val > p_max:
+        return "over"
+    return "within" if p_max - val <= 1e-12 * p_max else "feasible"
 
 
 class TestGuidedBisection:
@@ -405,16 +411,43 @@ class TestGuidedBisection:
     two roots; the steps between them, and every step where no edges are
     placed, sum `_power` as the plain bisection does."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(rows=st.lists(st.tuples(
                st.one_of(st.just(0.0), st.floats(1e-30, 1e30)),
                st.one_of(st.just(0.0), st.floats(1e-30, 1e30))),
                min_size=1, max_size=300),
-           mu=st.floats(1e-20, 1e20))
-    def test_power_is_within_its_rounding_bound(self, rows, mu):
-        want = exact_power(rows, mu)
-        err = abs(Fraction(optimizer._power(rows, mu)) - want)
-        assert err <= Fraction(optimizer._power_rounding(len(rows))) * want
+           mus=st.lists(st.floats(0.0, 1e30), min_size=2,
+                        max_size=2).map(sorted),
+           adjacent=st.booleans())
+    def test_power_never_increases_with_mu(self, rows, mus, adjacent):
+        # the edges rest on this: a step they settle ends as a sum would
+        mu1, mu2 = mus
+        if adjacent:                           # the next float above mu1
+            mu2 = math.nextafter(mu1, math.inf)
+        assert optimizer._power(rows, mu1) >= optimizer._power(rows, mu2)
+
+    @pytest.mark.parametrize("scale", ["desk", "paper"])
+    def test_placed_edges_pass_the_bisections_own_test(self, monkeypatch,
+                                                       scale):
+        placed = []
+        edges = optimizer._edges
+
+        def spy(rows, p_max, hi):
+            placed.append((rows, p_max, edges(rows, p_max, hi)))
+            return placed[-1][2]
+
+        monkeypatch.setattr(optimizer, "_edges", spy)
+        for _, model, scheme in VARIANTS:
+            cfg = parse_config(f"model: {model}\ntraining: {scheme}",
+                               scale=scale)
+            for seed in range(3):
+                solve_cell(cfg, seed)
+        kept = [(rows, p_max, e) for rows, p_max, e in placed
+                if e is not optimizer._NO_EDGES]
+        assert len(kept) >= 20
+        for rows, p_max, (a, b, c, d) in kept:
+            assert [array_decision(rows, p_max, mu) for mu in (a, b, c, d)] \
+                == ["over", "within", "within", "feasible"]
 
     @pytest.mark.parametrize("scale", ["desk", "paper"])
     def test_few_sums_per_bisecting_solve(self, monkeypatch, scale):
@@ -459,7 +492,7 @@ class TestGuidedBisection:
         monkeypatch.setattr(optimizer, "_edges", spy)
         assert solve_precoder(h, u, f, p_max).w.tobytes() == want.tobytes()
         assert placed[-1] is not optimizer._NO_EDGES
-        monkeypatch.setattr(optimizer, "_EDGE_MARGIN", 1e30)
+        monkeypatch.setattr(optimizer, "_root", lambda *args: math.nan)
         assert solve_precoder(h, u, f, p_max).w.tobytes() == want.tobytes()
         assert placed[-1] is optimizer._NO_EDGES
         for limit in (0, 1, 7, steps - 1):
@@ -619,3 +652,11 @@ class TestContainers:
     def test_combiner_requires_finite(self):
         with pytest.raises(ValueError):
             Combiner(u=np.array([[np.inf, 0.0]]))
+
+    @pytest.mark.parametrize("layout", [np.transpose, np.asfortranarray])
+    def test_combiner_takes_any_memory_order(self, layout):
+        u = layout(rand_matrix(np.random.default_rng(4), (3, 5)))
+        assert np.array_equal(Combiner(u=u).u, u)
+        u[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            Combiner(u=u)

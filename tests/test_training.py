@@ -1533,6 +1533,22 @@ class TestRateKernelOperand:
         rates_for_phase_batch(real, layer, 2 * w, noise)
         assert training._WORK.v is not v
 
+    @pytest.mark.parametrize("q", [1, 2, 8])
+    def test_fortran_ordered_channels_give_the_same_rates(self, q):
+        cfg = parse_config("model: NN", scale="paper")
+        geometry, real, _, _ = cell_setup(cfg, 2)
+        fortran = ChannelRealization(
+            g_bs_ris=np.asfortranarray(real.g_bs_ris),
+            g_ris_ue=np.asfortranarray(real.g_ris_ue), model_tag="NN")
+        rng = np.random.default_rng(q)
+        w = rand_matrix(rng, (geometry.n_bs, q))
+        w *= np.sqrt(cfg.p_max_w) / np.linalg.norm(w)
+        for k in (16, 256):
+            phis = np.exp(-1j * rng.uniform(0, 2 * np.pi, (k, geometry.m)))
+            want = rates_for_phase_batch(real, phis, w, cfg.noise_w)
+            got = rates_for_phase_batch(fortran, phis, w, cfg.noise_w)
+            assert got.tobytes() == want.tobytes()
+
     def test_alternating_batch_sizes_share_one_operand(self):
         # a two-stage call: a K = 120 sweep, then K = 16 layers
         real, w, noise, batches = self.paper_case()
