@@ -296,12 +296,12 @@ class TestSerialization:
             load_channel_json(out)
 
 
-@pytest.mark.parametrize("transposed", [True, False])
-def test_realization_takes_any_memory_order(transposed):
+@pytest.mark.parametrize("layout", ["transposed", "fortran"])
+def test_realization_takes_any_memory_order(layout):
     rng = np.random.default_rng(6)
 
-    def matrix(rows, cols):    # a transposed view, or a Fortran-ordered copy
-        if transposed:
+    def matrix(rows, cols):
+        if layout == "transposed":
             return rand_matrix(rng, (cols, rows)).T
         return np.asfortranarray(rand_matrix(rng, (rows, cols)))
 
