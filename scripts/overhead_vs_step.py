@@ -25,7 +25,6 @@ from risbeam.training import (
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    # each flag is held to the check of the config key it stands for
     ap.add_argument("--range-d", type=config_flag("range_halfwidth_wl", float),
                     default=4000.0,
                     help="full sampling range in multiples of d")
