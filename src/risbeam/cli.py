@@ -86,11 +86,8 @@ def _cmd_channel(args) -> int:
     cfg = _default_config(args)
     if args.model:
         cfg = replace(cfg, model=args.model)
-    geo = harness.geometry_from(cfg)
-    rng = harness.rng_for(cfg.seeds[0])
-    real = channel.synthesize_channel(
-        cfg.model, geo, rng, n_paths_bs=cfg.paths_bs, n_paths_ue=cfg.paths_ue,
-        nlos_rel_power=cfg.nlos_rel_power, gain_mode=cfg.gain_mode)
+    real = harness.channel_from(cfg, harness.geometry_from(cfg),
+                                harness.rng_for(cfg.seeds[0]))
     out = args.out or f"channel_{cfg.model.lower()}.json"
     channel.dump_channel_json(real, out)
     print(f"wrote {cfg.model} realization (M={real.m}) to {out}")

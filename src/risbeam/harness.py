@@ -413,6 +413,15 @@ def grids_from(cfg: ExperimentConfig, geometry: SystemGeometry):
     return grid(cfg.bs_pos_m), grid(cfg.ue_pos_m)
 
 
+def channel_from(cfg: ExperimentConfig, geometry: SystemGeometry,
+                 rng: np.random.Generator):
+    """The config's channel model drawn on `geometry` from `rng`."""
+    return synthesize_channel(
+        cfg.model, geometry, rng, n_paths_bs=cfg.paths_bs,
+        n_paths_ue=cfg.paths_ue, nlos_rel_power=cfg.nlos_rel_power,
+        gain_mode=cfg.gain_mode)
+
+
 def cell_setup(cfg: ExperimentConfig, seed: int):
     """Geometry, channel realization and sample grids of one cell.
 
@@ -430,11 +439,8 @@ def cell_setup(cfg: ExperimentConfig, seed: int):
     lam_offsets = rng.uniform(-jitter, jitter, size=2)
     wavelength = SPEED_OF_LIGHT / cfg.carrier_hz
     geometry = geometry_from(cfg, ue_offset=tuple(lam_offsets * wavelength))
-    realization = synthesize_channel(
-        cfg.model, geometry, rng, n_paths_bs=cfg.paths_bs,
-        n_paths_ue=cfg.paths_ue, nlos_rel_power=cfg.nlos_rel_power,
-        gain_mode=cfg.gain_mode)
-    return (geometry, realization, *grids_from(cfg, geometry))
+    return (geometry, channel_from(cfg, geometry, rng),
+            *grids_from(cfg, geometry))
 
 
 def solve_cell(cfg: ExperimentConfig, seed: int) -> AOState:

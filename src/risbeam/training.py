@@ -169,8 +169,10 @@ def _operand(realization: ChannelRealization, w: np.ndarray,
     if not noise_var > 0:                   # NaN included
         raise ValueError("noise_var must be positive")
     t = realization.g_bs_ris @ w / np.sqrt(noise_var)           # (M, q)
-    # laid out as the GEMM reads it, and as numpy lays out g_ris_ue.T * t:
-    # an F-ordered (M, n_ue) matrix for q = 1, C-ordered otherwise
+    # laid out as the GEMM reads it: for q = 1 the F-ordered (M, n_ue)
+    # matrix numpy makes of g_ris_ue.T * t, whose layout a K = 1 product's
+    # bits depend on; otherwise C-ordered, as numpy's default order would
+    # follow g_ris_ue.T and make the kernel's reshape copy C on every call
     c = np.multiply(realization.g_ris_ue.T[:, :, None], t[:, None, :],
                     order="F" if t.shape[1] == 1 else "C")
     _WORK.operand = realization, key, c

@@ -27,16 +27,16 @@ from risbeam.harness import geometry_from, parse_config
 from risbeam.optimizer import ao_loop, default_stream_count
 
 
-def config_args(fn, scale="desk", **overrides):
+def config_args(fn, **overrides):
     """The keyword arguments of library function `fn` that config keys
-    declare, at their `scale` defaults, with `overrides` on top.
+    declare, at their desk defaults, with `overrides` on top.
 
     The library restates no config default, so a test takes each model
     value from its one declaration in `harness.ExperimentConfig` here;
     `ao_loop`'s q, which depends on the model and the geometry, comes
     from `default_stream_count` with the `default_stream_count` arguments.
     """
-    cfg = parse_config("", scale)
+    cfg = parse_config("")
     far = dict(nlos_rel_power=cfg.nlos_rel_power, gain_mode=cfg.gain_mode)
     args = {
         SystemGeometry.build: dict(

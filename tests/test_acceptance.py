@@ -5,18 +5,19 @@ and asserts the stated tolerance.  Tolerances are fixed here, not
 calibrated at runtime.
 
 Known red: the model-ordering experiment (criterion 8) asserts a strict
-five-way rate ordering across channel models.  Under this package's
-semantics (each model tag synthesizes its own channel, and the combiner /
-precoder updates use the true cascaded matrix), angular-only training on
-the all-spherical channel structurally outperforms the two-stage hybrid
-rows at full-scale proportions, so one link of the chain fails.  The
-experiment is kept faithful rather than tuned to pass.
+five-way ordering of mean final rates over `harness.VARIANTS`, each run
+through `harness.run_experiment` at the paper-scale defaults, 30 seeds.
+The link "FN two-stage above NN angular-only" fails (6.49 against 8.05).
+Measured on the same 30 draws, the shortfall lies in the FN channel, not
+in two-stage training alone: FN's best mean under any training scheme is
+7.51 (hierarchical), still below NN angular-only's 8.05, and FN two-stage
+equals FN angular in all 30 cells, as its stage two never beats its own
+sweep.  The experiment is kept faithful rather than tuned to pass.
 """
 
 import sys
 
 import numpy as np
-import pytest
 from dataclasses import replace
 
 from risbeam import harness
@@ -27,20 +28,16 @@ from risbeam.channel import (
     cascade,
     exact_distances,
     far_channel,
-    synthesize_channel,
     taylor_distances,
     upa_response,
 )
 from risbeam.codebook import (
-    SamplingGrid,
     angular_grid_values,
-    build_ff_codebook,
     build_hybrid_codebook,
     build_nn_codebook,
 )
-from risbeam.geometry import LINK_BS_RIS, LINK_RIS_UE, SystemGeometry
+from risbeam.geometry import LINK_BS_RIS, LINK_RIS_UE
 from risbeam.optimizer import (
-    ao_loop,
     default_stream_count,
     initial_precoder,
     mse_matrix,
@@ -54,19 +51,11 @@ from risbeam.training import (
     es_overhead_nn,
     exhaustive_search,
     hierarchical_nn,
-    hierarchical_overhead,
     sweep_overhead,
     two_stage_hybrid,
-    two_stage_overhead,
 )
 
-from conftest import (
-    config_args,
-    desk_geometry,
-    desk_grids,
-    nn_realization,
-    rand_matrix,
-)
+from conftest import desk_geometry, desk_grids, nn_realization, rand_matrix
 
 NOISE_W = 10 ** (-13.5)          # -105 dBm
 DESK_P_W = 10 ** ((-50 - 30) / 10)
@@ -172,17 +161,11 @@ def test_02_rank_claims(table2):
 
 
 def test_03_hierarchical_matches_flat_search():
-    cfg = desk_cfg()
-    lam = 299792458.0 / cfg.carrier_hz
-    half = cfg.range_halfwidth_wl * lam
+    cfg = desk_cfg(ue_jitter_frac=0.15)
     wins = 0
     worst = 1.0
     for seed in range(100):
-        rng = harness.rng_for(seed)
-        off = rng.uniform(-0.15 * half, 0.15 * half, 2)
-        g = harness.geometry_from(cfg, ue_offset=tuple(off))
-        real = nn_realization(g)
-        gb, gu = harness.grids_from(cfg, g)
+        g, real, gb, gu = harness.cell_setup(cfg, seed)
         q = default_stream_count("NN", g, cfg.paths_bs, cfg.paths_ue)
         w = initial_precoder(cascade(real, np.ones(g.m)), q, cfg.p_max_w)
         rep = hierarchical_nn(real, w, cfg.noise_w, gb, gu, 2, g)
@@ -199,25 +182,10 @@ def test_03_hierarchical_matches_flat_search():
 
 def test_04_ao_monotone_and_convergent():
     cfg = desk_cfg()
-    lam = 299792458.0 / cfg.carrier_hz
-    half = cfg.range_halfwidth_wl * lam
     monotone = converged = total = 0
     for tag in ("FF", "NF", "FN", "NN"):
-        tag_cfg = replace(cfg, model=tag)
         for seed in range(50):
-            rng = harness.rng_for(seed)
-            off = rng.uniform(-cfg.ue_jitter_frac * half,
-                              cfg.ue_jitter_frac * half, 2)
-            g = harness.geometry_from(tag_cfg, ue_offset=tuple(off))
-            real = synthesize_channel(tag, g, rng, cfg.paths_bs,
-                                      cfg.paths_ue, cfg.nlos_rel_power,
-                                      cfg.gain_mode)
-            gb, gu = harness.grids_from(tag_cfg, g)
-            q = default_stream_count(tag, g, cfg.paths_bs, cfg.paths_ue)
-            state = ao_loop(real, g, p_max=cfg.p_max_w, noise_var=cfg.noise_w,
-                            grid_bs=gb, grid_ue=gu, layers=cfg.layers,
-                            max_iters=cfg.max_iters, tol=cfg.tol,
-                            scheme=cfg.training, q=q)
+            state = harness.solve_cell(replace(cfg, model=tag), seed)
             total += 1
             rates = [r.rate for r in state.records]
             monotone += bool(np.all(np.diff(rates) >= -1e-6))
@@ -304,39 +272,21 @@ def test_07_on_grid_alignment_gain():
             detail=f"gain {gain:.2f} of M={g.m}")
 
 
-def test_08_model_ordering(table2):
-    # full-scale layout, CI-sized realization count
-    half = 1000 * table2.wavelength_m
-    layers = 12
-    def grid(cx, z):
-        return SamplingGrid(x_min=cx - half, x_max=cx + half,
-                            y_min=-half, y_max=half, s_x=2, s_y=2, fixed_z=z)
-    gb, gu = grid(0.0, 0.0), grid(24.0, 0.0)
-    geometry_args = config_args(SystemGeometry.build, "paper")
-    channel_args = config_args(synthesize_channel, "paper")
-    paths = config_args(default_stream_count, "paper")
-    variants = (("NN hierarchical", "NN", "auto"),
-                ("NF two-stage", "NF", "auto"),
-                ("FN two-stage", "FN", "auto"),
-                ("NN angular-only", "NN", "angular"),
-                ("FF angular", "FF", "auto"))
+def test_08_model_ordering():
+    # the paper-scale layout, CI-sized realization count; the labels name
+    # harness.VARIANTS in its order
+    labels = ("NN hierarchical", "NF two-stage", "FN two-stage",
+              "NN angular-only", "FF angular")
     means = {}
-    for name, tag, scheme in variants:
-        rates = []
-        for seed in range(30):
-            rng = harness.rng_for(seed)
-            off = rng.uniform(-0.05 * half, 0.05 * half, 2)
-            g = SystemGeometry.build(30e9, n_bs=16, n_ue=8, m_x=60, m_y=2,
-                                     bs_mid=(0, 0, 0),
-                                     ue_mid=(24 + off[0], off[1], 0),
-                                     ris_mid=(10, 0, 8), **geometry_args)
-            real = synthesize_channel(tag, g, rng, **channel_args)
-            q = default_stream_count(tag, g, **paths)
-            state = ao_loop(real, g, p_max=1.0, noise_var=NOISE_W,
-                            grid_bs=gb, grid_ue=gu, layers=layers, q=q,
-                            **config_args(ao_loop, "paper", scheme=scheme))
-            rates.append(state.rate)
-        means[name] = float(np.mean(rates))
+    for name, (_, model, scheme) in zip(labels, harness.VARIANTS):
+        cfg = harness.parse_config(
+            f"model: {model}\ntraining: {scheme}\nseeds: 30", scale="paper")
+        result = harness.run_experiment(cfg)
+        # the summary leaves failed cells out of its mean
+        assert result.errors == []
+        [(_, _, _, mean, _, n)] = result.summary
+        assert n == 30
+        means[name] = mean
     chain = [("NN hierarchical", "NF two-stage"),
              ("NF two-stage", "FN two-stage"),
              ("FN two-stage", "NN angular-only"),

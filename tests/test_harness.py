@@ -570,6 +570,14 @@ class TestCli:
         real = load_channel_json(out)
         assert real.model_tag == "NF"
         assert real.g_bs_ris.shape == (32, 8)
+        # the nominal channel: the seed's stream without the jitter draw
+        cfg = parse_config("model: NF")
+        nominal = harness.channel_from(cfg, geometry_from(cfg), rng_for(3))
+        for got, want in ((real.g_bs_ris, nominal.g_bs_ris),
+                          (real.g_ris_ue, nominal.g_ris_ue)):
+            assert got.tobytes() == want.tobytes()
+        _, jittered, _, _ = harness.cell_setup(cfg, 3)
+        assert not np.array_equal(real.g_ris_ue, jittered.g_ris_ue)
 
     @pytest.mark.parametrize("argv", [
         ["validate", "--seed", "1"], ["validate", "--out", "x"],

@@ -1549,6 +1549,14 @@ class TestRateKernelOperand:
             got = rates_for_phase_batch(fortran, phis, w, cfg.noise_w)
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("q", [1, 2, 8])
+    def test_kernel_reads_the_operand_without_a_copy(self, q):
+        cfg = parse_config("model: NN", scale="paper")
+        geometry, real, _, _ = cell_setup(cfg, 2)
+        w = rand_matrix(np.random.default_rng(q), (geometry.n_bs, q))
+        c = training._operand(real, w, cfg.noise_w)
+        assert np.shares_memory(c.reshape(geometry.m, -1), c)
+
     def test_alternating_batch_sizes_share_one_operand(self):
         # a two-stage call: a K = 120 sweep, then K = 16 layers
         real, w, noise, batches = self.paper_case()
