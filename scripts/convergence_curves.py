@@ -2,13 +2,18 @@
 """Rate-vs-iteration curves for every channel model / training pairing.
 
 Writes one CSV row per (variant, seed, iteration) so the convergence of
-the alternating optimizer can be plotted per model.  Desk scale by
-default; pass --scale paper for the full-size layout (seconds).
+the alternating optimizer can be plotted per model.  Each variant runs
+through `harness.run_experiment` on the scale's defaults, and its rows
+come from the cells' iteration records.  Desk scale by default; pass
+--scale paper for the full-size layout (seconds).
+
+A cell that raises has no rows; it is printed to standard error, and
+the script exits with status 1 once the CSV is written.
 """
 
 import argparse
 import csv
-from dataclasses import replace
+import sys
 
 from risbeam import harness
 from risbeam.cli import seed_count
@@ -21,19 +26,26 @@ def main():
     ap.add_argument("--out", default="convergence.csv")
     args = ap.parse_args()
 
-    cfg = harness.parse_config("", scale=args.scale)
+    # the scale's defaults parse for every variant
+    variants = harness.variant_configs("", args.scale, args.seeds)
+    failed = 0
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "seed", "iteration", "rate_bps_hz", "gamma"])
-        for name, tag, scheme in harness.VARIANTS:
-            for seed in range(args.seeds):
-                state = harness.solve_cell(
-                    replace(cfg, model=tag, training=scheme), seed)
-                for rec in state.records:
-                    writer.writerow([name, seed, rec.t, f"{rec.rate:.12g}",
-                                     f"{rec.gamma:.6g}"])
-            print(f"{name}: done")
+        for name, cfg in variants.items():
+            result = harness.run_experiment(cfg)
+            for row in result.rows:
+                for rec in row.records:
+                    writer.writerow([name, row.seed, rec.t,
+                                     f"{rec.rate:.12g}", f"{rec.gamma:.6g}"])
+            for err in result.errors:
+                print(f"error: {name}: failed cell: {err}", file=sys.stderr)
+            failed += len(result.errors)
+            print(f"{name}: {len(result.errors)} failed cells"
+                  if result.errors else f"{name}: done")
     print(f"wrote {args.out}")
+    if failed:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

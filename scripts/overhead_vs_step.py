@@ -14,6 +14,7 @@ accuracy; the last column is their ratio.
 import argparse
 import csv
 
+from risbeam import harness
 from risbeam.cli import config_flag
 from risbeam.training import (
     es_overhead_hybrid,
@@ -24,16 +25,19 @@ from risbeam.training import (
 
 
 def main():
+    # the defaults are the paper-scale config's
+    paper = harness.parse_config("", scale="paper")
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--range-d", type=config_flag("range_halfwidth_wl", float),
-                    default=4000.0,
+                    default=2 * paper.range_halfwidth_wl
+                    / paper.spacing_wavelengths,
                     help="full sampling range in multiples of d")
-    ap.add_argument("--s", type=config_flag("s_x", int), default=2,
+    ap.add_argument("--s", type=config_flag("s_x", int), default=paper.s_x,
                     help="samples per direction")
-    ap.add_argument("--m", type=config_flag("m_x", int), default=120,
-                    help="RIS elements")
+    ap.add_argument("--m", type=config_flag("m_x", int),
+                    default=paper.m_x * paper.m_y, help="RIS elements")
     ap.add_argument("--max-layers", type=config_flag("layers", int),
-                    default=12)
+                    default=paper.layers)
     ap.add_argument("--out", default="overhead.csv")
     args = ap.parse_args()
 

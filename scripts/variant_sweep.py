@@ -9,8 +9,8 @@ per-variant summaries into one CSV.  The sweep comes from the config:
     python3 scripts/variant_sweep.py configs/paper_ris_height.cfg --scale paper
 
 Each variant's config is CONFIG's text with that variant's `model:`,
-`training:` and `seeds:` lines appended, so the parse-time checks see
-the variant's model and scheme.  A variant whose config is refused gets
+`training:` and `seeds:` lines appended (`harness.variant_configs`), so
+the parse-time checks see the variant's model and scheme.  A variant whose config is refused gets
 nan, nan, 0 rows and one `config rejected` line on standard error; a
 file that cannot be read, or that every variant refuses, ends as
 `risbeam run` ends on it, with status 2 and nothing written.
@@ -41,14 +41,8 @@ def main():
         text = harness.config_text(args.config)
     except harness.ConfigError as exc:
         ap.exit(2, f"error: {args.config}: {exc}\n")
-    variants = {}           # name: its config, or the ConfigError refusing it
-    for name, tag, scheme in harness.VARIANTS:
-        try:
-            variants[name] = harness.parse_config(
-                f"{text}\nmodel: {tag}\ntraining: {scheme}\n"
-                f"seeds: {args.seeds}\n", scale=args.scale)
-        except harness.ConfigError as exc:
-            variants[name] = exc
+    # name: its config, or the ConfigError refusing it
+    variants = harness.variant_configs(text, args.scale, args.seeds)
     parsed = [cfg for cfg in variants.values()
               if isinstance(cfg, harness.ExperimentConfig)]
     if not parsed:          # the file fails whatever the variant

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -54,6 +55,11 @@ def _default_config(args) -> harness.ExperimentConfig:
 
 def _cmd_run(args) -> int:
     cfg = _default_config(args)
+    out_dir = Path(cfg.out).parent
+    if not out_dir.is_dir():
+        # refused before any cell runs, as a refused config is
+        print(f"error: {cfg.out}: no directory {out_dir}", file=sys.stderr)
+        return 2
     result = harness.run_experiment(cfg)
     harness.emit_results(result, cfg.out, timing=args.timing,
                          json_mirror=args.json)

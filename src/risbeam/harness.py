@@ -19,7 +19,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -253,6 +253,9 @@ class ResultRow:
     evaluations: int
     iterations: int
     ms: float
+    # the cell's `optimizer.Iteration`s; () for a failed cell and for a
+    # row read back from CSV, which has no column for them
+    records: tuple
 
 
 @dataclass
@@ -373,6 +376,21 @@ def load_config(path, scale: str = "desk") -> ExperimentConfig:
     return parse_config(config_text(path), scale=scale)
 
 
+def variant_configs(text: str, scale: str, seeds: int) -> dict:
+    """{label: `text` with the variant's `model:`, `training:` and
+    `seeds: <seeds>` lines appended, parsed, or the ConfigError refusing
+    it}, in VARIANTS order."""
+    configs = {}
+    for label, model, scheme in VARIANTS:
+        try:
+            configs[label] = parse_config(
+                f"{text}\nmodel: {model}\ntraining: {scheme}\n"
+                f"seeds: {seeds}\n", scale=scale)
+        except ConfigError as exc:
+            configs[label] = exc
+    return configs
+
+
 def apply_sweep(cfg: ExperimentConfig, value: float) -> ExperimentConfig:
     """Override the swept parameter with one sweep value."""
     name = cfg.sweep_param
@@ -464,7 +482,8 @@ def run_cell(cfg: ExperimentConfig, seed: int,
     return ResultRow(seed=seed, sweep_param=cfg.sweep_param,
                      sweep_value=float(sweep_value), model=cell.model,
                      rate_bps_hz=state.rate, evaluations=state.evaluations,
-                     iterations=state.iterations, ms=ms)
+                     iterations=state.iterations, ms=ms,
+                     records=tuple(state.records))
 
 
 def _cell_job(args):
@@ -475,7 +494,7 @@ def _cell_job(args):
         row = ResultRow(seed=seed, sweep_param=cfg.sweep_param,
                         sweep_value=float(sweep_value), model=cfg.model,
                         rate_bps_hz=float("nan"), evaluations=0,
-                        iterations=0, ms=0.0)
+                        iterations=0, ms=0.0, records=())
         return row, (f"seed={seed} sweep_value={sweep_value}: "
                      f"{type(exc).__name__}: {exc}")
 
@@ -520,8 +539,9 @@ def emit_results(result: ExperimentResult, path, timing: bool = False,
                  json_mirror: bool = False) -> None:
     """Write the result CSV (plus summary CSV and optional JSON mirror).
 
-    Reals are written with 12 significant digits.  Unless timing is
-    enabled the ms column is written as 0 so that reruns of the same
+    Reals are written with 12 significant digits; the mirror holds each
+    row's RESULT_HEADER fields unrounded.  Unless timing is enabled ms
+    is written as 0, in the mirror too, so that reruns of the same
     config are byte-identical.
     """
     path = Path(path)
@@ -544,7 +564,9 @@ def emit_results(result: ExperimentResult, path, timing: bool = False,
                 writer.writerow([param, f"{value:.12g}", model,
                                  f"{mean:.12g}", f"{std:.12g}", n])
         if json_mirror:
-            doc = {"rows": [asdict(r) for r in result.rows],
+            doc = {"rows": [{**{k: getattr(r, k) for k in RESULT_HEADER},
+                             "ms": r.ms if timing else 0.0}
+                            for r in result.rows],
                    "errors": result.errors}
             with open(f"{path}.json", "w") as fh:
                 json.dump(doc, fh, indent=1)
@@ -564,5 +586,5 @@ def parse_result_csv(path) -> list[ResultRow]:
                 seed=int(rec[0]), sweep_param=rec[1],
                 sweep_value=float(rec[2]), model=rec[3],
                 rate_bps_hz=float(rec[4]), evaluations=int(rec[5]),
-                iterations=int(rec[6]), ms=float(rec[7])))
+                iterations=int(rec[6]), ms=float(rec[7]), records=()))
     return rows

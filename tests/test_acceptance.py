@@ -278,9 +278,8 @@ def test_08_model_ordering():
     labels = ("NN hierarchical", "NF two-stage", "FN two-stage",
               "NN angular-only", "FF angular")
     means = {}
-    for name, (_, model, scheme) in zip(labels, harness.VARIANTS):
-        cfg = harness.parse_config(
-            f"model: {model}\ntraining: {scheme}\nseeds: 30", scale="paper")
+    variants = harness.variant_configs("", "paper", 30)
+    for name, cfg in zip(labels, variants.values()):
         result = harness.run_experiment(cfg)
         # the summary leaves failed cells out of its mean
         assert result.errors == []

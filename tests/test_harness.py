@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 import os
 import runpy
@@ -194,16 +196,19 @@ class TestRunExperiment:
         assert not result.errors
 
     def test_determinism_across_runs_and_workers(self, tmp_path):
+        # whole rows, records included, which cross the process pool
+        # pickled; ms is wall-clock
         cfg = parse_config(TINY + "sweep: power_dbm in [-50, -45]\n")
         r1 = run_experiment(cfg)
         r2 = run_experiment(cfg)
-        import dataclasses
         cfg2 = dataclasses.replace(cfg, workers=2)
         r3 = run_experiment(cfg2)
-        for other in (r2, r3):
-            for a, b in zip(r1.rows, other.rows):
-                assert a.rate_bps_hz == b.rate_bps_hz
-                assert (a.seed, a.sweep_value) == (b.seed, b.sweep_value)
+        rows = [[dataclasses.replace(row, ms=0.0) for row in r.rows]
+                for r in (r1, r2, r3)]
+        assert rows[0] == rows[1] == rows[2]
+        for row in rows[0]:
+            assert row.records[-1].rate == row.rate_bps_hz
+            assert row.records[-1].t == row.iterations
 
     # run in a fresh interpreter: pytest itself may have loaded these
     POOL_PROBE = """
@@ -265,6 +270,35 @@ print(json.dumps({m: m in sys.modules
         assert len(rows) == 1 + len(harness.VARIANTS)
         assert rows[1:4] == [f"{name},0,nan,nan,0" for name in refining]
         assert all(row.endswith(",2") for row in rows[4:])
+
+    def test_convergence_curves_reports_failed_cells(self, tmp_path,
+                                                     monkeypatch, capsys):
+        script = str(ROOT / "scripts" / "convergence_curves.py")
+        def run(out):
+            monkeypatch.setattr(sys, "argv", ["convergence_curves.py",
+                                              "--seeds", "2", "--out", out])
+            runpy.run_path(script, run_name="__main__")
+        clean = tmp_path / "clean.csv"
+        run(str(clean))
+        solve_cell = harness.solve_cell
+        def failing(cfg, seed):
+            if (cfg.model, seed) == ("FN", 1):
+                raise RuntimeError("boom")
+            return solve_cell(cfg, seed)
+        monkeypatch.setattr(harness, "solve_cell", failing)
+        capsys.readouterr()
+        out = tmp_path / "failed.csv"
+        with pytest.raises(SystemExit) as exited:
+            run(str(out))
+        assert exited.value.code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: FN-two-stage: failed cell: seed=1 sweep_value=0.0: "
+            "RuntimeError: boom"]
+        # every other cell keeps its rows, in order
+        kept = [line for line in clean.read_text().splitlines()
+                if not line.startswith("FN-two-stage,1,")]
+        assert len(kept) < len(clean.read_text().splitlines())
+        assert out.read_text().splitlines() == kept
 
     @pytest.mark.parametrize("base", ["NF", "NN"])
     def test_variant_sweep_checks_each_variant_config(self, tmp_path,
@@ -400,7 +434,7 @@ class TestEmit:
     def row(self, **kw):
         args = dict(seed=3, sweep_param="power_dbm", sweep_value=-45.0,
                     model="NN", rate_bps_hz=1.0 / 3.0, evaluations=256,
-                    iterations=7, ms=123.456)
+                    iterations=7, ms=123.456, records=())
         args.update(kw)
         return ResultRow(**args)
 
@@ -501,6 +535,32 @@ class TestCli:
         assert exited.value.code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "res.csv").exists()
+
+    def test_run_json_mirror_holds_the_csv_fields(self, tmp_path):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "res.csv"
+        assert cli.main(["run", str(cfg), "--out", str(out), "--json"]) == 0
+        mirror = json.loads((tmp_path / "res.csv.json").read_text())["rows"]
+        with open(out, newline="") as fh:
+            table = list(csv.reader(fh))
+        assert len(mirror) == len(table) - 1 == 2
+        for row, cells in zip(mirror, table[1:]):
+            assert tuple(row) == harness.RESULT_HEADER
+            # reals as the CSV writes them: 12 digits, and ms 0 untimed
+            assert [f"{v:.12g}" if isinstance(v, float) else str(v)
+                    for v in row.values()] == cells
+
+    def test_run_refuses_a_missing_output_directory(self, tmp_path,
+                                                    monkeypatch, capsys):
+        cfg = self.write_config(tmp_path)
+        ran = []
+        monkeypatch.setattr(harness, "run_experiment", ran.append)
+        out = tmp_path / "missing" / "res.csv"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+        assert ran == []
+        assert capsys.readouterr().err == \
+            f"error: {out}: no directory {out.parent}\n"
+        assert sorted(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize("argv", [
         ["run", "{cfg}"], ["codebook", "dump", "--config", "{cfg}"],
