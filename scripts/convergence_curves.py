@@ -1,14 +1,12 @@
 #!/usr/bin/env python3
 """Rate-vs-iteration curves for every channel model / training pairing.
 
-Writes one CSV row per (variant, seed, iteration) so the convergence of
-the alternating optimizer can be plotted per model.  Each variant runs
-through `harness.run_experiment` on the scale's defaults, and its rows
-come from the cells' iteration records.  Desk scale by default; pass
---scale paper for the full-size layout (seconds).
-
-A cell that raises has no rows; it is printed to standard error, and
-the script exits with status 1 once the CSV is written.
+Runs each variant through `harness.run_experiment` on the scale's
+defaults and writes one CSV row per (variant, seed, iteration), from the
+cells' iteration records, so the convergence of the alternating
+optimizer can be plotted per model.  Desk scale by default; pass --scale
+paper for the full-size layout (seconds).  A failed cell is printed to
+standard error and makes the script exit 1 once the CSV is written.
 """
 
 import argparse
