@@ -202,6 +202,7 @@ def main():
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"]
               for m in declared["end_to_end"] + declared["per_layer"]}
+    out = open(args.out, "w")   # a path it cannot write costs no run
 
     per_layer = {m["name"] for m in declared["per_layer"]}
 
@@ -238,9 +239,9 @@ def main():
             name: metric for name, metric in metrics.items()
             if name.split(".", 1)[1] in per_layer}
     record["count_changes"] = count_changes(record["counts"], declared)
-    with open(args.out, "w") as fh:
-        json.dump(record, fh, indent=1)
-        fh.write("\n")
+    with out:
+        json.dump(record, out, indent=1)
+        out.write("\n")
     print(f"wrote {args.out}")
 
 

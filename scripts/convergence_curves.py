@@ -14,12 +14,12 @@ import csv
 import sys
 
 from risbeam import harness
-from risbeam.cli import seed_count
+from risbeam.cli import open_output, seed_count
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--scale", choices=("desk", "paper"), default="desk")
+    ap.add_argument("--scale", choices=harness.SCALES, default="desk")
     ap.add_argument("--seeds", type=seed_count, default=10)
     ap.add_argument("--out", default="convergence.csv")
     args = ap.parse_args()
@@ -27,7 +27,7 @@ def main():
     # the scale's defaults parse for every variant
     variants = harness.variant_configs("", args.scale, args.seeds)
     failed = 0
-    with open(args.out, "w", newline="") as fh:
+    with open_output(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "seed", "iteration", "rate_bps_hz", "gamma"])
         for name, cfg in variants.items():

@@ -15,7 +15,7 @@ import argparse
 import csv
 
 from risbeam import harness
-from risbeam.cli import config_flag
+from risbeam.cli import config_flag, open_output
 from risbeam.training import (
     es_overhead_hybrid,
     es_overhead_nn,
@@ -41,7 +41,7 @@ def main():
     ap.add_argument("--out", default="overhead.csv")
     args = ap.parse_args()
 
-    with open(args.out, "w", newline="") as fh:
+    with open_output(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["layers", "step_d", "hierarchical", "flat_nn",
                          "hier_ratio", "two_stage", "flat_hybrid",

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from risbeam import harness
-from risbeam.cli import config_flag, seed_count
+from risbeam.cli import config_flag, open_output, seed_count
 from risbeam.channel import cascade
 from risbeam.codebook import build_nn_codebook
 from risbeam.optimizer import default_stream_count, initial_precoder
@@ -26,7 +26,7 @@ from risbeam.training import exhaustive_search, hierarchical_nn
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--scale", choices=("desk", "paper"), default="desk")
+    ap.add_argument("--scale", choices=harness.SCALES, default="desk")
     ap.add_argument("--seeds", type=seed_count, default=20)
     ap.add_argument("--max-layers", type=config_flag("layers", int),
                     default=8)
@@ -36,33 +36,31 @@ def main():
     cfg = replace(harness.parse_config("", scale=args.scale), model="NN",
                   ue_jitter_frac=0.15)
 
-    rows = []
-    for seed in range(args.seeds):
-        geometry, real, gb, gu = harness.cell_setup(cfg, seed)
-        q = default_stream_count("NN", geometry, cfg.paths_bs, cfg.paths_ue)
-        w = initial_precoder(cascade(real, np.ones(geometry.m)), q,
-                             cfg.p_max_w)
-        trace = [] if args.max_layers < 1 else hierarchical_nn(
-            real, w, cfg.noise_w, gb, gu, args.max_layers,
-            geometry).layer_trace
-        best = -np.inf
-        for rec in trace:
-            best = max(best, rec.best_rate)
-            rows.append((f"layered-L{rec.layer}", seed, rec.layer, best,
-                         rec.evaluations_total))
-        for pts in (8, 16):
-            book = build_nn_codebook(replace(gb, s_x=pts, s_y=pts),
-                                     replace(gu, s_x=pts, s_y=pts), geometry)
-            rep = exhaustive_search(real, w, cfg.noise_w, book)
-            rows.append((f"flat-{pts}", seed, 0, rep.best_rate,
-                         rep.evaluations))
-
-    with open(args.out, "w", newline="") as fh:
+    with open_output(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "seed", "layers", "rate_bps_hz",
                          "evaluations"])
-        for variant, seed, layers, rate, evals in rows:
-            writer.writerow([variant, seed, layers, f"{rate:.12g}", evals])
+        for seed in range(args.seeds):
+            geometry, real, gb, gu = harness.cell_setup(cfg, seed)
+            q = default_stream_count("NN", geometry, cfg.paths_bs,
+                                     cfg.paths_ue)
+            w = initial_precoder(cascade(real, np.ones(geometry.m)), q,
+                                 cfg.p_max_w)
+            trace = [] if args.max_layers < 1 else hierarchical_nn(
+                real, w, cfg.noise_w, gb, gu, args.max_layers,
+                geometry).layer_trace
+            best = -np.inf
+            for rec in trace:
+                best = max(best, rec.best_rate)
+                writer.writerow([f"layered-L{rec.layer}", seed, rec.layer,
+                                 f"{best:.12g}", rec.evaluations_total])
+            for pts in (8, 16):
+                book = build_nn_codebook(replace(gb, s_x=pts, s_y=pts),
+                                         replace(gu, s_x=pts, s_y=pts),
+                                         geometry)
+                rep = exhaustive_search(real, w, cfg.noise_w, book)
+                writer.writerow([f"flat-{pts}", seed, 0,
+                                 f"{rep.best_rate:.12g}", rep.evaluations])
     print(f"wrote {args.out}")
 
 

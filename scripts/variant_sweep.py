@@ -10,10 +10,11 @@ per-variant summaries into one CSV.  The sweep comes from the config:
 
 Each variant's config is CONFIG's text with that variant's `model:`,
 `training:` and `seeds:` lines appended (`harness.variant_configs`), so
-the parse-time checks see the variant's model and scheme.  A variant whose config is refused gets
-nan, nan, 0 rows and one `config rejected` line on standard error; a
-file that cannot be read, or that every variant refuses, ends as
-`risbeam run` ends on it, with status 2 and nothing written.
+the parse-time checks see the variant's model and scheme.  A variant
+whose config is refused gets nan, nan, 0 rows and one `config rejected`
+line on standard error; a file that cannot be read, or that every
+variant refuses, ends as `risbeam run` ends on it, with status 2 and
+nothing written.
 
 A cell that raises is left out of its row's mean, std and n, as in the
 summary `risbeam run` writes (a value whose cells all raise reads nan,
@@ -26,13 +27,13 @@ import csv
 import sys
 
 from risbeam import harness
-from risbeam.cli import seed_count
+from risbeam.cli import open_output, seed_count
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("config", help="sweep config file")
-    ap.add_argument("--scale", choices=("desk", "paper"), default="desk")
+    ap.add_argument("--scale", choices=harness.SCALES, default="desk")
     ap.add_argument("--seeds", type=seed_count, default=10)
     ap.add_argument("--out", default="variant_sweep.csv")
     args = ap.parse_args()
@@ -51,7 +52,7 @@ def main():
     sweep_param, sweep_values = parsed[0].sweep_param, parsed[0].sweep_values
 
     failed = 0
-    with open(args.out, "w", newline="") as fh:
+    with open_output(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", sweep_param, "mean_rate_bps_hz",
                          "std_rate_bps_hz", "n"])

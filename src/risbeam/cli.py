@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
@@ -41,6 +40,16 @@ def seed_count(text: str) -> int:
     return len(config_flag("seeds", int)(text))
 
 
+def open_output(path):
+    """`path` opened for writing, before any work is done; a path that
+    cannot be opened ends the command as a refused config does."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        print(f"error: {path}: {exc.strerror}", file=sys.stderr)
+        sys.exit(2)
+
+
 def _default_config(args) -> harness.ExperimentConfig:
     if args.config:
         cfg = harness.load_config(args.config, scale=args.scale)
@@ -55,11 +64,7 @@ def _default_config(args) -> harness.ExperimentConfig:
 
 def _cmd_run(args) -> int:
     cfg = _default_config(args)
-    out_dir = Path(cfg.out).parent
-    if not out_dir.is_dir():
-        # refused before any cell runs, as a refused config is
-        print(f"error: {cfg.out}: no directory {out_dir}", file=sys.stderr)
-        return 2
+    open_output(cfg.out).close()
     result = harness.run_experiment(cfg)
     harness.emit_results(result, cfg.out, timing=args.timing,
                          json_mirror=args.json)
@@ -71,6 +76,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_codebook(args) -> int:
     cfg = _default_config(args)
+    out = args.out or f"codebook_{args.kind.lower()}.csv"
+    open_output(out).close()
     geo = harness.geometry_from(cfg)
     grid_bs, grid_ue = harness.grids_from(cfg, geo)
     kind = args.kind.upper()
@@ -82,7 +89,6 @@ def _cmd_codebook(args) -> int:
         side = codebook.NEAR_SIDE[kind]
         grid = grid_bs if side == codebook.SIDE_BS else grid_ue
         book = codebook.build_hybrid_codebook(kind, grid, geo)
-    out = args.out or f"codebook_{args.kind.lower()}.csv"
     book.to_csv(out)
     print(f"wrote {len(book)} codewords to {out}")
     return 0
@@ -92,9 +98,10 @@ def _cmd_channel(args) -> int:
     cfg = _default_config(args)
     if args.model:
         cfg = replace(cfg, model=args.model)
+    out = args.out or f"channel_{cfg.model.lower()}.json"
+    open_output(out).close()
     real = harness.channel_from(cfg, harness.geometry_from(cfg),
                                 harness.rng_for(cfg.seeds[0]))
-    out = args.out or f"channel_{cfg.model.lower()}.json"
     channel.dump_channel_json(real, out)
     print(f"wrote {cfg.model} realization (M={real.m}) to {out}")
     return 0
@@ -170,7 +177,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     flags = {
-        "--scale": dict(choices=("desk", "paper"), default="desk",
+        "--scale": dict(choices=harness.SCALES, default="desk",
                         help="default parameter bundle (desk is CI-sized)"),
         "--seed": dict(type=_seed_flag, default=None,
                        help="replace the seed list with this single seed"),

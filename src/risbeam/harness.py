@@ -32,6 +32,8 @@ from .geometry import SPEED_OF_LIGHT, SystemGeometry, check_layout
 from .optimizer import AOState, ao_loop, default_stream_count, training_scheme
 
 TRAINING_SCHEMES = ("auto", "angular", "hierarchical", "two_stage")
+# the default bundles, one per Key field of the same name
+SCALES = ("desk", "paper")
 
 _RIS_AXES = ("ris_x", "ris_y", "ris_z")
 # the keys that place the array elements
@@ -301,8 +303,9 @@ def _parse_list(text: str) -> list:
 
 
 def scale_defaults(scale: str) -> dict:
-    if scale not in ("desk", "paper"):
-        raise ConfigError(f"unknown scale {scale!r}; use 'desk' or 'paper'")
+    if scale not in SCALES:
+        raise ConfigError(f"unknown scale {scale!r}; use "
+                          f"{' or '.join(map(repr, SCALES))}")
     return {key: getattr(spec, scale) for key, spec in CONFIG_SCHEMA.items()}
 
 

@@ -246,6 +246,20 @@ def test_counts_of_one_traced_round_per_side_are_written(tmp_path,
     assert record["count_changes"] == {"w": {}}
 
 
+def test_an_unwritable_out_fails_before_the_first_run(tmp_path, monkeypatch):
+    ran = []
+    main = script["main"]
+    monkeypatch.setitem(main.__globals__, "run", lambda *a: ran.append(a))
+    out = tmp_path / "missing" / "BENCH.json"
+    root = str(SCRIPT.parent.parent)    # a checkout with a BENCHMARK.json
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", root, root,
+                                      "--out", str(out)])
+    with pytest.raises(FileNotFoundError):
+        main()
+    assert ran == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_trace1_bounds_are_not_applicable(tmp_path, monkeypatch):
     # the traced runs report per-layer metrics only; the untraced ones
     # hold a 40 % slowdown, which trace0 reports

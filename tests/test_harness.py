@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import json
 import os
 import runpy
@@ -48,6 +49,14 @@ def unreadable_config(tmp_path, kind):
 
 
 UNREADABLE = ["missing", "directory", "binary"]
+
+# the experiment scripts, each run as its entry point; bench_pairs.py
+# drives the benchmark and has its own tests
+SCRIPTS = sorted(p.stem for p in (ROOT / "scripts").glob("*.py")
+                 if p.stem != "bench_pairs")
+# what a script needs on its command line besides --out
+SCRIPT_ARGS = {
+    "variant_sweep": [str(ROOT / "configs" / "desk_power_sweep.cfg")]}
 
 TINY = """
 model: FF
@@ -550,17 +559,44 @@ class TestCli:
             assert [f"{v:.12g}" if isinstance(v, float) else str(v)
                     for v in row.values()] == cells
 
-    def test_run_refuses_a_missing_output_directory(self, tmp_path,
-                                                    monkeypatch, capsys):
-        cfg = self.write_config(tmp_path)
-        ran = []
-        monkeypatch.setattr(harness, "run_experiment", ran.append)
+    @pytest.mark.parametrize("bad", ["missing", "directory"])
+    @pytest.mark.parametrize("entry", ["run", "run-out-key", "codebook",
+                                       "channel", *SCRIPTS])
+    def test_unwritable_output_refused_before_any_work(
+            self, tmp_path, monkeypatch, capsys, entry, bad):
+        # a missing directory, or an existing directory given as the path
         out = tmp_path / "missing" / "res.csv"
-        assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
-        assert ran == []
-        assert capsys.readouterr().err == \
-            f"error: {out}: no directory {out.parent}\n"
-        assert sorted(tmp_path.iterdir()) == [cfg]
+        if bad == "directory":
+            out = tmp_path / "res"
+            out.mkdir()
+        cfg = self.write_config(
+            tmp_path, TINY + (f"out: {out}\n" if entry == "run-out-key"
+                              else ""))
+        calls = []
+        for name in ("run_experiment", "cell_setup"):
+            monkeypatch.setattr(harness, name,
+                                lambda *a, name=name: calls.append(name))
+        monkeypatch.chdir(tmp_path)
+        made = sorted(tmp_path.rglob("*"))
+        argv = {"run": ["run", str(cfg), "--out", str(out)],
+                "run-out-key": ["run", str(cfg)],
+                "codebook": ["codebook", "dump", "--out", str(out)],
+                "channel": ["channel", "dump", "--out", str(out)]}
+        with pytest.raises(SystemExit) as exited:
+            if entry in argv:
+                cli.main(argv[entry])
+            else:
+                monkeypatch.setattr(sys, "argv", [
+                    f"{entry}.py", *SCRIPT_ARGS.get(entry, ()),
+                    "--out", str(out)])
+                runpy.run_path(str(ROOT / "scripts" / f"{entry}.py"),
+                               run_name="__main__")
+        assert exited.value.code == 2
+        reason = os.strerror(errno.ENOENT if bad == "missing"
+                             else errno.EISDIR)
+        assert capsys.readouterr().err == f"error: {out}: {reason}\n"
+        assert calls == []
+        assert sorted(tmp_path.rglob("*")) == made
 
     @pytest.mark.parametrize("argv", [
         ["run", "{cfg}"], ["codebook", "dump", "--config", "{cfg}"],
