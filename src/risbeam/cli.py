@@ -64,7 +64,8 @@ def _default_config(args) -> harness.ExperimentConfig:
 
 def _cmd_run(args) -> int:
     cfg = _default_config(args)
-    open_output(cfg.out).close()
+    for path in harness.output_paths(cfg.out, args.json):
+        open_output(path).close()
     result = harness.run_experiment(cfg)
     harness.emit_results(result, cfg.out, timing=args.timing,
                          json_mirror=args.json)

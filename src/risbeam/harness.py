@@ -538,16 +538,25 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(rows=rows, summary=summary, errors=errors)
 
 
+def output_paths(path, json_mirror: bool) -> list:
+    """The files `emit_results` writes for the result path `path`: the
+    result CSV, its summary CSV and, with `json_mirror`, the JSON mirror."""
+    path = Path(path)
+    mirror = [Path(f"{path}.json")] if json_mirror else []
+    return [path, path.with_suffix(".summary.csv"), *mirror]
+
+
 def emit_results(result: ExperimentResult, path, timing: bool = False,
                  json_mirror: bool = False) -> None:
-    """Write the result CSV (plus summary CSV and optional JSON mirror).
+    """Write the result CSV (plus summary CSV and optional JSON mirror),
+    at the `output_paths` of `path`.
 
     Reals are written with 12 significant digits; the mirror holds each
     row's RESULT_HEADER fields unrounded.  Unless timing is enabled ms
     is written as 0, in the mirror too, so that reruns of the same
     config are byte-identical.
     """
-    path = Path(path)
+    path, summary_path, *mirror = output_paths(path, json_mirror)
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -558,7 +567,6 @@ def emit_results(result: ExperimentResult, path, timing: bool = False,
                                  f"{r.sweep_value:.12g}", r.model,
                                  f"{r.rate_bps_hz:.12g}", r.evaluations,
                                  r.iterations, ms])
-        summary_path = path.with_suffix(".summary.csv")
         with open(summary_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["sweep_param", "sweep_value", "model",
@@ -566,12 +574,12 @@ def emit_results(result: ExperimentResult, path, timing: bool = False,
             for param, value, model, mean, std, n in result.summary:
                 writer.writerow([param, f"{value:.12g}", model,
                                  f"{mean:.12g}", f"{std:.12g}", n])
-        if json_mirror:
+        if mirror:
             doc = {"rows": [{**{k: getattr(r, k) for k in RESULT_HEADER},
                              "ms": r.ms if timing else 0.0}
                             for r in result.rows],
                    "errors": result.errors}
-            with open(f"{path}.json", "w") as fh:
+            with open(mirror[0], "w") as fh:
                 json.dump(doc, fh, indent=1)
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc

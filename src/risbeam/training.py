@@ -29,13 +29,17 @@ used first and bounded by the bytes of its words (`KEPT_BYTES`).
 each experiment.
 What depends on the precoder but not on the candidates is kept per
 thread by the rate kernel `rates_for_phase_batch`: its operand C, built
-once for a run of calls under one (realization, w, noise_var), and the
-two directions its screen takes (`_directions`).  A refining scheme
-names its winner from the row it scored.
+once for a run of calls under one (realization, w, noise_var), and its
+screen's operand (`_projection`), C projected on the two leading right
+singular vectors of T with a bound on the rest, taken on the first
+screened batch.  The screen runs before the kernel's GEMM, which then
+runs only on the rows that can hold the batch maximum.  A refining
+scheme names its winner from the row it scored.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -89,15 +93,19 @@ _KEPT_LOCK = threading.Lock()
 # paper NN experiment, whose cells' descents part early, would keep
 # 13.4 MB.
 KEPT_BYTES = 2 * 2**20
-# rates_for_phase_batch's kept operand, T and directions, one set per thread
+# rates_for_phase_batch's kept operand, T and screen operand, per thread
 _WORK = threading.local()
 # The batches rates_for_phase_batch screens: K >= _SCREEN_MIN_K, q >= 2.
-# On the near rank-one channels the screen keeps a median of 1 row per
-# batch (one benchmark round: at most 1 of desk NN's 444, 5 of paper NN's
-# 120).  Screen and kept rows over the exact path, after the GEMM (in
-# process, 2 shared cores, OPENBLAS_NUM_THREADS=1): K = 256, n_ue = q = 4
-# (desk NN) 0.38, n_ue = q = 8 (paper NN) 0.23; K = 120 0.72 at q = 3 and
-# 0.37 at q = 8; K = 16 2.7.  Sweeps and two-stage layers stay exact.
+# On the near rank-one channels the screen keeps its floor of 2 rows in
+# most batches (the shipped NN configs, 20 seeds each: 2 in each of desk
+# NN's 444 batches, 2 in 587 of paper NN's 624 and at most 14; no operand
+# took the full-rank fallback).  Kernel time with the screen over without
+# it, on the batches of 3-seed desk NN and paper NN, NN-angular and NF
+# runs (in process, 2 shared cores, OPENBLAS_NUM_THREADS=1): K = 256,
+# n_ue = q = 4 (desk NN) 0.69, n_ue = q = 8 (paper NN) 0.27; K = 120 1.15
+# at q = 3 and 0.80 at q = 8; K = 16 1.9.  Gate 120 ran paper_mix at 111
+# against 117 cells/s (medians of 4 alternating pairs, 1 won) with
+# +0.1-0.4 MB peak RSS, so sweeps and two-stage layers stay exact.
 _SCREEN_MIN_K = 256
 
 
@@ -176,82 +184,89 @@ def _operand(realization: ChannelRealization, w: np.ndarray,
     c = np.multiply(realization.g_ris_ue.T[:, :, None], t[:, None, :],
                     order="F" if t.shape[1] == 1 else "C")
     _WORK.operand = realization, key, c
-    _WORK.t, _WORK.v = t, None
+    _WORK.t, _WORK.screen = t, None
     return c
 
 
-def _directions() -> np.ndarray:
-    """The two leading right singular vectors of this thread's T, as rows;
-    taken on the first call after `_operand` builds C, kept until the next."""
-    if _WORK.v is None:
-        _WORK.v = np.linalg.svd(_WORK.t, full_matrices=False)[2][:2].conj()
-    return _WORK.v
+def _slack(q: int, s2: float) -> float | None:
+    """The screen's slack for candidates of q columns whose traces are at
+    most `s2`, None out of the screen's range (s2 not below 2^500, NaN
+    included); see `rates_for_phase_batch`."""
+    return 2.0 ** -30 * (q + s2) if s2 < 2.0 ** 500 else None
 
 
-def _bounds(b: np.ndarray, directions):
-    """(lower, upper, slack) on ln det(I_q + B^H B) for each candidate B of
-    the (K, n_ue, q) stack `b`, along the rows v_1, v_2 of the (2, q) array
-    `directions()`; None out of range, where `directions` is not called.
+def _projection():
+    """This thread's screen operand (C_V, r, slack) for its C, taken on
+    the first screened batch after `_operand` builds C and kept until the
+    next; False where the screen is out of range or could drop no row.
 
-    With the nonzero v_j orthonormal (to rounding, within the slack),
-    p_j = B v_j, a = |p_1|^2, d = |p_2|^2, c = p_1^H p_2, tr = |B|_F^2 and
-    D = (1 + a)(1 + d) - |c|^2 = det(I_2 + [p_1 p_2]^H [p_1 p_2]):
-    ln D <= ln det(I + B^H B) <= ln D + tr - a - d, below by eigenvalue
-    interlacing, above by Fischer's inequality in the basis (v_1, v_2, the
-    rest) and ln det(I + Y) <= tr Y.  D is kept >= 1 + max(a, d), its own
-    lower bound, against cancellation.  These bounds and the exact path
-    (GEMM Gram, LU `slogdet`) are within a small multiple of n_ue q^2
-    2^-53 (q + tr) of the truth while that is small against 1; the slack,
-    2^-30 (q + the largest trace), is over 10^4 times that at q, n_ue <= 8
-    and keeps every row once past the largest lower bound, at most
-    2 ln(1 + the largest trace), long before rounding can break the exact
-    path.  In range: a largest trace below 2^500, so no overflow or NaN.
+    C_V = C [v_1 v_2] holds the (M, 2, n_ue) projections, flattened as
+    the GEMM reads them; r = M |C V_perp|_F^2 and s2 = M |C|_F^2 bound
+    |B V_perp|_F^2 and |B|_F^2 for every unit-modulus row.  s2 is in
+    range, so C and T are finite, before T's SVD is taken.  Every lower
+    bound is at most 2 ln(1 + s2/2), so where r reaches that every row
+    would be kept, and the batch takes the plain exact path instead.
     """
-    k, n_ue, q = b.shape
+    if _WORK.screen is None:
+        c = _WORK.operand[2]
+        m, n_ue, q = c.shape
+        flat = c.reshape(-1, q)
+        _WORK.screen = False
+        with np.errstate(all="ignore"):
+            s2 = m * float(np.einsum("ij,ij->", flat.view(float),
+                                     flat.view(float)))
+            slack = _slack(q, s2)
+            if slack is None:
+                return False
+            vh = np.linalg.svd(_WORK.t, full_matrices=False)[2]
+            proj = flat @ vh.conj().T                 # C [V V_perp]
+            rest = proj[:, 2:].view(float)
+            r = m * float(np.einsum("ij,ij->", rest, rest))
+        if r < 2.0 * math.log1p(s2 / 2.0):
+            c_v = proj[:, :2].reshape(m, n_ue, 2).transpose(0, 2, 1)
+            _WORK.screen = c_v.reshape(m, -1), r, slack   # a C-ordered copy
+    return _WORK.screen
+
+
+def _lower_bounds(p: np.ndarray) -> np.ndarray:
+    """ln D for each candidate of the (K, 2, n_ue) stack `p` of its
+    projections p_1 = B v_1, p_2 = B v_2: with a = |p_1|^2, d = |p_2|^2
+    and c = p_1^H p_2, D = (1 + a)(1 + d) - |c|^2 = det(I_2 + [p_1 p_2]^H
+    [p_1 p_2]), kept >= 1 + max(a, d), its own lower bound, against
+    cancellation.  NaN where p is not finite."""
     with np.errstate(all="ignore"):
-        flat = b.reshape(k, -1).view(float)
-        tr = np.einsum("ij,ij->i", flat, flat)
-        top = float(tr.max())
-        if not top < 2.0 ** 500:
-            return None
-        p = (directions() @ b.reshape(-1, q).T).reshape(2, k, n_ue)
-        a, d = np.einsum("jki,jki->jk", p.view(float), p.view(float))
-        c = np.einsum("ku,ku->k", np.conjugate(p[0]), p[1])
+        flat = p.view(float)
+        a, d = np.einsum("kji,kji->jk", flat, flat)
+        c = np.einsum("ku,ku->k", np.conjugate(p[:, 0]), p[:, 1])
         det = np.maximum((1.0 + a) * (1.0 + d) - (c.real ** 2 + c.imag ** 2),
                          1.0 + np.maximum(a, d))
-    lower = np.log(det)
-    return lower, lower + (tr - a - d), 2.0 ** -30 * (q + top)
+        return np.log(det)
 
 
-def _rates(b: np.ndarray, directions) -> np.ndarray:
-    """The kernel's rates of the (K, n_ue, q) stack `b`: exact where a row
-    can be the batch maximum, -inf where `_bounds` along `directions()`
-    prove it below.  `directions` None, or a batch out of the screen's
-    range, keeps every row.
+def _keep(lower: np.ndarray, r: float, slack: float) -> np.ndarray | None:
+    """The rows whose upper bound lower + r reaches the cut, the smaller
+    of the largest lower bound less `slack` and the second largest lower
+    bound, so at least 2 rows; None where a lower bound is NaN."""
+    top = int(np.argmax(lower))                     # the first NaN, if any
+    first = lower[top]
+    second = max(lower[:top].max(initial=-np.inf),
+                 lower[top + 1:].max(initial=-np.inf))
+    cut = min(first - slack, second)
+    if np.isnan(cut):
+        return None
+    return np.flatnonzero(lower + r >= cut)
 
-    A row is kept when its upper bound is within the slack of the largest
-    lower bound.  A row left out is below the row with the largest lower
-    bound by more than the slack less all rounding, so each row equal to
-    the batch maximum is kept.  Kept rows go through conj, matmul, add and
-    `slogdet`, which treat each candidate alone, so they are bit for bit
-    the rows of the full batch.  A non-finite kept rate raises.
-    """
-    keep = slice(None)
-    bounds = None if directions is None else _bounds(b, directions)
-    if bounds is not None:
-        lower, upper, slack = bounds
-        keep = np.flatnonzero(upper >= lower.max() - slack)
-    kept = b[keep]
+
+def _rates(b: np.ndarray) -> np.ndarray:
+    """The exact rates of the (K, n_ue, q) stack `b`: conj, matmul, add
+    and `slogdet`, which treat each candidate alone.  A non-finite rate
+    raises."""
     q = b.shape[2]
-    gram = np.matmul(np.conjugate(kept).swapaxes(1, 2), kept)
+    gram = np.matmul(np.conjugate(b).swapaxes(1, 2), b)
     gram.reshape(-1, q * q)[:, ::q + 1] += 1.0      # I_q + Gram, in place
-    exact = np.linalg.slogdet(gram)[1] / np.log(2.0)
-    if not np.isfinite(exact).all():
+    rates = np.linalg.slogdet(gram)[1] / np.log(2.0)
+    if not np.isfinite(rates).all():
         raise ValueError("non-finite rate operands")
-    if bounds is None:
-        return exact
-    rates = np.full(len(b), -np.inf)
-    rates[keep] = exact
     return rates
 
 
@@ -261,25 +276,74 @@ def rates_for_phase_batch(realization: ChannelRealization, phis: np.ndarray,
 
     One GEMM phis @ C, C[m, (u, q)] = G_ris_ue[u, m] (G_bs_ris W)[m, q] / s
     with s = sqrt(noise_var), gives each candidate's B = HW / s; its rate is
-    the q x q log-det log2 det(I_q + B^H B).  A non-finite exact rate
-    raises.  A 1-D `phis` is one candidate.
+    the q x q log-det log2 det(I_q + B^H B) (`_rates`).  A non-finite exact
+    rate raises.  A 1-D `phis` is one candidate.
 
-    A batch of K >= _SCREEN_MIN_K candidates with q >= 2 is screened along
-    the two leading directions of T = G_bs_ris W / s (`_rates`): rows that
-    can be the batch maximum hold their exact rates, rows proven below it
-    -inf, so the argmax and the maximum are those of the full exact batch;
-    other batches hold all exact rates.
+    A batch of K >= _SCREEN_MIN_K unit-modulus rows with q >= 2 is
+    screened before that GEMM.  The screen works along v_1 and v_2, the
+    two leading right singular vectors of T = G_bs_ris W / s; V = [v_1
+    v_2], and V_perp holds the other q - 2.  Per operand (`_projection`)
+    it keeps C_V = C V and r = M |C V_perp|_F^2.  Since B V_perp =
+    sum_m phi_m C_m V_perp, Cauchy-Schwarz gives |B V_perp|_F^2 <= M |C
+    V_perp|_F^2 = r for a row with every |phi_m| = 1, and |B|_F^2 <= s2 =
+    M |C|_F^2 likewise.  Per batch it takes P = phis @ C_V, 2/q of the
+    GEMM's columns, and from P = B V the lower bound ln D
+    (`_lower_bounds`).  Then ln D <= ln det(I_q + B^H B) <= ln D + r:
+    below by the Schur complement of the leading 2 x 2 block in the basis
+    (V, V_perp), which is I + R^H (I + P P^H)^-1 R >= I with R = B V_perp;
+    above by Fischer's inequality and ln det(I + R^H R) <= |R|_F^2.  Only
+    the rows `_keep` keeps go through the GEMM and the exact tail: they
+    hold their exact rates, the other rows -inf, so the argmax and the
+    maximum are those of the full exact batch.  At least 2 rows are
+    kept: a GEMM of 2 or more rows gives each row the bits of the full
+    GEMM's row, while a 1-row product takes numpy's GEMV path and gives
+    other bits (a property of the BLAS, pinned by a test).  Other
+    batches, and a batch whose P has a non-finite row, hold all exact
+    rates.
 
-    C depends on the precoder but not on the candidates, so it is kept per
-    thread and built once for a run of calls under one (realization, w,
-    noise_var) (`_operand`); the realization's matrices must not change in
-    place while it is in use.  Every other array of a call is its own.
+    The slack.  A row left out has an upper bound below the largest
+    lower bound less the slack, so it is below the row of that lower
+    bound as long as the slack covers the rounding of both bounds and of
+    both exact rates.  Against ln det of the true B = phis @ C, with
+    u = 2^-53, S^2 = s2 and a change of X moving ln det(I + X^H X) by at
+    most sqrt(q) |dX|_F (its gradient X (I + X^H X)^-1 has singular
+    values <= 1/2):
+    - the GEMM's B and the computed P are within M u S and (M + q) u S
+      of B and B V in Frobenius norm, which moves the exact rate and
+      ln D by at most (M + q) u (q + s2), as S <= (q + s2) / (2 sqrt(q));
+      P is not the exact path's B times V bit for bit, so this term is
+      new to this screen;
+    - D's formula and its log, and the exact tail's Gram and LU
+      `slogdet`, are within a small multiple of n_ue q^2 u (q + s2);
+    - the SVD's V is orthonormal, and r's sum of M n_ue (q - 2) squares
+      exact, to within a few M n_ue q u s2.
+    At n_ue, q <= 8 and M <= 128 their sum is below 2^-36 (q + s2), and
+    the slack, 2^-30 (q + s2), is 64 times that.  It keeps every row once
+    it passes 2 ln(1 + s2/2), long before rounding can break the exact
+    path.  In range: s2 below 2^500, so no overflow or NaN.
+
+    C and the screen operand depend on the precoder but not on the
+    candidates, so they are kept per thread and built once for a run of
+    calls under one (realization, w, noise_var) (`_operand`); the
+    realization's matrices must not change in place while it is in use.
+    Every other array of a call is its own.
     """
     c = _operand(realization, w, noise_var)
     m, n_ue, q = c.shape
-    b = np.matmul(phis, c.reshape(m, -1)).reshape(-1, n_ue, q)
-    screen = len(b) >= _SCREEN_MIN_K and q >= 2
-    return _rates(b, _directions if screen else None)
+    screen = (phis.ndim == 2 and len(phis) >= _SCREEN_MIN_K and q >= 2
+              and _projection())
+    keep = None
+    if screen:
+        c_v, r, slack = screen
+        p = np.matmul(phis, c_v).reshape(-1, 2, n_ue)
+        keep = _keep(_lower_bounds(p), r, slack)
+    kept = phis if keep is None else phis[keep]
+    rates = _rates(np.matmul(kept, c.reshape(m, -1)).reshape(-1, n_ue, q))
+    if keep is None:
+        return rates
+    full = np.full(len(phis), -np.inf)
+    full[keep] = rates
+    return full
 
 
 @dataclass

@@ -559,16 +559,29 @@ class TestCli:
             assert [f"{v:.12g}" if isinstance(v, float) else str(v)
                     for v in row.values()] == cells
 
-    @pytest.mark.parametrize("bad", ["missing", "directory"])
-    @pytest.mark.parametrize("entry", ["run", "run-out-key", "codebook",
-                                       "channel", *SCRIPTS])
+    @pytest.mark.parametrize("entry, bad", [
+        *((entry, bad) for entry in ["run", "run-out-key", "codebook",
+                                     "channel", *SCRIPTS]
+          for bad in ["missing", "directory"]),
+        *((entry, bad) for entry in ["run", "run-out-key"]
+          for bad in ["summary", "json"])])
     def test_unwritable_output_refused_before_any_work(
             self, tmp_path, monkeypatch, capsys, entry, bad):
-        # a missing directory, or an existing directory given as the path
-        out = tmp_path / "missing" / "res.csv"
-        if bad == "directory":
-            out = tmp_path / "res"
-            out.mkdir()
+        # a missing directory, or an existing directory given as the path;
+        # for a run also as its summary path, or as its mirror's path
+        # under --json
+        out = tmp_path / "res.csv"
+        # the refused path, and the paths a run claims before it
+        refused, claimed = {
+            "missing": (tmp_path / "missing" / "res.csv", []),
+            "directory": (tmp_path / "res", []),
+            "summary": (tmp_path / "res.summary.csv", [out]),
+            "json": (tmp_path / "res.csv.json",
+                     [out, tmp_path / "res.summary.csv"])}[bad]
+        if bad in ("missing", "directory"):
+            out = refused
+        if bad != "missing":
+            refused.mkdir()
         cfg = self.write_config(
             tmp_path, TINY + (f"out: {out}\n" if entry == "run-out-key"
                               else ""))
@@ -578,8 +591,9 @@ class TestCli:
                                 lambda *a, name=name: calls.append(name))
         monkeypatch.chdir(tmp_path)
         made = sorted(tmp_path.rglob("*"))
-        argv = {"run": ["run", str(cfg), "--out", str(out)],
-                "run-out-key": ["run", str(cfg)],
+        mirror = ["--json"] if bad == "json" else []
+        argv = {"run": ["run", str(cfg), "--out", str(out), *mirror],
+                "run-out-key": ["run", str(cfg), *mirror],
                 "codebook": ["codebook", "dump", "--out", str(out)],
                 "channel": ["channel", "dump", "--out", str(out)]}
         with pytest.raises(SystemExit) as exited:
@@ -594,9 +608,13 @@ class TestCli:
         assert exited.value.code == 2
         reason = os.strerror(errno.ENOENT if bad == "missing"
                              else errno.EISDIR)
-        assert capsys.readouterr().err == f"error: {out}: {reason}\n"
+        assert capsys.readouterr().err == f"error: {refused}: {reason}\n"
         assert calls == []
-        assert sorted(tmp_path.rglob("*")) == made
+        # a run claims its CSV, its summary and its mirror in that order:
+        # the paths claimed before the refused one are left empty, and
+        # nothing else is new
+        assert sorted(tmp_path.rglob("*")) == sorted(made + claimed)
+        assert all(path.stat().st_size == 0 for path in claimed)
 
     @pytest.mark.parametrize("argv", [
         ["run", "{cfg}"], ["codebook", "dump", "--config", "{cfg}"],

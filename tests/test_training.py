@@ -1364,6 +1364,13 @@ def adversarial_stack(seed, k, n_ue, q, exponent, tail):
     return b
 
 
+# (geometry, realization) of an NN cell at each scale, for the screen's
+# bit checks
+SCREEN_CELLS = {scale: cell_setup(parse_config("model: NN", scale=scale),
+                                  5)[:2]
+                for scale in ("desk", "paper")}
+
+
 class TestRateKernelScreen:
     """A screened batch holds exact rates where a row can be the maximum
     and -inf where the screen proves it below."""
@@ -1376,11 +1383,15 @@ class TestRateKernelScreen:
            along=st.sampled_from(["own", "orthogonal", "random", None]))
     def test_screened_rows_are_the_exact_rows_that_can_win(
             self, seed, k, n_ue, q, exponent, tail, along):
+        # the screen driven from the stack rather than from phis and C:
+        # P = B v_j, r the largest |B V_perp|_F^2 of a row and s2 the
+        # largest trace, which bound every row as the kernel's r and s2 do
         b = adversarial_stack(seed, k, n_ue, q, exponent, tail)
         exact_ln = exact_log_dets(b)
         exact = exact_ln / np.log(2.0)
-        trace = np.sum(np.abs(b) ** 2, axis=(1, 2)).max()
-        directions = bounds = None              # along None: no screen
+        traces = np.sum(np.abs(b) ** 2, axis=(1, 2))
+        trace = traces.max()
+        slack = None                            # along None: no screen
         if along is not None:
             # any orthonormal pair must be safe: the stack's own two
             # leading right singular vectors, its least one (orthogonal to
@@ -1393,26 +1404,117 @@ class TestRateKernelScreen:
             v = {"own": basis[:2], "orthogonal": basis[-1:],
                  "random": pair}[along]
             v = np.vstack([v, np.zeros((2 - len(v), q))])
-            directions = lambda: v
-            bounds = training._bounds(b, directions)
+            slack = training._slack(q, trace)
             # out of range only past the stated trace
-            assert trace > 2.0 ** 499 if bounds is None else trace < 2.0 ** 501
+            assert trace > 2.0 ** 499 if slack is None else trace < 2.0 ** 501
+        if slack is None:
+            def rates():
+                return training._rates(b)
+        else:
+            p = np.einsum("kui,ji->kju", b, v)
+            with np.errstate(all="ignore"):
+                r = max(0.0, float(np.max(traces - np.sum(np.abs(p) ** 2,
+                                                          axis=(1, 2)))))
+            lower = training._lower_bounds(p)
+            keep = training._keep(lower, r, slack)
+            assert len(keep) >= 2
+
+            def rates():
+                got = np.full(k, -np.inf)
+                got[keep] = training._rates(b[keep])
+                return got
         if not np.isfinite(exact).all():
             # where rounding breaks the exact path, the kernel raises too
             with pytest.raises(ValueError, match="non-finite"):
-                training._rates(b, directions)
+                rates()
             return
-        got = training._rates(b, directions)
-        if bounds is None:
+        got = rates()
+        if slack is None:
             # unscreened, every row is the exact path's
             assert np.array_equal(got, exact)
             return
-        lower, upper, slack = bounds
         assert_kernel_rows(got, exact)
         assert got.max() == exact.max()
         assert np.sum(got == got.max()) == np.sum(exact == exact.max())
         assert np.all(lower <= exact_ln + slack)
-        assert np.all(upper >= exact_ln - slack)
+        assert np.all(lower + r >= exact_ln - slack)
+
+    @settings(max_examples=60, deadline=None)
+    @given(scale=st.sampled_from(["desk", "paper"]), q=st.integers(2, 8),
+           size=st.integers(2, 255), seed=st.integers(0, 2**32 - 1))
+    def test_gemm_of_kept_rows_is_bit_equal_to_the_full_gemm(
+            self, scale, q, size, seed):
+        # the kernel rates only the kept rows, by a GEMM of those rows
+        # alone; this BLAS gives each row of a product of 2 or more rows
+        # the bits of the full K = 256 GEMM's row (a 1-row product takes
+        # numpy's GEMV path, which the screen never takes)
+        cfg = parse_config("model: NN", scale=scale)
+        geometry, real = SCREEN_CELLS[scale]
+        rng = np.random.default_rng(seed)
+        c = training._operand(real, rand_matrix(rng, (geometry.n_bs, q)),
+                              cfg.noise_w)
+        flat = c.reshape(geometry.m, -1)
+        phis = np.exp(-1j * rng.uniform(0, 2 * np.pi, (256, geometry.m)))
+        keep = np.sort(rng.choice(256, size, replace=False))
+        full = np.matmul(phis, flat)
+        assert np.matmul(phis[keep], flat).tobytes() == full[keep].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(lower=st.lists(st.floats(0.0, 50.0) | st.sampled_from([0.0, 7.0]),
+                          min_size=2, max_size=300),
+           r=st.floats(0.0, 10.0) | st.just(0.0),
+           slack=st.floats(0.0, 1.0) | st.just(0.0))
+    def test_kept_set_has_at_least_two_rows(self, lower, r, slack):
+        lower = np.array(lower)
+        keep = training._keep(lower, r, slack)
+        assert len(keep) >= 2
+        assert np.all(np.diff(keep) > 0)              # rows in batch order
+        # the two largest lower bounds, and every row whose upper bound
+        # reaches the largest lower bound less the slack
+        assert set(np.argsort(-lower, kind="stable")[:2]) <= set(keep)
+        assert set(np.flatnonzero(lower + r >= lower.max() - slack)) \
+            <= set(keep)
+
+    def test_screened_kernel_batches_rate_at_least_two_rows(self):
+        for real, phis, w, noise in kernel_cases():
+            got = rates_for_phase_batch(real, phis, w, noise)
+            if screened(len(phis), w.shape[1]):
+                assert np.isfinite(got).sum() >= 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_candidate_in_a_screened_batch_rejected(self, bad):
+        # a lower bound that is not finite sends the batch to the exact
+        # path, which raises
+        real, phis, w, noise = next(
+            case for case in kernel_cases()
+            if len(case[1]) == 256 and case[2].shape[1] == 8)
+        phis = phis.copy()
+        phis[37, 5] = bad
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="non-finite"):
+            rates_for_phase_batch(real, phis, w, noise)
+
+    def test_full_rank_channel_takes_the_exact_path(self, monkeypatch):
+        # on a random full-rank T, r = M |C V_perp|_F^2 reaches the ceiling
+        # 2 ln(1 + s2/2) of every lower bound, so the operand's one
+        # comparison sends each of its batches to the plain exact path
+        rng = np.random.default_rng(17)
+        m, n_bs, n_ue, q = 120, 16, 8, 8
+        real = ChannelRealization(g_bs_ris=rand_matrix(rng, (m, n_bs)),
+                                  g_ris_ue=rand_matrix(rng, (n_ue, m)),
+                                  model_tag="NN")
+        w = rand_matrix(rng, (n_bs, q))
+        assert np.linalg.matrix_rank(real.g_bs_ris @ w) == q
+        svd, svds = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **k: svds.append(1) or svd(*a, **k))
+        for _ in range(3):
+            phis = np.exp(-1j * rng.uniform(0, 2 * np.pi, (256, m)))
+            got = rates_for_phase_batch(real, phis, w, 1.0)
+            assert training._WORK.screen is False
+            assert got.tobytes() == \
+                reference_rates(real, phis, w, 1.0).tobytes()
+        assert len(svds) == 1
 
     def test_kernel_falls_back_past_the_screen_range(self):
         # traces past 2^500 take the exact path, which rates every row
@@ -1522,16 +1624,29 @@ class TestRateKernelOperand:
     def test_directions_taken_once_on_the_first_screened_batch(self):
         real, w, noise, (sweep, layer) = self.paper_case((120, 256))
         rates_for_phase_batch(real, sweep, w, noise)
-        assert training._WORK.v is None          # no screen, no directions
+        assert training._WORK.screen is None     # no screen, no directions
         rates_for_phase_batch(real, layer, w, noise)
-        v = training._WORK.v
+        screen = training._WORK.screen
+        c_v, r, slack = screen
+        # C_V = C [v_1 v_2] and r = M |C V_perp|_F^2 along the right
+        # singular vectors of T
+        c = training._operand(real, w, noise)
+        m, n_ue, q = c.shape
         t = real.g_bs_ris @ w / np.sqrt(noise)
-        assert np.array_equal(
-            v, np.linalg.svd(t, full_matrices=False)[2][:2].conj())
+        vh = np.linalg.svd(t, full_matrices=False)[2]
+        proj = np.einsum("mui,ji->mju", c, vh.conj())
+        scale = np.abs(c).max()
+        np.testing.assert_allclose(c_v.reshape(m, 2, n_ue), proj[:, :2],
+                                   rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(r, m * np.sum(np.abs(proj[:, 2:]) ** 2),
+                                   rtol=1e-9, atol=1e-20 * m * scale ** 2)
+        assert slack == pytest.approx(
+            training._slack(q, m * np.sum(np.abs(c) ** 2)), rel=1e-12)
+        assert c_v.flags.c_contiguous
         rates_for_phase_batch(real, layer[::-1].copy(), w, noise)
-        assert training._WORK.v is v
+        assert training._WORK.screen is screen
         rates_for_phase_batch(real, layer, 2 * w, noise)
-        assert training._WORK.v is not v
+        assert training._WORK.screen is not screen
 
     @pytest.mark.parametrize("q", [1, 2, 8])
     def test_fortran_ordered_channels_give_the_same_rates(self, q):
