@@ -539,11 +539,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def output_paths(path, json_mirror: bool) -> list:
-    """The files `emit_results` writes for the result path `path`: the
-    result CSV, its summary CSV and, with `json_mirror`, the JSON mirror."""
-    path = Path(path)
-    mirror = [Path(f"{path}.json")] if json_mirror else []
-    return [path, path.with_suffix(".summary.csv"), *mirror]
+    """The files `emit_results` writes for the result path `path`: `path`
+    itself, its summary CSV and, with `json_mirror`, the JSON mirror."""
+    mirror = [f"{path}.json"] if json_mirror else []
+    return [path, Path(path).with_suffix(".summary.csv"), *mirror]
 
 
 def emit_results(result: ExperimentResult, path, timing: bool = False,
@@ -556,7 +555,7 @@ def emit_results(result: ExperimentResult, path, timing: bool = False,
     is written as 0, in the mirror too, so that reruns of the same
     config are byte-identical.
     """
-    path, summary_path, *mirror = output_paths(path, json_mirror)
+    path, summary_path, *mirror = output_paths(Path(path), json_mirror)
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
